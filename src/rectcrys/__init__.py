@@ -42,7 +42,6 @@ from .demazure import (
     FormalCharacter,
     crystal_side_character,
     demazure_character,
-    demazure_op,
     simple_reflection_weight,
     translation_reduced_word,
 )

@@ -57,7 +57,17 @@ def _parse_perm(text: str) -> tuple[int, ...]:
 
 
 def _read_json(stream) -> dict:
-    return json.load(stream)
+    data = json.load(stream)
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _check_pos(pos: int, b: CrystalElement) -> int:
+    """An adjacent pair of tensor positions (pos, pos + 1) of b."""
+    if not 1 <= pos <= b.seq.m - 1:
+        raise ValueError(f"--pos must be in 1..{b.seq.m - 1}, got {pos}")
+    return pos
 
 
 def _emit(data) -> None:
@@ -160,7 +170,7 @@ def _cmd_affine(args) -> int:
 def _cmd_rmatrix(args) -> int:
     b = _element_from_stdin(args)
     if args.op == "swap":
-        _emit(sigma_swap(b, args.pos).to_json())
+        _emit(sigma_swap(b, _check_pos(args.pos, b)).to_json())
     else:
         _require(args, "perm")
         _emit(sigma_compose(b, _parse_perm(args.perm)).to_json())
@@ -181,9 +191,10 @@ def _cmd_energy(args) -> int:
             }
         )
     else:
+        pos = _check_pos(args.pos, b)
         sub = CrystalElement(
-            RectSequence(b.seq.rects[args.pos - 1 : args.pos + 1]),
-            b.factors[args.pos - 1 : args.pos + 1],
+            RectSequence(b.seq.rects[pos - 1 : pos + 1]),
+            b.factors[pos - 1 : pos + 1],
             check=False,
         )
         _emit({"energy": local_H(sub)})

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from .errors import NotPartitionOfNError
@@ -86,15 +87,43 @@ def simple_reflection_weight(w: AffineWeight, i: int) -> AffineWeight:
     return w.add(simple_root(w.n, i), -w.coeff(i))
 
 
+def _term_key(n: int, w) -> tuple[int, ...]:
+    """The key (lam0, *finite, delta) of an exponential, from an
+    AffineWeight or from a key already."""
+    key = (w.lam0, *w.finite, w.delta) if isinstance(w, AffineWeight) else tuple(w)
+    if len(key) != n + 1:
+        raise ValueError(f"weight {w} does not have rank data n = {n}")
+    return key
+
+
+@lru_cache(maxsize=None)
+def _simple_root_keys(n: int) -> tuple[tuple[int, ...], ...]:
+    """alpha_0, ..., alpha_{n-1} as term keys."""
+    return tuple(_term_key(n, simple_root(n, i)) for i in range(n))
+
+
 class FormalCharacter:
-    """Finite integer combination of exponentials of affine weights."""
+    """Finite integer combination of exponentials of affine weights.
+
+    Terms are keyed by plain tuples (lam0, finite_1, ..., finite_{n-1},
+    delta), so that key[i] is the pairing <h_i, w> for every color i; the
+    constructor also accepts AffineWeight keys.
+    """
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Mapping[AffineWeight, int] = ()):
+    def __init__(self, n: int, terms: Mapping = ()):
         self.n = n
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self.terms = {w: c for w, c in items if c != 0}
+        self.terms = {_term_key(n, w): c for w, c in items if c != 0}
+
+    @classmethod
+    def _of(cls, n: int, acc: dict[tuple[int, ...], int]) -> "FormalCharacter":
+        """Trusted constructor from tuple keys; drops zero coefficients."""
+        ch = object.__new__(cls)
+        ch.n = n
+        ch.terms = {w: c for w, c in acc.items() if c}
+        return ch
 
     @classmethod
     def exponential(cls, w: AffineWeight) -> "FormalCharacter":
@@ -107,26 +136,21 @@ class FormalCharacter:
         w-k*alpha_i; k = -1 kills the term; k <= -2 contributes the negated
         string w+alpha_i, ..., w+(-k-1)*alpha_i.
         """
-        alpha = simple_root(self.n, i)
-        acc: dict[AffineWeight, int] = {}
-
-        def bump(w: AffineWeight, c: int):
-            acc[w] = acc.get(w, 0) + c
-
+        alpha = _simple_root_keys(self.n)[i]
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
         for w, c in self.terms.items():
-            k = w.coeff(i)
+            k = w[i]
             if k >= 0:
-                for t in range(k + 1):
-                    bump(w.add(alpha, -t), c)
+                acc[w] = get(w, 0) + c
+                for _ in range(k):
+                    w = tuple(map(sub, w, alpha))
+                    acc[w] = get(w, 0) + c
             elif k <= -2:
-                for t in range(1, -k):
-                    bump(w.add(alpha, t), -c)
-        return FormalCharacter(self.n, acc)
-
-    def shift(self, w: AffineWeight, scale: int = 1) -> "FormalCharacter":
-        return FormalCharacter(
-            self.n, {v.add(w, scale): c for v, c in self.terms.items()}
-        )
+                for _ in range(-k - 1):
+                    w = tuple(map(add, w, alpha))
+                    acc[w] = get(w, 0) - c
+        return FormalCharacter._of(self.n, acc)
 
     def __eq__(self, other) -> bool:
         return (
@@ -140,11 +164,6 @@ class FormalCharacter:
 
     def __repr__(self) -> str:
         return f"FormalCharacter({len(self.terms)} weights)"
-
-
-def demazure_op(ch: FormalCharacter, i: int) -> FormalCharacter:
-    """Module-level alias for :meth:`FormalCharacter.demazure_op`."""
-    return ch.demazure_op(i)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +240,6 @@ def apply_word_to_vector(word: Sequence[int], v: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 # Demazure characters and their classical decomposition.
 
-def _finite_weight(w: AffineWeight) -> tuple[int, ...]:
-    return w.finite
-
-
 def _partition_from_finite(fin: tuple[int, ...], size: int, n: int) -> tuple[int, ...]:
     """The unique partition of ``size`` with at most n parts and the given
     consecutive differences."""
@@ -238,53 +253,85 @@ def _partition_from_finite(fin: tuple[int, ...], size: int, n: int) -> tuple[int
     return partition(lam)
 
 
+def _peel(weights: dict[tuple[int, ...], int], size: int, n: int, degree: int):
+    """Irreducible characters with their multiplicities in one degree of a
+    finite character, keyed by finite weights, largest shape first.
+
+    A max-heap holds every dominant weight with a nonzero coefficient, each
+    converted to its partition when it enters.  Removing the character of
+    lam only touches weights dominated by lam, so the heap top is always the
+    largest shape left; entries cancelled meanwhile are skipped.
+    """
+    from heapq import heappop, heappush
+
+    remaining = {fin: c for fin, c in weights.items() if c}
+    heap: list = []
+
+    def push(fin: tuple[int, ...]) -> None:
+        lam = _partition_from_finite(fin, size, n)
+        heappush(heap, (tuple(-x for x in lam + (0,) * (n - len(lam))), fin, lam))
+
+    for fin in remaining:
+        if min(fin) >= 0:
+            push(fin)
+    while remaining:
+        if not heap:
+            raise ValueError(f"no dominant weight left in degree {degree}")
+        _, fin, lam = heappop(heap)
+        mult = remaining.get(fin)
+        if mult is None:
+            continue
+        if mult < 0:
+            raise ValueError(f"negative multiplicity at {lam}, degree {degree}")
+        yield lam, mult
+        for fin_wt, m, dominant in _finite_character(lam, n):
+            before = remaining.get(fin_wt, 0)
+            c = before - m * mult
+            if c:
+                remaining[fin_wt] = c
+                if dominant and not before:
+                    push(fin_wt)
+            else:
+                del remaining[fin_wt]
+
+
+@lru_cache(maxsize=None)
+def _finite_character(lam: tuple[int, ...], n: int) -> tuple[tuple, ...]:
+    """The weights of character_weights(lam, n) as (consecutive differences,
+    multiplicity, whether dominant)."""
+    out = []
+    for wt, m in character_weights(lam, n).items():
+        fin = tuple(map(sub, wt[:-1], wt[1:]))
+        out.append((fin, m, min(fin) >= 0))
+    return tuple(out)
+
+
 def demazure_character(level: int, mu: Sequence[int], n: int) -> GradedCharacter:
     """Graded decomposition of the Demazure character at the translation of mu.
 
     Applies the Demazure operators along the reduced word to the exponential
-    of level * Lambda_0, strips the leading exponential, reads q as the
-    exponential of -delta, and peels irreducible characters of the finite
-    subalgebra greedily from the dominant weights.
+    of level * Lambda_0, reads q as the exponential of -delta, and peels
+    irreducible characters of the finite subalgebra greedily from the
+    dominant weights.  The Lambda_0 coefficient is left out of the peel: it
+    is fixed by the finite part, since the operators keep the level.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
     word = translation_reduced_word(mu, n)
-    top = AffineWeight(n, level, (0,) * (n - 1), 0)
-    ch = FormalCharacter.exponential(top)
+    ch = FormalCharacter(n, {(level,) + (0,) * n: 1})
     for i in reversed(word):
         ch = ch.demazure_op(i)
-    ch = ch.shift(top, -1)
-    size = level * n
     by_degree: dict[int, dict[tuple[int, ...], int]] = {}
     for w, c in ch.terms.items():
-        if w.delta > 0:
+        if w[n] > 0:
             raise ValueError("positive delta coefficient in a Demazure character")
-        by_degree.setdefault(-w.delta, {})
-        fin = _finite_weight(w)
-        by_degree[-w.delta][fin] = by_degree[-w.delta].get(fin, 0) + c
+        weights = by_degree.setdefault(-w[n], {})
+        fin = w[1:n]
+        weights[fin] = weights.get(fin, 0) + c
     out: dict[tuple[int, ...], dict[int, int]] = {}
     for degree, weights in sorted(by_degree.items()):
-        remaining = {fin: c for fin, c in weights.items() if c}
-        while remaining:
-            dominant = [
-                (_partition_from_finite(fin, size, n), fin)
-                for fin in remaining
-                if all(x >= 0 for x in fin)
-            ]
-            if not dominant:
-                raise ValueError(f"no dominant weight left in degree {degree}")
-            lam, fin = max(dominant)
-            mult = remaining[fin]
-            if mult < 0:
-                raise ValueError(f"negative multiplicity at {lam}, degree {degree}")
+        for lam, mult in _peel(weights, level * n, n, degree):
             out.setdefault(lam, {})[degree] = mult
-            for wt, m in character_weights(lam, n).items():
-                fin_wt = tuple(wt[i] - wt[i + 1] for i in range(n - 1))
-                c = remaining.get(fin_wt, 0) - m * mult
-                if c:
-                    remaining[fin_wt] = c
-                else:
-                    remaining.pop(fin_wt, None)
     return GradedCharacter.from_dict(
         {lam: LaurentPolynomial(d) for lam, d in out.items()}
     )

@@ -3,19 +3,19 @@
 K_{lambda;R}(q) is the generating polynomial of the generalized charge over
 the R-LR tableaux of shape lambda.  The graded character of B^R expands the
 weight-and-energy generating function of the crystal into irreducible
-characters; the expansion is computed twice, once by counting highest weight
-elements and once from the LR tableaux, and the two routes must agree.
+characters; it is computed from the LR tableaux alone, and the verification
+suites check it against a scan of the crystal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .crystal import CrystalElement, RectSequence, enumerate_crystal, signature
-from .energy import tableau_energy, total_energy
-from .errors import MismatchedExpansionError
+from .crystal import RectSequence
+from .energy import tableau_energy
 from .rsk import LRTableau, is_r_lr, lrt_tableaux
 from .tableaux import Tableau, column_insert, conjugate, key, partition, partitions_of
 
@@ -172,61 +172,38 @@ def transposed_kostka(lam: Sequence[int], mu: Sequence[int]) -> LaurentPolynomia
     return kostka_foulkes(conjugate(lam), mu)
 
 
-def _is_sl_highest_weight(b: CrystalElement) -> bool:
-    return all(signature(b, i).eps == 0 for i in range(1, b.seq.n))
-
-
 def graded_character(seq: RectSequence) -> GradedCharacter:
     """Expansion of the weight-and-energy generating function of B^R into
-    irreducible characters.
-
-    Route one scans the crystal, grading highest weight elements by energy;
-    route two sums q^charge over LR tableaux shape by shape.  Both the
-    coefficient expansions and the underlying weight generating functions
-    must agree, else MismatchedExpansionError is raised.
-    """
-    by_hw: dict[tuple[int, ...], dict[int, int]] = {}
-    weight_sum: dict[tuple[tuple[int, ...], int], int] = {}
-    for b in enumerate_crystal(seq):
-        en = total_energy(b)
-        wt = b.content()
-        weight_sum[(wt, en)] = weight_sum.get((wt, en), 0) + 1
-        if _is_sl_highest_weight(b):
-            lam = partition(wt)
-            by_hw.setdefault(lam, {})
-            by_hw[lam][en] = by_hw[lam].get(en, 0) + 1
-    route_a = {lam: LaurentPolynomial(d) for lam, d in by_hw.items()}
-    route_b: dict[tuple[int, ...], LaurentPolynomial] = {}
-    for lam in partitions_of(seq.ncells, seq.n):
-        poly = k_polynomial(lam, seq)
-        if poly:
-            route_b[lam] = poly
-    if route_a != route_b:
-        raise MismatchedExpansionError(
-            f"highest-weight route {route_a} != tableau route {route_b}"
-        )
-    # full weight-level agreement of both sides of the expansion
-    expanded: dict[tuple[tuple[int, ...], int], int] = {}
-    for lam, poly in route_b.items():
-        for wt, mult in character_weights(lam, seq.n).items():
-            for e, c in poly.coeffs.items():
-                k = (wt, e)
-                expanded[k] = expanded.get(k, 0) + mult * c
-    if expanded != weight_sum:
-        raise MismatchedExpansionError("weight generating functions differ")
-    return GradedCharacter.from_dict(route_b)
+    irreducible characters, by the LR route: the coefficient of s_lambda is
+    K_{lambda;R}(q).  ``verify.verify_characters`` cross-checks it against a
+    scan of the crystal."""
+    return GradedCharacter.from_dict(
+        {lam: k_polynomial(lam, seq) for lam in partitions_of(seq.ncells, seq.n)}
+    )
 
 
 @lru_cache(maxsize=None)
 def character_weights(lam: tuple[int, ...], n: int) -> dict[tuple[int, ...], int]:
     """Weight multiplicities of the irreducible character of shape ``lam``:
-    contents of the column-strict tableaux over 1..n."""
-    from .tableaux import enumerate_cst
+    contents of the column-strict tableaux over 1..n.
 
+    The letter n fills a horizontal strip lam/nu, and the rest is a
+    column-strict tableau of shape nu over 1..n-1, so the contents are
+    counted strip by strip without building any tableau.
+    """
+    lam = partition(lam)
+    if len(lam) > n:
+        return {}
+    if n == 0:
+        return {(): 1}
+    padded = lam + (0,) * (n - len(lam))
+    size = sum(lam)
     out: dict[tuple[int, ...], int] = {}
-    for t in enumerate_cst(lam, n):
-        wt = t.content(n)
-        out[wt] = out.get(wt, 0) + 1
+    for nu in product(*(range(padded[i + 1], padded[i] + 1) for i in range(n - 1))):
+        strip = (size - sum(nu),)
+        for wt, m in character_weights(partition(nu), n - 1).items():
+            key_ = wt + strip
+            out[key_] = out.get(key_, 0) + m
     return out
 
 

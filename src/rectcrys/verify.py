@@ -48,10 +48,10 @@ from .energy import (
     total_energy,
 )
 from .errors import MismatchedExpansionError
-from .kpoly import graded_character, monotonicity_check
+from .kpoly import LaurentPolynomial, character_weights, graded_character, monotonicity_check
 from .rmatrix import sigma_swap, tau_swap
 from .rsk import LRTableau, lrt_tableaux, peel_recording, rsk_pair
-from .tableaux import Tableau, column_insert, enumerate_cst, partitions_of, reverse_row_insert
+from .tableaux import Tableau, column_insert, enumerate_cst, partition, partitions_of, reverse_row_insert
 
 
 @dataclass
@@ -721,9 +721,43 @@ def _check_stuck_component() -> list:
 # ---------------------------------------------------------------------------
 # Suite: the two expansion routes of the graded character.
 
+def _crystal_routes_agree(seq: RectSequence) -> None:
+    """Scan B^R and check the LR route of graded_character against it.
+
+    The coefficient of s_lambda counted over sl_n highest weight elements of
+    weight lambda, graded by energy, must equal K_{lambda;R}(q); and the
+    expansion, weighted by the irreducible characters, must reproduce the
+    weight-and-energy generating function of the whole crystal.  Raises
+    MismatchedExpansionError otherwise.
+    """
+    n = seq.n
+    by_hw: dict[tuple[int, ...], dict[int, int]] = {}
+    weight_sum: dict[tuple[tuple[int, ...], int], int] = {}
+    for b in enumerate_crystal(seq):
+        en = total_energy(b)
+        wt = b.content()
+        weight_sum[(wt, en)] = weight_sum.get((wt, en), 0) + 1
+        if all(signature(b, i).eps == 0 for i in range(1, n)):
+            counts = by_hw.setdefault(partition(wt), {})
+            counts[en] = counts.get(en, 0) + 1
+    hw_route = {lam: LaurentPolynomial(d) for lam, d in by_hw.items()}
+    lr_route = graded_character(seq).as_dict()
+    if hw_route != lr_route:
+        raise MismatchedExpansionError(
+            f"highest-weight route {hw_route} != tableau route {lr_route}"
+        )
+    expanded: dict[tuple[tuple[int, ...], int], int] = {}
+    for lam, poly in lr_route.items():
+        for wt, mult in character_weights(lam, n).items():
+            for e, c in poly.coeffs.items():
+                expanded[(wt, e)] = expanded.get((wt, e), 0) + mult * c
+    if expanded != weight_sum:
+        raise MismatchedExpansionError("weight generating functions differ")
+
+
 def _check_characters(seq: RectSequence) -> list:
     try:
-        graded_character(seq)
+        _crystal_routes_agree(seq)
     except MismatchedExpansionError as exc:
         return [_fail({"rects": seq.to_json()}, "routes agree", str(exc))]
     return []

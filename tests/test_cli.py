@@ -238,3 +238,35 @@ class TestVerifyCommand:
         path.write_text("not json")
         code = cli.main(["--infile", str(path), "rsk", "pair"])
         assert code == 2
+
+
+class TestMalformedInput:
+    """Malformed input ends with exit code 2 and a message, never a
+    traceback or a silent answer."""
+
+    def run_usage_error(self, capsys, argv):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("usage error:")
+        return err
+
+    def test_json_array_rejected(self, capsys, tmp_path, golden):
+        path = write_json(
+            tmp_path, "arr.json", [{"rects": golden["rects"], "factors": golden["b"]}]
+        )
+        err = self.run_usage_error(capsys, ["--infile", path, "affine", "promote"])
+        assert "expected a JSON object" in err
+
+    @pytest.mark.parametrize("command", [["rmatrix", "swap"], ["energy", "local"]])
+    @pytest.mark.parametrize("pos", [3, 4, 10])
+    def test_pos_past_last_pair(self, capsys, golden_files, command, pos):
+        # the golden element has three factors: pairs at positions 1 and 2
+        argv = ["--infile", golden_files["element"], *command, "--pos", str(pos)]
+        assert "--pos must be in 1..2" in self.run_usage_error(capsys, argv)
+
+    @pytest.mark.parametrize("command", [["rmatrix", "swap"], ["energy", "local"]])
+    @pytest.mark.parametrize("pos", [0, -1])
+    def test_pos_not_positive(self, capsys, golden_files, command, pos):
+        argv = ["--infile", golden_files["element"], *command, "--pos", str(pos)]
+        assert "--pos must be in 1..2" in self.run_usage_error(capsys, argv)

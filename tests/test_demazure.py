@@ -5,6 +5,7 @@ import pytest
 from rectcrys.demazure import (
     AffineWeight,
     FormalCharacter,
+    _peel,
     apply_word_to_vector,
     cartan_entry,
     crystal_side_character,
@@ -30,10 +31,30 @@ def random_weight(rng, n):
     )
 
 
+def random_terms(rng, n, terms=4):
+    return {random_weight(rng, n): rng.randint(1, 3) for _ in range(terms)}
+
+
 def random_character(rng, n, terms=4):
-    return FormalCharacter(
-        n, {random_weight(rng, n): rng.randint(1, 3) for _ in range(terms)}
-    )
+    return FormalCharacter(n, random_terms(rng, n, terms))
+
+
+def oracle_demazure_op(terms, n, i):
+    """The Demazure operator on AffineWeight-keyed terms, written directly
+    from the geometric-series formula."""
+    alpha = simple_root(n, i)
+    acc = {}
+    for w, c in terms.items():
+        k = w.coeff(i)
+        if k >= 0:
+            for t in range(k + 1):
+                v = w.add(alpha, -t)
+                acc[v] = acc.get(v, 0) + c
+        elif k <= -2:
+            for t in range(1, -k):
+                v = w.add(alpha, t)
+                acc[v] = acc.get(v, 0) - c
+    return {w: c for w, c in acc.items() if c}
 
 
 class TestWeights:
@@ -70,7 +91,33 @@ class TestWeights:
                 assert simple_reflection_weight(delta, i) == delta
 
 
+class TestFormalCharacter:
+    def test_keys_from_weights(self):
+        w = AffineWeight(3, 2, (0, -1), 1)
+        assert FormalCharacter(3, {w: 2}).terms == {(2, 0, -1, 1): 2}
+        assert FormalCharacter(3, {w: 2}) == FormalCharacter(3, {(2, 0, -1, 1): 2})
+        assert FormalCharacter.exponential(w) == FormalCharacter(3, {w: 1})
+
+    def test_rank_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            FormalCharacter(3, {AffineWeight(2, 1, (0,), 0): 1})
+        with pytest.raises(ValueError):
+            FormalCharacter(3, {(1, 0, 0): 1})
+
+
 class TestDemazureOperator:
+    def test_matches_weight_oracle(self):
+        rng = random.Random(17)
+        for n in (2, 3, 4, 5):
+            for _ in range(20):
+                terms = random_terms(rng, n)
+                want, got = terms, FormalCharacter(n, terms)
+                for _ in range(4):
+                    i = rng.randrange(n)
+                    want = oracle_demazure_op(want, n, i)
+                    got = got.demazure_op(i)
+                    assert got == FormalCharacter(n, want)
+
     def test_spreads_one_step(self):
         for n in (2, 3):
             for i in range(n):
@@ -176,9 +223,22 @@ class TestDemazureCharacter:
             assert total == expected
 
     def test_matches_crystal_route(self):
-        for n in (2, 3):
+        for n in (2, 3, 4):
             for level in (1, 2):
                 for mu in partitions_of(n, n):
                     assert demazure_character(level, mu, n) == crystal_side_character(
                         level, mu
                     )
+
+    def test_peel_rejects_non_characters(self):
+        # n = 2, size 2: finite weight (2,) is lam = (2,), (0,) is (1, 1)
+        assert list(_peel({(2,): 1, (0,): 2, (-2,): 1}, 2, 2, 0)) == [
+            ((2,), 1),
+            ((1, 1), 1),
+        ]
+        with pytest.raises(ValueError, match="negative multiplicity"):
+            list(_peel({(2,): 1, (-2,): 1}, 2, 2, 0))
+        with pytest.raises(ValueError, match="no dominant weight"):
+            list(_peel({(-2,): 1}, 2, 2, 0))
+        with pytest.raises(ValueError, match="no partition"):
+            list(_peel({(1,): 1}, 2, 2, 0))

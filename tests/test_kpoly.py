@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from rectcrys import crystal, energy, kpoly, verify
 from rectcrys.crystal import RectSequence
 from rectcrys.kpoly import (
     LaurentPolynomial,
@@ -14,7 +17,7 @@ from rectcrys.kpoly import (
     transposed_kostka,
 )
 from rectcrys.rsk import lrt_tableaux
-from rectcrys.tableaux import partitions_of
+from rectcrys.tableaux import enumerate_cst, partitions_of
 
 
 class TestLaurentPolynomial:
@@ -119,6 +122,67 @@ class TestGradedCharacter:
         assert weights[(2, 1, 0)] == weights[(0, 1, 2)] == 1
         assert weights[(1, 1, 1)] == 2
         assert sum(weights.values()) == 8
+
+    def test_character_weights_match_tableau_contents(self):
+        for n in range(1, 5):
+            for size in range(9):
+                for lam in partitions_of(size, size):
+                    contents = Counter(t.content(n) for t in enumerate_cst(lam, n))
+                    assert character_weights(lam, n) == dict(contents), (lam, n)
+
+    def test_does_not_scan_the_crystal(self, monkeypatch):
+        def scan(*args):
+            raise AssertionError("graded_character scanned the crystal")
+
+        monkeypatch.setattr(crystal, "enumerate_crystal", scan)
+        monkeypatch.setattr(energy, "total_energy", scan)
+        monkeypatch.setattr(kpoly, "enumerate_crystal", scan, raising=False)
+        monkeypatch.setattr(kpoly, "total_energy", scan, raising=False)
+        gc = graded_character(RectSequence([(1, 2), (1, 1), (1, 1)]))
+        assert gc.as_dict() == {
+            (2, 1, 1): LaurentPolynomial.one(),
+            (2, 2): LaurentPolynomial({1: 1}),
+            (3, 1): LaurentPolynomial({1: 1, 2: 1}),
+            (4,): LaurentPolynomial({3: 1}),
+        }
+
+
+class TestCharacterRoutesCheck:
+    """verify_characters links the LR route to the crystal scan; a
+    disagreement on either side must surface as a failure."""
+
+    def test_perturbed_lr_route_fails(self, monkeypatch):
+        def perturbed(seq):
+            terms = graded_character(seq).as_dict()
+            lam = max(terms)
+            terms[lam] = terms[lam] + LaurentPolynomial.one()
+            return kpoly.GradedCharacter.from_dict(terms)
+
+        monkeypatch.setattr(verify, "graded_character", perturbed)
+        rep = verify.verify_characters(2, 3)
+        assert not rep.ok
+        assert len(rep.failures) == rep.instances
+        assert all("highest-weight route" in f["actual"] for f in rep.failures)
+
+    def test_perturbed_energy_off_highest_weights_fails(self, monkeypatch):
+        # No highest weight element lacks the letter 1, so only the
+        # weight-level comparison can see this change.
+        def shifted(b):
+            return energy.total_energy(b) + (1 if b.content()[0] == 0 else 0)
+
+        monkeypatch.setattr(verify, "total_energy", shifted)
+        rep = verify.verify_characters(2, 3)
+        assert not rep.ok
+        assert {f["actual"] for f in rep.failures} == {"weight generating functions differ"}
+
+    def test_wrong_weights_fail(self, monkeypatch):
+        def doubled(lam, n):
+            return {wt: 2 * m for wt, m in character_weights(lam, n).items()}
+
+        monkeypatch.setattr(verify, "character_weights", doubled)
+        rep = verify.verify_characters(2, 3)
+        assert not rep.ok
+        assert {f["actual"] for f in rep.failures} == {"weight generating functions differ"}
 
 
 class TestMonotonicity:

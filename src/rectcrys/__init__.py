@@ -92,8 +92,6 @@ from .tableaux import (
     key,
     partition,
     partitions_of,
-    restrict,
-    row_word,
     tensor_shape,
 )
 

@@ -40,7 +40,7 @@ from .tableaux import (
 
 @lru_cache(maxsize=None)
 def _promote_rows(rows: tuple, inner: tuple, n: int) -> tuple[tuple, tuple]:
-    t = Tableau(rows, inner, n=n, check=False)
+    t = Tableau._raw(rows, inner, n)
     cells = t.cell_map()
     strip = sorted((c for c, v in cells.items() if v == n), key=lambda rc: rc[1])
     if not is_horizontal_strip(strip):
@@ -57,7 +57,7 @@ def _promote_rows(rows: tuple, inner: tuple, n: int) -> tuple[tuple, tuple]:
 
 @lru_cache(maxsize=None)
 def _promote_inverse_rows(rows: tuple, inner: tuple, n: int) -> tuple[tuple, tuple]:
-    t = Tableau(rows, inner, n=n, check=False)
+    t = Tableau._raw(rows, inner, n)
     cells = {c: v - 1 for c, v in t.cell_map().items()}
     strip = sorted((c for c, v in cells.items() if v == 0), key=lambda rc: -rc[1])
     if not is_horizontal_strip(strip):
@@ -74,14 +74,14 @@ def promote_tableau(t: Tableau, n: int | None = None) -> Tableau:
     """Promotion of a single column-strict tableau over 1..n."""
     n = t.n if n is None else n
     rows, inner = _promote_rows(t.rows, t.inner, n)
-    return Tableau(rows, inner, n=n, check=False)
+    return Tableau._raw(rows, inner, n)
 
 
 def promote_inverse_tableau(t: Tableau, n: int | None = None) -> Tableau:
     """Inverse promotion: vacated cells are read off the letters 1."""
     n = t.n if n is None else n
     rows, inner = _promote_inverse_rows(t.rows, t.inner, n)
-    return Tableau(rows, inner, n=n, check=False)
+    return Tableau._raw(rows, inner, n)
 
 
 def promote(b: CrystalElement) -> CrystalElement:

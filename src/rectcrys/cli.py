@@ -107,6 +107,8 @@ def _cmd_crystal(args) -> int:
     if op not in ("e", "f", "r"):
         raise ValueError("operator must be one of e, f, r (--op for 'crystal op')")
     b = _element_from_stdin(args)
+    if not 0 <= args.color <= b.seq.n - 1:
+        raise ValueError(f"--color must be in 0..{b.seq.n - 1}, got {args.color}")
     if op == "e":
         _maybe_element(e(b, args.color) if args.color else e0(b))
     elif op == "f":
@@ -363,9 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.suite not in ("main-theorem",):
-        if args.max_cells <= 0:
+    if args.command == "verify":
+        if args.suite != "main-theorem" and args.max_cells <= 0:
             parser.error("--max-cells is required for exhaustive suites")
+        if args.jobs < 1:
+            parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         return args.func(args)
     except RectcrysError as exc:

@@ -26,18 +26,35 @@ class RectSequence:
     rects: tuple[tuple[int, int], ...]
 
     def __init__(self, rects: Iterable[Sequence[int]]):
-        rs = tuple((int(e), int(m)) for e, m in rects)
-        if any(e < 1 or m < 1 for e, m in rs):
-            raise ValueError(f"rectangles need positive dimensions: {rs}")
-        object.__setattr__(self, "rects", rs)
+        # n, the subalphabet bounds, the owner of each letter and gamma are
+        # worked out here once, the key tableaux on first use; equality, hash
+        # and pickling use rects alone.
+        n = 0
+        rs, bounds, owner, gamma = [], [], [], []
+        for j, (e, m) in enumerate(rects, start=1):
+            e, m = int(e), int(m)
+            if e < 1 or m < 1:
+                raise ValueError(f"rectangles need positive dimensions: {(e, m)}")
+            rs.append((e, m))
+            bounds.append((n + 1, n + e))
+            owner += [j] * e
+            gamma += [m] * e
+            n += e
+        self.__dict__.update(
+            rects=tuple(rs),
+            n=n,
+            _bounds=tuple(bounds),
+            _owner=tuple(owner),
+            _gamma=tuple(gamma),
+            _keys={},
+        )
+
+    def __reduce__(self):
+        return RectSequence, (self.rects,)
 
     @property
     def m(self) -> int:
         return len(self.rects)
-
-    @property
-    def n(self) -> int:
-        return sum(e for e, _ in self.rects)
 
     @property
     def ncells(self) -> int:
@@ -51,23 +68,17 @@ class RectSequence:
 
     def subalphabet(self, j: int) -> tuple[int, int]:
         """Letters of A_j as an inclusive interval (lo, hi)."""
-        lo = 1 + sum(e for e, _ in self.rects[: j - 1])
-        return lo, lo + self.rects[j - 1][0] - 1
+        return self._bounds[j - 1]
 
     def alphabet_of(self, letter: int) -> int:
         """Index j with letter in A_j."""
-        for j in range(1, self.m + 1):
-            lo, hi = self.subalphabet(j)
-            if lo <= letter <= hi:
-                return j
-        raise ValueError(f"letter {letter} outside 1..{self.n}")
+        if not 1 <= letter <= self.n:
+            raise ValueError(f"letter {letter} outside 1..{self.n}")
+        return self._owner[letter - 1]
 
     def gamma(self) -> tuple[int, ...]:
         """Row lengths of the skew shape: R_1 through R_m juxtaposed."""
-        out: list[int] = []
-        for e, m in self.rects:
-            out.extend([m] * e)
-        return tuple(out)
+        return self._gamma
 
     def rect_shape(self, j: int) -> tuple[int, ...]:
         e, m = self.rects[j - 1]
@@ -75,8 +86,11 @@ class RectSequence:
 
     def key_tableau(self, j: int) -> Tableau:
         """Y_j: the key tableau of R_j filled from its own subalphabet A_j."""
-        lo, _ = self.subalphabet(j)
-        return key(self.rect_shape(j), n=self.n, offset=lo - 1)
+        t = self._keys.get(j)
+        if t is None:
+            lo, _ = self._bounds[j - 1]
+            t = self._keys[j] = key(self.rect_shape(j), n=self.n, offset=lo - 1)
+        return t
 
     def skew_shape(self) -> SkewShape:
         """The shape R_m (x) ... (x) R_1."""

@@ -69,8 +69,8 @@ def _sigma_pair(
 ) -> tuple[tuple, tuple]:
     """sigma on a two-factor element given by factor rows; returns new rows
     (position 1 gets a rect2-shaped factor, position 2 a rect1-shaped one)."""
-    t1 = Tableau(rows1, (), n=alphabet, check=False)
-    t2 = Tableau(rows2, (), n=alphabet, check=False)
+    t1 = Tableau._raw(rows1, (), alphabet)
+    t2 = Tableau._raw(rows2, (), alphabet)
     word = t2.word() + t1.word()
     p = column_insert(word, n=alphabet)
     swapped = RectSequence((rect2, rect1))
@@ -87,8 +87,8 @@ def sigma_swap(b: CrystalElement, pos: int) -> CrystalElement:
         rect1, rect2, b.factors[pos - 1].rows, b.factors[pos].rows, seq.n
     )
     factors = list(b.factors)
-    factors[pos - 1] = Tableau(rows1, (), n=seq.n, check=False)
-    factors[pos] = Tableau(rows2, (), n=seq.n, check=False)
+    factors[pos - 1] = Tableau._raw(rows1, (), seq.n)
+    factors[pos] = Tableau._raw(rows2, (), seq.n)
     return CrystalElement(seq.swapped(pos), factors, check=False)
 
 

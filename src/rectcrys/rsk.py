@@ -62,9 +62,13 @@ def rsk_pair(b: CrystalElement) -> TableauPair:
     for r in range(1, n + 1):
         for x in reversed(b.row(r)):
             recording[_col_insert(cols, x)] = r
-    return TableauPair(
-        _tableau_of_cols(cols, n), tableau_from_cells(recording, n=n)
+    p = _tableau_of_cols(cols, n)
+    # The insertion cells are exactly the cells of p, so q has p's shape.
+    q_rows = tuple(
+        tuple(recording[(i, c)] for c in range(1, len(row) + 1))
+        for i, row in enumerate(p.rows, start=1)
     )
+    return TableauPair(p, Tableau._raw(q_rows, (), n))
 
 
 def peel_recording(p: Tableau, q: Tableau, seq: RectSequence, alphabet: int | None = None) -> list[Tableau]:

@@ -208,9 +208,11 @@ class Tableau:
         t = object.__new__(cls)
         t.rows = rows
         t.inner = inner
-        if len(inner) < len(rows):
+        if inner:
             inner = inner + (0,) * (len(rows) - len(inner))
-        t.outer = tuple(inner[i] + len(rows[i]) for i in range(len(rows)))
+            t.outer = tuple(i + len(row) for i, row in zip(inner, rows))
+        else:
+            t.outer = tuple(map(len, rows))
         t.n = n if n is not None else max(
             (x for row in rows for x in row), default=0
         )
@@ -354,11 +356,6 @@ def tableau_from_cells(
         for r in range(1, shape.nrows + 1)
     )
     return Tableau._raw(rows, shape.inner, n)
-
-
-def row_word(t: Tableau) -> tuple[int, ...]:
-    """Reading word of ``t`` (rows left to right, bottom first)."""
-    return t.word()
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +631,7 @@ def is_horizontal_strip(cells: Iterable[tuple[int, int]]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Key tableaux and restriction.
+# Key tableaux.
 
 def key(gamma: Sequence[int], n: int | None = None, offset: int = 0) -> Tableau:
     """The unique column-strict tableau with shape sort(gamma) and content gamma.
@@ -653,11 +650,6 @@ def key(gamma: Sequence[int], n: int | None = None, offset: int = 0) -> Tableau:
         for j in range(1, width + 1)
     ]
     return _tableau_of_cols(cols, n)
-
-
-def restrict(t: Tableau, lo: int, hi: int) -> Tableau:
-    """Restriction of ``t`` to the letter interval [lo, hi]."""
-    return t.restrict(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +682,7 @@ def enumerate_cst(
         if c > outer[r - 1]:
             r, c = r + 1, 1
         if r > len(outer):
-            yield Tableau([tuple(row) for row in rows], (), n=n, check=False)
+            yield Tableau._raw(tuple(tuple(row) for row in rows), (), n)
             return
         lo = max(r, rows[r - 1][-1] if c > 1 else 1)
         if r > 1 and outer[r - 2] >= c:

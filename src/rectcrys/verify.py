@@ -10,10 +10,11 @@ promotion) is tabulated once per rectangle.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Iterator, Sequence
 
 from .affine import (
@@ -74,6 +75,10 @@ class VerifyReport:
         }
 
 
+# A check stops at the first failure past this many in one instance.
+MAX_FAILURES = 20
+
+
 def _fail(instance, expected, actual) -> dict:
     return {"instance": instance, "expected": expected, "actual": actual}
 
@@ -114,23 +119,36 @@ def rect_sequences(
                 yield RectSequence(tuple(zip(comp, ws)))
 
 
+def worker_count(jobs: int, instances: int) -> int:
+    """Worker processes for ``jobs`` requested: never more than the cpus or
+    the instances; 1 means run in process."""
+    return max(1, min(jobs, os.cpu_count() or 1, instances))
+
+
+def _capped(check: Callable, seq: RectSequence) -> list:
+    return list(islice(check(seq), MAX_FAILURES + 1))
+
+
 def _run_instances(
     suite: str,
     seqs: Sequence[RectSequence],
-    check: Callable[[RectSequence], list],
+    check: Callable[[RectSequence], Iterator[dict]],
     jobs: int = 1,
 ) -> VerifyReport:
+    """Run ``check``, a generator of failures, on every instance; each
+    instance contributes at most MAX_FAILURES + 1 failures."""
     start = time.monotonic()
-    report = VerifyReport(suite=suite)
-    if jobs > 1:
+    report = VerifyReport(suite=suite, instances=len(seqs))
+    run = partial(_capped, check)
+    workers = worker_count(jobs, len(seqs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(check, seqs))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, seqs))
     else:
-        results = [check(seq) for seq in seqs]
-    for seq, failures in zip(seqs, results):
-        report.instances += 1
+        results = [run(seq) for seq in seqs]
+    for failures in results:
         report.failures.extend(failures)
     report.failures.sort(key=lambda d: json.dumps(d, sort_keys=True, default=str))
     report.elapsed_ms = int((time.monotonic() - start) * 1000)
@@ -176,12 +194,17 @@ def factor_table(eta: int, mu: int, n: int) -> FactorTable:
 
 
 class FastCrystal:
-    """Elements of B^R as tuples of per-factor indices."""
+    """Elements of B^R as tuples of per-factor indices.
+
+    Signatures are memoized per instance (one dict per color), so the memo
+    lives exactly as long as the walk over one B^R.
+    """
 
     def __init__(self, seq: RectSequence):
         self.seq = seq
         self.n = seq.n
         self.tables = [factor_table(e_, m_, seq.n) for e_, m_ in seq.rects]
+        self._signatures: list[dict] = [{} for _ in range(seq.n)]
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         return product(*(range(len(t.tableaux)) for t in self.tables))
@@ -194,6 +217,14 @@ class FastCrystal:
         return tuple(acc)
 
     def signature(self, el: tuple[int, ...], i: int):
+        """(phi_i, eps_i, f_pos, e_pos) of el for a classical color i."""
+        memo = self._signatures[i]
+        sig = memo.get(el)
+        if sig is None:
+            sig = memo[el] = self._signature(el, i)
+        return sig
+
+    def _signature(self, el: tuple[int, ...], i: int):
         minus = 0
         f_pos = None
         stack: list[tuple[int, int]] = []
@@ -254,10 +285,9 @@ class FastCrystal:
 # ---------------------------------------------------------------------------
 # Suite: crystal axioms (C1)-(C3), operator inverses, promotion conjugation.
 
-def _check_crystal_axioms(seq: RectSequence) -> list:
+def _check_crystal_axioms(seq: RectSequence) -> Iterator[dict]:
     fc = FastCrystal(seq)
     n = fc.n
-    failures = []
     for el in fc.elements():
         content = fc.content(el)
         pr_el = fc.promote_el(el)
@@ -269,8 +299,8 @@ def _check_crystal_axioms(seq: RectSequence) -> list:
                 phi_, eps_, _, _ = fc.signature(el, i)
             expect = pairing(i, content)
             if phi_ - eps_ != expect:
-                failures.append(
-                    _fail(fc.instance_json(el), f"<h_{i}, wt> = {expect}", phi_ - eps_)
+                yield _fail(
+                    fc.instance_json(el), f"<h_{i}, wt> = {expect}", phi_ - eps_
                 )
             fb = fc.apply0(el, "f") if i == 0 else fc.apply(el, i, "f")
             if fb is not None:
@@ -280,21 +310,15 @@ def _check_crystal_axioms(seq: RectSequence) -> list:
                 want[i - 1 if i else n - 1] += 1
                 want[i if i else 0] -= 1
                 if delta != tuple(want):
-                    failures.append(
-                        _fail(fc.instance_json(el), f"wt drop alpha_{i}", list(delta))
-                    )
+                    yield _fail(fc.instance_json(el), f"wt drop alpha_{i}", list(delta))
                 back = fc.apply0(fb, "e") if i == 0 else fc.apply(fb, i, "e")
                 if back != el:
-                    failures.append(
-                        _fail(fc.instance_json(el), f"e_{i} f_{i} = id", "mismatch")
-                    )
+                    yield _fail(fc.instance_json(el), f"e_{i} f_{i} = id", "mismatch")
             eb = fc.apply0(el, "e") if i == 0 else fc.apply(el, i, "e")
             if eb is not None:
                 back = fc.apply0(eb, "f") if i == 0 else fc.apply(eb, i, "f")
                 if back != el:
-                    failures.append(
-                        _fail(fc.instance_json(el), f"f_{i} e_{i} = id", "mismatch")
-                    )
+                    yield _fail(fc.instance_json(el), f"f_{i} e_{i} = id", "mismatch")
             # promotion conjugation pr f_i = f_{i+1} pr, colors mod n
             nxt = (i + 1) % n
             lhs = fc.promote_el(fb) if fb is not None else None
@@ -304,16 +328,7 @@ def _check_crystal_axioms(seq: RectSequence) -> list:
             else:
                 rhs = fc.apply(pr_el, nxt, "f")
             if lhs != rhs:
-                failures.append(
-                    _fail(
-                        fc.instance_json(el),
-                        f"pr f_{i} = f_{nxt} pr",
-                        "mismatch",
-                    )
-                )
-        if len(failures) > 20:
-            break
-    return failures
+                yield _fail(fc.instance_json(el), f"pr f_{i} = f_{nxt} pr", "mismatch")
 
 
 def verify_crystal_axioms(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport:
@@ -324,8 +339,7 @@ def verify_crystal_axioms(n_max: int, max_cells: int, jobs: int = 1) -> VerifyRe
 # ---------------------------------------------------------------------------
 # Suite: RSK bijectivity and equivariance.
 
-def _check_rsk(seq: RectSequence) -> list:
-    failures = []
+def _check_rsk(seq: RectSequence) -> Iterator[dict]:
     n = seq.n
     fc = FastCrystal(seq)
     elements = list(fc.elements())
@@ -334,18 +348,14 @@ def _check_rsk(seq: RectSequence) -> list:
     for el, pair in pairs.items():
         factors = peel_recording(pair.p, pair.q, seq)
         if tuple(fc.tables[j].index[t.rows] for j, t in enumerate(factors)) != el:
-            failures.append(
-                _fail(fc.instance_json(el), "rsk_inverse . rsk_pair = id", "mismatch")
-            )
+            yield _fail(fc.instance_json(el), "rsk_inverse . rsk_pair = id", "mismatch")
             break
     count = 0
     for lam in partitions_of(seq.ncells, n):
         cst = sum(1 for _ in enumerate_cst(lam, n))
         count += cst * len(lrt_tableaux(lam, seq))
     if count != len(elements):
-        failures.append(
-            _fail({"rects": seq.to_json()}, f"image size {len(elements)}", count)
-        )
+        yield _fail({"rects": seq.to_json()}, f"image size {len(elements)}", count)
     for el in elements:
         pb = pairs[el]
         # equivariance under e_i, f_i, r_i for classical colors
@@ -354,9 +364,7 @@ def _check_rsk(seq: RectSequence) -> list:
             if fel is not None:
                 pf = pairs[fel]
                 if pf.q != pb.q or pf.p != tableau_f(pb.p, i):
-                    failures.append(
-                        _fail(fc.instance_json(el), f"equivariance f_{i}", "mismatch")
-                    )
+                    yield _fail(fc.instance_json(el), f"equivariance f_{i}", "mismatch")
             phi_, eps_, _, _ = fc.signature(el, i)
             rel = el
             for _ in range(phi_ - eps_):
@@ -365,17 +373,10 @@ def _check_rsk(seq: RectSequence) -> list:
                 rel = fc.apply(rel, i, "e")
             prb = pairs[rel]
             if prb.q != pb.q or prb.p != tableau_reflection(pb.p, i):
-                failures.append(
-                    _fail(fc.instance_json(el), f"equivariance r_{i}", "mismatch")
-                )
+                yield _fail(fc.instance_json(el), f"equivariance r_{i}", "mismatch")
         # promotion computed on the pair alone agrees with the element route
         if pair_promote(pb, seq)[0] != pairs[fc.promote_el(el)]:
-            failures.append(
-                _fail(fc.instance_json(el), "pair promotion", "mismatch")
-            )
-        if len(failures) > 20:
-            break
-    return failures
+            yield _fail(fc.instance_json(el), "pair promotion", "mismatch")
 
 
 def verify_rsk(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport:
@@ -386,47 +387,37 @@ def verify_rsk(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport:
 # ---------------------------------------------------------------------------
 # Suite: rectangle switches commute with every operator; Yang-Baxter.
 
-def _check_rmatrix_pairs(seq: RectSequence) -> list:
-    failures = []
+def _check_rmatrix_pairs(seq: RectSequence) -> Iterator[dict]:
     n = seq.n
     for b in enumerate_crystal(seq):
         sb = sigma_swap(b, 1)
         pb, psb = rsk_pair(b), rsk_pair(sb)
         if psb.p != pb.p:
-            failures.append(_fail(b.to_json(), "sigma keeps p", "mismatch"))
+            yield _fail(b.to_json(), "sigma keeps p", "mismatch")
         if psb.q != tau_swap(LRTableau(pb.q, seq), 1).tableau:
-            failures.append(_fail(b.to_json(), "sigma acts as tau on q", "mismatch"))
+            yield _fail(b.to_json(), "sigma acts as tau on q", "mismatch")
         if sigma_swap(sb, 1) != b:
-            failures.append(_fail(b.to_json(), "sigma involution", "mismatch"))
+            yield _fail(b.to_json(), "sigma involution", "mismatch")
         if local_H(sb) != local_H(b):
-            failures.append(_fail(b.to_json(), "H' . sigma = H", "mismatch"))
+            yield _fail(b.to_json(), "H' . sigma = H", "mismatch")
         for i in range(n):
             for op in ("e", "f"):
-                img = _apply(b, i, op)
+                img = apply_op(b, i, op)
                 lhs = sigma_swap(img, 1) if img is not None else None
-                rhs = _apply(sb, i, op)
+                rhs = apply_op(sb, i, op)
                 if lhs != rhs:
-                    failures.append(
-                        _fail(b.to_json(), f"sigma {op}_{i} = {op}_{i} sigma", "mismatch")
+                    yield _fail(
+                        b.to_json(), f"sigma {op}_{i} = {op}_{i} sigma", "mismatch"
                     )
-        if len(failures) > 20:
-            break
-    return failures
 
 
-def _apply(b: CrystalElement, i: int, op: str) -> CrystalElement | None:
-    return apply_op(b, i, op)
-
-
-def _check_yang_baxter(seq: RectSequence) -> list:
-    failures = []
+def _check_yang_baxter(seq: RectSequence) -> Iterator[dict]:
     for b in enumerate_crystal(seq):
         lhs = sigma_swap(sigma_swap(sigma_swap(b, 1), 2), 1)
         rhs = sigma_swap(sigma_swap(sigma_swap(b, 2), 1), 2)
         if lhs != rhs:
-            failures.append(_fail(b.to_json(), "Yang-Baxter", "mismatch"))
+            yield _fail(b.to_json(), "Yang-Baxter", "mismatch")
             break
-    return failures
 
 
 def verify_rmatrix(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport:
@@ -443,18 +434,17 @@ def verify_rmatrix(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport:
 # ---------------------------------------------------------------------------
 # Suite: energy axioms, the shape formula, charge agreement.
 
-def _check_energy_two_factor(seq: RectSequence) -> list:
+def _check_energy_two_factor(seq: RectSequence) -> Iterator[dict]:
     """Propagate H from the axioms over the crystal graph and compare with
     the east-count formula; check (H1), (H2), the normalizations, and
     connectedness on the way."""
-    failures = []
     n = seq.n
     elements = list(enumerate_crystal(seq))
     H = {b: local_H(b) for b in elements}
     # normalization at the stacked key element and the pair of keys
     y = CrystalElement(seq, [seq.key_tableau(1), seq.key_tableau(2)])
     if H[y] != 0:
-        failures.append(_fail(y.to_json(), "H(v_R) = 0", H[y]))
+        yield _fail(y.to_json(), "H(v_R) = 0", H[y])
     keys = CrystalElement(
         seq,
         [
@@ -464,7 +454,7 @@ def _check_energy_two_factor(seq: RectSequence) -> list:
     )
     expected = min(seq.eta(1), seq.eta(2)) * min(seq.mu(1), seq.mu(2))
     if H[keys] != expected:
-        failures.append(_fail(keys.to_json(), f"H(keys) = {expected}", H[keys]))
+        yield _fail(keys.to_json(), f"H(keys) = {expected}", H[keys])
     # axioms as a consistent propagation: classical edges keep H, zero edges
     # follow the three-way branch
     assigned = {y: 0}
@@ -474,7 +464,7 @@ def _check_energy_two_factor(seq: RectSequence) -> list:
         for b in frontier:
             for i in range(n):
                 for op in ("e", "f"):
-                    img = _apply(b, i, op)
+                    img = apply_op(b, i, op)
                     if img is None:
                         continue
                     if i == 0:
@@ -487,22 +477,19 @@ def _check_energy_two_factor(seq: RectSequence) -> list:
                         val = assigned[b]
                     if img in assigned:
                         if assigned[img] != val:
-                            failures.append(
-                                _fail(b.to_json(), "axiom propagation consistent", i)
-                            )
+                            yield _fail(b.to_json(), "axiom propagation consistent", i)
                     else:
                         assigned[img] = val
                         nxt.append(img)
         frontier = nxt
     if len(assigned) != len(elements):
-        failures.append(
-            _fail({"rects": seq.to_json()}, "connected", f"{len(assigned)}/{len(elements)}")
+        yield _fail(
+            {"rects": seq.to_json()}, "connected", f"{len(assigned)}/{len(elements)}"
         )
     for b in elements:
         if assigned.get(b) != H[b]:
-            failures.append(_fail(b.to_json(), f"H = d(q) = {H[b]}", assigned.get(b)))
+            yield _fail(b.to_json(), f"H = d(q) = {H[b]}", assigned.get(b))
             break
-    return failures
 
 
 def _h2_jump(b: CrystalElement, seq: RectSequence) -> int:
@@ -520,12 +507,11 @@ def _h2_jump(b: CrystalElement, seq: RectSequence) -> int:
     return 0
 
 
-def _check_energy_general(seq: RectSequence) -> list:
+def _check_energy_general(seq: RectSequence) -> Iterator[dict]:
     """(H1) on every classical edge, plus agreement of the crystal-side and
     tableau-side statistics.  The tableau statistic is compared on highest
     weight elements; constancy along edges extends the agreement to all of
     B^R since recording tableaux are constant on components."""
-    failures = []
     n = seq.n
     fc = FastCrystal(seq)
     energies = {el: total_energy(fc.to_element(el)) for el in fc.elements()}
@@ -535,24 +521,16 @@ def _check_energy_general(seq: RectSequence) -> list:
             _, eps_, f_pos, _ = fc.signature(el, i)
             hw = hw and eps_ == 0
             if f_pos is not None and energies[fc.apply(el, i, "f")] != en:
-                failures.append(
-                    _fail(fc.instance_json(el), f"(H1) under f_{i}", "changed")
-                )
+                yield _fail(fc.instance_json(el), f"(H1) under f_{i}", "changed")
         if hw:
             q = rsk_pair(fc.to_element(el)).q
             if tableau_energy(LRTableau(q, seq)) != en:
-                failures.append(
-                    _fail(fc.instance_json(el), f"tableau energy {en}", "mismatch")
-                )
-        if len(failures) > 20:
-            break
-    return failures
+                yield _fail(fc.instance_json(el), f"tableau energy {en}", "mismatch")
 
 
-def _check_energy_drop(seq: RectSequence) -> list:
+def _check_energy_drop(seq: RectSequence) -> Iterator[dict]:
     """The level sums drop by one at the acting position when every factor
     width is exceeded by eps_0."""
-    failures = []
     widths = [seq.mu(j) for j in range(1, seq.m + 1)]
     for b in enumerate_crystal(seq):
         eb = e0(b)
@@ -560,18 +538,16 @@ def _check_energy_drop(seq: RectSequence) -> list:
             continue
         k = signature(promote(b), 1).e_pos
         if k == 1:
-            failures.append(_fail(b.to_json(), "acting position > 1", k))
+            yield _fail(b.to_json(), "acting position > 1", k)
             continue
         for j in range(2, seq.m + 1):
             want = energy_level(b, j) - (1 if j == k else 0)
             got = energy_level(eb, j)
             if got != want:
-                failures.append(_fail(b.to_json(), f"level sum {j}: {want}", got))
-    return failures
+                yield _fail(b.to_json(), f"level sum {j}: {want}", got)
 
 
-def _check_three_rectangles(seq: RectSequence) -> list:
-    failures = []
+def _check_three_rectangles(seq: RectSequence) -> Iterator[dict]:
     M = max(seq.mu(j) for j in (1, 2, 3))
     for lam in partitions_of(seq.ncells, seq.n):
         if not lam or lam[0] != M:
@@ -589,10 +565,7 @@ def _check_three_rectangles(seq: RectSequence) -> list:
                 - restricted_d(q, 1)
             )
             if total != 0:
-                failures.append(
-                    _fail(t.to_json(), "three-rectangle identity", total)
-                )
-    return failures
+                yield _fail(t.to_json(), "three-rectangle identity", total)
 
 
 def verify_energy(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport:
@@ -612,18 +585,16 @@ def verify_energy(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport:
     return out
 
 
-def _check_charge(seq: RectSequence) -> list:
-    failures = []
+def _check_charge(seq: RectSequence) -> Iterator[dict]:
     gamma = seq.gamma()
     if any(gamma[i] < gamma[i + 1] for i in range(len(gamma) - 1)):
-        return failures  # charge needs partition content
+        return  # charge needs partition content
     for lam in partitions_of(seq.ncells, seq.n):
         for t in lrt_tableaux(lam, seq):
             en = tableau_energy(LRTableau(t, seq))
             ch = classical_charge(t)
             if en != ch:
-                failures.append(_fail(t.to_json(), f"charge {ch}", en))
-    return failures
+                yield _fail(t.to_json(), f"charge {ch}", en)
 
 
 def verify_charge_energy(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport:
@@ -634,8 +605,7 @@ def verify_charge_energy(n_max: int, max_cells: int, jobs: int = 1) -> VerifyRep
 # ---------------------------------------------------------------------------
 # Suite: cocyclage realized by e_0.
 
-def _check_cocyclage(seq: RectSequence) -> list:
-    failures = []
+def _check_cocyclage(seq: RectSequence) -> Iterator[dict]:
     n = seq.n
     M = max(seq.mu(j) for j in range(1, seq.m + 1))
     for lam in partitions_of(seq.ncells, n):
@@ -652,21 +622,19 @@ def _check_cocyclage(seq: RectSequence) -> list:
                 word = u_tab.word() + (x,)
                 b = cocyclage_witness(t, seq, cell)
                 if rsk_pair(b).q != t:
-                    failures.append(_fail(t.to_json(), "witness records q", "mismatch"))
+                    yield _fail(t.to_json(), "witness records q", "mismatch")
                     continue
                 eb = e0(b)
                 if eb is None:
-                    failures.append(_fail(t.to_json(), "e_0 defined on witness", None))
+                    yield _fail(t.to_json(), "e_0 defined on witness", None)
                     continue
                 got = rsk_pair(eb).q
                 want = column_insert(chi(word, seq), n=n)
                 if got != want:
-                    failures.append(
-                        _fail(
-                            {"tableau": t.to_json(), "corner": list(cell)},
-                            want.to_json(),
-                            got.to_json(),
-                        )
+                    yield _fail(
+                        {"tableau": t.to_json(), "corner": list(cell)},
+                        want.to_json(),
+                        got.to_json(),
                     )
                 if cell[1] == lam[0] and lam[0] > M:
                     # last-column case: the energy must drop by one
@@ -674,14 +642,11 @@ def _check_cocyclage(seq: RectSequence) -> list:
                         LRTableau(got, seq)
                     )
                     if drop != 1:
-                        failures.append(
-                            _fail(
-                                {"tableau": t.to_json(), "corner": list(cell)},
-                                "energy drop 1",
-                                drop,
-                            )
+                        yield _fail(
+                            {"tableau": t.to_json(), "corner": list(cell)},
+                            "energy drop 1",
+                            drop,
                         )
-    return failures
 
 
 def verify_cocyclage(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport:
@@ -755,12 +720,11 @@ def _crystal_routes_agree(seq: RectSequence) -> None:
         raise MismatchedExpansionError("weight generating functions differ")
 
 
-def _check_characters(seq: RectSequence) -> list:
+def _check_characters(seq: RectSequence) -> Iterator[dict]:
     try:
         _crystal_routes_agree(seq)
     except MismatchedExpansionError as exc:
-        return [_fail({"rects": seq.to_json()}, "routes agree", str(exc))]
-    return []
+        yield _fail({"rects": seq.to_json()}, "routes agree", str(exc))
 
 
 def verify_characters(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport:
@@ -771,8 +735,9 @@ def verify_characters(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport
 # ---------------------------------------------------------------------------
 # Suite: monotonicity under adding a rectangle.
 
-def _check_monotonicity_seq(seq: RectSequence, kmax: int = 2, mmax: int = 2) -> list:
-    failures = []
+def _check_monotonicity_seq(
+    seq: RectSequence, kmax: int = 2, mmax: int = 2
+) -> Iterator[dict]:
     for lam in partitions_of(seq.ncells, seq.n):
         if not lrt_tableaux(lam, seq):
             continue
@@ -780,14 +745,11 @@ def _check_monotonicity_seq(seq: RectSequence, kmax: int = 2, mmax: int = 2) -> 
             for m in range(1, mmax + 1):
                 rep = monotonicity_check(lam, seq, k, m)
                 if not rep.holds:
-                    failures.append(
-                        _fail(
-                            {"rects": seq.to_json(), "lambda": list(lam), "k": k, "m": m},
-                            "monotone",
-                            rep.failure,
-                        )
+                    yield _fail(
+                        {"rects": seq.to_json(), "lambda": list(lam), "k": k, "m": m},
+                        "monotone",
+                        rep.failure,
                     )
-    return failures
 
 
 def verify_monotonicity(

@@ -270,3 +270,19 @@ class TestMalformedInput:
     def test_pos_not_positive(self, capsys, golden_files, command, pos):
         argv = ["--infile", golden_files["element"], *command, "--pos", str(pos)]
         assert "--pos must be in 1..2" in self.run_usage_error(capsys, argv)
+
+    @pytest.mark.parametrize("op", ["e", "f", "r"])
+    @pytest.mark.parametrize("color", [-1, 7, 9])
+    def test_color_out_of_range(self, capsys, golden_files, golden_seq, op, color):
+        # colors -1, n and n + 2 for the seven-letter golden element
+        assert golden_seq.n == 7
+        argv = ["--infile", golden_files["element"], "crystal", op, "--color", str(color)]
+        assert "--color must be in 0..6" in self.run_usage_error(capsys, argv)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_not_positive(self, capsys, jobs):
+        argv = ["verify", "charge-energy", "--n", "2", "--max-cells", "2"]
+        with pytest.raises(SystemExit) as err:
+            cli.main([*argv, "--jobs", str(jobs)])
+        assert err.value.code == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err

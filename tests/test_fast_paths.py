@@ -1,0 +1,103 @@
+"""Fast paths checked against the slow paths they replace.
+
+Precomputed RectSequence data against the sums it replaces, tableaux built
+by the trusted constructor against the checked public constructor, and the
+memoized FastCrystal signatures against the signature rule in crystal.py.
+"""
+
+import pickle
+from itertools import product
+
+import pytest
+
+from rectcrys.affine import promote_inverse_tableau, promote_tableau
+from rectcrys.crystal import RectSequence, enumerate_crystal, signature
+from rectcrys.rmatrix import sigma_swap
+from rectcrys.rsk import rsk_pair
+from rectcrys.tableaux import Tableau, _col_insert, enumerate_cst, key, tableau_from_cells
+from rectcrys.verify import FastCrystal, rect_sequences
+
+# Rectangles (eta, mu) and alphabet sizes n <= 4.
+SHAPES = [(1, 1), (1, 3), (2, 1), (2, 2), (3, 2), (4, 1)]
+PAIRS = [[(1, 2), (2, 1)], [(2, 2), (1, 1)], [(1, 3), (1, 1)], [(2, 1), (2, 2)]]
+CRYSTALS = PAIRS + [[(1, 1), (1, 1), (1, 2)], [(1, 1), (2, 1), (1, 1)]]
+
+
+def assert_as_checked(t: Tableau, n: int) -> None:
+    """t equals the tableau the checked constructor builds from its rows."""
+    checked = Tableau(t.rows, t.inner, n=n)
+    assert t == checked
+    assert (t.outer, t.inner, t.n) == (checked.outer, checked.inner, checked.n)
+
+
+class TestRectSequencePrecomputed:
+    def test_matches_sums(self):
+        for seq in rect_sequences(4, 6):
+            rects = seq.rects
+            assert seq.n == sum(e for e, _ in rects)
+            gamma = []
+            for j, (e, m) in enumerate(rects, start=1):
+                lo = 1 + sum(e_ for e_, _ in rects[: j - 1])
+                assert seq.subalphabet(j) == (lo, lo + e - 1)
+                assert seq.key_tableau(j) == key((m,) * e, n=seq.n, offset=lo - 1)
+                for letter in range(lo, lo + e):
+                    assert seq.alphabet_of(letter) == j
+                gamma.extend([m] * e)
+            assert seq.gamma() == tuple(gamma)
+            for letter in (0, seq.n + 1):
+                with pytest.raises(ValueError):
+                    seq.alphabet_of(letter)
+
+    def test_pickle_round_trip(self):
+        for seq in rect_sequences(4, 6):
+            back = pickle.loads(pickle.dumps(seq))
+            assert back == seq and hash(back) == hash(seq)
+            assert repr(back) == repr(seq)
+            assert (back.n, back.gamma()) == (seq.n, seq.gamma())
+            assert [back.subalphabet(j) for j in range(1, seq.m + 1)] == [
+                seq.subalphabet(j) for j in range(1, seq.m + 1)
+            ]
+
+
+class TestTrustedConstruction:
+    @pytest.mark.parametrize("eta, mu", SHAPES)
+    def test_enumerate_and_promote(self, eta, mu):
+        for n in range(eta, 5):
+            for t in enumerate_cst((mu,) * eta, n):
+                assert_as_checked(t, n)
+                assert_as_checked(promote_tableau(t, n), n)
+                assert_as_checked(promote_inverse_tableau(t, n), n)
+
+    @pytest.mark.parametrize("rects", PAIRS)
+    def test_sigma_swap_factors(self, rects):
+        seq = RectSequence(rects)
+        for b in enumerate_crystal(seq):
+            for t in sigma_swap(b, 1).factors:
+                assert_as_checked(t, seq.n)
+
+    @pytest.mark.parametrize("rects", CRYSTALS)
+    def test_rsk_recording(self, rects):
+        seq = RectSequence(rects)
+        n = seq.n
+        for b in enumerate_crystal(seq):
+            q = rsk_pair(b).q
+            assert_as_checked(q, n)
+            # the cell-map route the recording tableau used to take
+            cols: list[list[int]] = []
+            recording = {}
+            for r in range(1, n + 1):
+                for x in reversed(b.row(r)):
+                    recording[_col_insert(cols, x)] = r
+            old = tableau_from_cells(recording, n=n)
+            assert q == old and (q.outer, q.inner, q.n) == (old.outer, old.inner, old.n)
+
+
+class TestFastCrystalSignature:
+    @pytest.mark.parametrize("rects", CRYSTALS + [[(3, 1), (1, 2)]])
+    def test_matches_signature_rule(self, rects):
+        fc = FastCrystal(RectSequence(rects))
+        for el, i in product(list(fc.elements()), range(1, fc.n)):
+            sig = signature(fc.to_element(el), i)
+            want = (sig.phi, sig.eps, sig.f_pos, sig.e_pos)
+            assert fc.signature(el, i) == want
+            assert fc.signature(el, i) == want  # served by the memo

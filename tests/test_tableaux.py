@@ -18,11 +18,9 @@ from rectcrys.tableaux import (
     key,
     partition,
     partitions_of,
-    restrict,
     reverse_column_insert,
     reverse_row_insert,
     row_insert,
-    row_word,
     shape_from_cells,
     slide_into,
     tensor_shape,
@@ -109,14 +107,14 @@ class TestTensorShape:
 
 class TestReadingWords:
     def test_single_row(self):
-        assert row_word(Tableau([[1, 1, 2]])) == (1, 1, 2)
+        assert Tableau([[1, 1, 2]]).word() == (1, 1, 2)
 
     def test_key_two_rows(self):
-        assert row_word(Tableau([[1, 1], [2, 2]])) == (2, 2, 1, 1)
+        assert Tableau([[1, 1], [2, 2]]).word() == (2, 2, 1, 1)
 
     def test_golden_insertion_tableau(self, golden):
         p = Tableau.from_json(golden["p"])
-        assert row_word(p) == (7, 6, 5, 5, 4, 4, 4, 3, 3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1)
+        assert p.word() == (7, 6, 5, 5, 4, 4, 4, 3, 3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1)
 
 
 class TestColumnInsert:
@@ -227,15 +225,15 @@ class TestKey:
 class TestRestrict:
     def test_identity(self):
         t = Tableau([[1, 1, 2], [2, 3]])
-        assert restrict(t, 1, 3) == t
+        assert t.restrict(1, 3) == t
 
     def test_two_twos(self):
-        r = restrict(Tableau([[1, 1], [2, 2]]), 2, 2)
+        r = Tableau([[1, 1], [2, 2]]).restrict(2, 2)
         assert (r.outer, r.inner, r.rows) == ((2, 2), (2,), ((), (2, 2)))
 
     def test_golden_strip(self, golden):
         p = Tableau.from_json(golden["p"])
-        r = restrict(p, 1, 6)
+        r = p.restrict(1, 6)
         assert set(p.cells()) - set(r.cells()) == {(7, 1)}
 
     def test_column_strictness_exhaustive(self):
@@ -253,7 +251,7 @@ class TestRestrict:
                 for t in _skew_fillings(outer, inner, n):
                     for lo in range(1, n + 1):
                         for hi in range(lo, n + 1):
-                            restrict(t, lo, hi)._validate()
+                            t.restrict(lo, hi)._validate()
 
 
 def _skew_fillings(outer, inner, n):

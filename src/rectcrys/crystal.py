@@ -15,6 +15,13 @@ from typing import Iterable, Sequence
 from .tableaux import Tableau, SkewShape, key, tensor_shape
 
 
+@lru_cache(maxsize=256)
+def _rect_key(eta: int, mu: int, lo: int, n: int) -> Tableau:
+    """The key tableau of an eta x mu rectangle on the letters lo..lo+eta-1,
+    shared by every RectSequence."""
+    return key((mu,) * eta, n=n, offset=lo - 1)
+
+
 @dataclass(frozen=True, init=False)
 class RectSequence:
     """A sequence R = (R_1, ..., R_m) of rectangles (eta_j rows, mu_j columns).
@@ -27,8 +34,7 @@ class RectSequence:
 
     def __init__(self, rects: Iterable[Sequence[int]]):
         # n, the subalphabet bounds, the owner of each letter and gamma are
-        # worked out here once, the key tableaux on first use; equality, hash
-        # and pickling use rects alone.
+        # worked out here once; equality, hash and pickling use rects alone.
         n = 0
         rs, bounds, owner, gamma = [], [], [], []
         for j, (e, m) in enumerate(rects, start=1):
@@ -46,7 +52,6 @@ class RectSequence:
             _bounds=tuple(bounds),
             _owner=tuple(owner),
             _gamma=tuple(gamma),
-            _keys={},
         )
 
     def __reduce__(self):
@@ -86,11 +91,8 @@ class RectSequence:
 
     def key_tableau(self, j: int) -> Tableau:
         """Y_j: the key tableau of R_j filled from its own subalphabet A_j."""
-        t = self._keys.get(j)
-        if t is None:
-            lo, _ = self._bounds[j - 1]
-            t = self._keys[j] = key(self.rect_shape(j), n=self.n, offset=lo - 1)
-        return t
+        eta, mu = self.rects[j - 1]
+        return _rect_key(eta, mu, self._bounds[j - 1][0], self.n)
 
     def skew_shape(self) -> SkewShape:
         """The shape R_m (x) ... (x) R_1."""

@@ -16,8 +16,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .crystal import CrystalElement, RectSequence
-from .rsk import LRTableau
-from .rmatrix import sigma_swap, tau_swap
+from .rsk import LRTableau, _lift, rsk_pair
+from .rmatrix import sigma_swap
 from .tableaux import Tableau, insertion_shape, partition
 
 
@@ -87,21 +87,31 @@ def restricted_d(q: LRTableau, pos: int) -> int:
 
 
 def tableau_energy_terms(q: LRTableau) -> list[tuple[int, int, int]]:
-    """Summands (i, j, value) of the tableau-side energy."""
+    """Summands (i, j, value) of the tableau-side energy.
+
+    The (i, j) term is restricted_d at positions i, i+1 of q after the
+    switches tau at positions j-1, ..., i+1.  sigma keeps the insertion
+    tableau and acts as tau on the recording tableau, so q is lifted once to
+    the element with key insertion tableau, the switches are walked on that
+    element, and each term reads the element's recording tableau.
+    """
+    seq = q.seq
+    lifted = _lift(q.tableau, seq) if seq.m >= 3 else None
     out = []
-    for j in range(2, q.seq.m + 1):
-        cur = q
+    for j in range(2, seq.m + 1):
+        cur, el = q, lifted
         for i in range(j - 1, 0, -1):
             out.append((i, j, restricted_d(cur, i)))
             if i > 1:
-                cur = tau_swap(cur, i)
+                el = sigma_swap(el, i)
+                cur = LRTableau._trusted(rsk_pair(el).q, el.seq)
     out.sort(key=lambda t: (t[1], -t[0]))
     return out
 
 
 @lru_cache(maxsize=None)
 def _tableau_energy_cached(rows: tuple, inner: tuple, rects: tuple) -> int:
-    q = LRTableau(Tableau(rows, inner, check=False), RectSequence(rects))
+    q = LRTableau._trusted(Tableau._raw(rows, inner, None), RectSequence(rects))
     return sum(v for _, _, v in tableau_energy_terms(q))
 
 

@@ -16,16 +16,15 @@ from .crystal import CrystalElement, RectSequence
 from .errors import NonLRError
 from .rsk import (
     LRTableau,
-    TableauPair,
+    _lift,
     is_r_lr,
     lrt_tableaux,
     peel_recording,
-    rsk_inverse,
     rsk_pair,
     standard_recording,
     word_from_recording,
 )
-from .tableaux import Tableau, column_insert, key, slide_into, slide_out_of
+from .tableaux import Tableau, column_insert, slide_into, slide_out_of
 
 
 @lru_cache(maxsize=None)
@@ -33,9 +32,8 @@ def _tau_swap_cached(
     rows: tuple, inner: tuple, rects: tuple[tuple[int, int], ...], pos: int
 ) -> Tableau:
     seq = RectSequence(rects)
-    q = Tableau(rows, inner, n=seq.n, check=False)
-    b = rsk_inverse(TableauPair(key(q.outer, n=seq.n), q), seq)
-    return rsk_pair(sigma_swap(b, pos)).q
+    q = Tableau._raw(rows, inner, seq.n)
+    return rsk_pair(sigma_swap(_lift(q, seq), pos)).q
 
 
 def tau_swap(q: LRTableau, pos: int) -> LRTableau:
@@ -48,7 +46,7 @@ def tau_swap(q: LRTableau, pos: int) -> LRTableau:
     property alone once more than two rectangles are present.
     """
     t = _tau_swap_cached(q.tableau.rows, q.tableau.inner, q.seq.rects, pos)
-    return LRTableau(t, q.seq.swapped(pos))
+    return LRTableau._trusted(t, q.seq.swapped(pos))
 
 
 def _two_factor_tau(shape: tuple[int, ...], rects: tuple[tuple[int, int], tuple[int, int]]) -> Tableau:

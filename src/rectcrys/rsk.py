@@ -20,6 +20,7 @@ from .tableaux import (
     column_insert,
     column_insert_word,
     enumerate_cst,
+    key,
     partition,
     reverse_column_insert,
     tableau_from_cells,
@@ -50,6 +51,14 @@ class LRTableau:
     def __post_init__(self):
         if not is_r_lr(self.tableau.word(), self.seq):
             raise NonLRError(f"tableau is not {self.seq.rects}-LR")
+
+    @classmethod
+    def _trusted(cls, tableau: Tableau, seq: RectSequence) -> "LRTableau":
+        """Trusted constructor: ``tableau`` is R-LR by construction."""
+        lr = object.__new__(cls)
+        object.__setattr__(lr, "tableau", tableau)
+        object.__setattr__(lr, "seq", seq)
+        return lr
 
 
 def rsk_pair(b: CrystalElement) -> TableauPair:
@@ -122,6 +131,15 @@ def rsk_inverse(pair: TableauPair, seq: RectSequence) -> CrystalElement:
         )
     if not is_r_lr(q.word(), seq):
         raise NonLRError(f"recording tableau is not {seq.rects}-LR")
+    return _lift(q, seq, p)
+
+
+def _lift(q: Tableau, seq: RectSequence, p: Tableau | None = None) -> CrystalElement:
+    """The element recorded by (p, q), with p the key tableau of q's shape
+    unless given.  q is trusted to be R-LR; the peel still checks that the
+    pair is consistent."""
+    if p is None:
+        p = key(q.outer, n=seq.n)
     return CrystalElement(seq, peel_recording(p, q, seq))
 
 
@@ -144,7 +162,7 @@ def enumerate_lrt(lam: Sequence[int], seq: RectSequence) -> list[LRTableau]:
     if sum(lam) != seq.ncells:
         raise ValueError(f"|{lam}| != {seq.ncells} cells of R")
     out = [
-        LRTableau(t, seq)
+        LRTableau._trusted(t, seq)
         for t in enumerate_cst(lam, seq.n, content=seq.gamma())
         if is_r_lr(t.word(), seq)
     ]

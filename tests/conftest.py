@@ -4,7 +4,9 @@ import os
 import pytest
 
 from rectcrys.crystal import CrystalElement, RectSequence
-from rectcrys.tableaux import Tableau
+from rectcrys.rsk import lrt_tableaux
+from rectcrys.tableaux import Tableau, partitions_of
+from rectcrys.verify import rect_sequences
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -42,3 +44,13 @@ def element_from(fix, seq_key, factors_key):
 
 def canonical(data) -> str:
     return json.dumps(data, sort_keys=True)
+
+
+def lr_family(n_max: int, max_cells: int, min_rects: int):
+    """(seq, LR tableau) for every shape of every R of ``rect_sequences``
+    with at least ``min_rects`` rectangles."""
+    for seq in rect_sequences(n_max, max_cells):
+        if seq.m >= min_rects:
+            for lam in partitions_of(seq.ncells, seq.n):
+                for t in lrt_tableaux(lam, seq):
+                    yield seq, t

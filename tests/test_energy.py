@@ -12,9 +12,28 @@ from rectcrys.energy import (
     tableau_energy_terms,
     total_energy,
 )
-from rectcrys.rmatrix import tau_swap
-from rectcrys.rsk import LRTableau, lrt_tableaux, rsk_pair
+from rectcrys.rmatrix import sigma_swap, tau_swap
+from rectcrys.rsk import LRTableau, TableauPair, lrt_tableaux, rsk_inverse, rsk_pair
 from rectcrys.tableaux import Tableau, column_insert, key, partitions_of
+
+from conftest import lr_family
+
+
+def tau_chain_energy_terms(q: LRTableau) -> list[tuple[int, int, int]]:
+    """The tau-chain tableau energy, as an oracle: every switch lifts the
+    current tableau again with the checked rsk_inverse and checks the
+    switched tableau with the public LRTableau constructor."""
+    out = []
+    for j in range(2, q.seq.m + 1):
+        cur = q
+        for i in range(j - 1, 0, -1):
+            out.append((i, j, restricted_d(cur, i)))
+            if i > 1:
+                pair = TableauPair(key(cur.tableau.outer, n=cur.seq.n), cur.tableau)
+                b = sigma_swap(rsk_inverse(pair, cur.seq), i)
+                cur = LRTableau(rsk_pair(b).q, b.seq)
+    out.sort(key=lambda t: (t[1], -t[0]))
+    return out
 
 
 class TestDStat:
@@ -92,6 +111,14 @@ class TestTableauEnergy:
             for b in enumerate_crystal(seq):
                 q = LRTableau(rsk_pair(b).q, seq)
                 assert tableau_energy(q) == total_energy(b)
+
+    def test_lifted_walk_matches_tau_chain(self):
+        count = 0
+        for seq, t in lr_family(4, 7, 3):
+            q = LRTableau(t, seq)
+            assert tableau_energy_terms(q) == tau_chain_energy_terms(q)
+            count += 1
+        assert count == 1241
 
     def test_reorder_invariance(self):
         seq = RectSequence([(1, 2), (2, 1), (1, 1)])

@@ -1,8 +1,9 @@
 """Fast paths checked against the slow paths they replace.
 
 Precomputed RectSequence data against the sums it replaces, tableaux built
-by the trusted constructor against the checked public constructor, and the
-memoized FastCrystal signatures against the signature rule in crystal.py.
+by the trusted constructor against the checked public constructor, the
+memoized FastCrystal signatures against the signature rule in crystal.py,
+and the one-lift energy path against the checked rsk_inverse.
 """
 
 import pickle
@@ -10,12 +11,17 @@ from itertools import product
 
 import pytest
 
+from rectcrys import affine, crystal, demazure, energy, kpoly, rmatrix, rsk, tableaux
 from rectcrys.affine import promote_inverse_tableau, promote_tableau
 from rectcrys.crystal import RectSequence, enumerate_crystal, signature
+from rectcrys.errors import NonLRError
+from rectcrys.kpoly import k_polynomial
 from rectcrys.rmatrix import sigma_swap
-from rectcrys.rsk import rsk_pair
+from rectcrys.rsk import LRTableau, TableauPair, _lift, rsk_inverse, rsk_pair
 from rectcrys.tableaux import Tableau, _col_insert, enumerate_cst, key, tableau_from_cells
 from rectcrys.verify import FastCrystal, rect_sequences
+
+from conftest import lr_family
 
 # Rectangles (eta, mu) and alphabet sizes n <= 4.
 SHAPES = [(1, 1), (1, 3), (2, 1), (2, 2), (3, 2), (4, 1)]
@@ -47,6 +53,12 @@ class TestRectSequencePrecomputed:
             for letter in (0, seq.n + 1):
                 with pytest.raises(ValueError):
                     seq.alphabet_of(letter)
+
+    def test_key_tableaux_shared(self):
+        for seq in rect_sequences(4, 6):
+            fresh = RectSequence(seq.rects)
+            for j in range(1, seq.m + 1):
+                assert fresh.key_tableau(j) is seq.key_tableau(j)
 
     def test_pickle_round_trip(self):
         for seq in rect_sequences(4, 6):
@@ -101,3 +113,72 @@ class TestFastCrystalSignature:
             want = (sig.phi, sig.eps, sig.f_pos, sig.e_pos)
             assert fc.signature(el, i) == want
             assert fc.signature(el, i) == want  # served by the memo
+
+
+class TestLift:
+    def test_matches_rsk_inverse(self):
+        for seq, t in lr_family(4, 7, 3):
+            want = rsk_inverse(TableauPair(key(t.outer, n=seq.n), t), seq)
+            assert _lift(t, seq) == want
+
+    def test_checked_paths_reject(self):
+        seq = RectSequence([(2, 1), (1, 1)])
+        not_lr = Tableau([[1, 2], [3]], n=3)  # content gamma, not LR
+        wrong_content = Tableau([[1, 1], [3]], n=3)
+        for q in (not_lr, wrong_content):
+            with pytest.raises(NonLRError):
+                LRTableau(q, seq)
+            with pytest.raises(NonLRError):
+                rsk_inverse(TableauPair(key(q.outer, n=3), q), seq)
+
+
+MODULES = (affine, crystal, demazure, energy, kpoly, rmatrix, rsk, tableaux)
+
+
+def clear_memos():
+    for mod in MODULES:
+        for obj in vars(mod).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+
+
+class TestNoRechecks:
+    @pytest.mark.parametrize(
+        "lam, rects",
+        [
+            ((3, 1, 1), [(1, 2), (2, 1), (1, 1)]),
+            ((3, 2), [(1, 2), (1, 1), (1, 2)]),
+            ((2, 2, 1), [(1, 1)] * 5),
+            ((3, 1, 1), [(1, 1), (1, 2), (1, 1), (1, 1)]),
+            ((2, 2), [(2, 1), (2, 1)]),
+        ],
+    )
+    def test_one_lr_test_per_candidate(self, monkeypatch, lam, rects):
+        seq = RectSequence(rects)
+        candidates = sum(1 for _ in enumerate_cst(lam, seq.n, content=seq.gamma()))
+        calls = []
+        real = rsk.is_r_lr
+
+        def counted(u, s):
+            calls.append((tuple(u), s.rects))
+            return real(u, s)
+
+        def no_inverse(*args, **kwargs):
+            raise AssertionError("rsk_inverse called")
+
+        for mod in MODULES:
+            if hasattr(mod, "is_r_lr"):
+                monkeypatch.setattr(mod, "is_r_lr", counted)
+            if hasattr(mod, "rsk_inverse"):
+                monkeypatch.setattr(mod, "rsk_inverse", no_inverse)
+        clear_memos()
+        try:
+            poly = k_polynomial(lam, seq)
+        finally:
+            clear_memos()
+        assert poly(1) > 0
+        # one test per candidate of LRT(lam; R); every other call is a
+        # candidate of the two-rectangle enumerations the switches make
+        assert sum(1 for _, r in calls if r == seq.rects) == candidates
+        assert all(len(r) == 2 for _, r in calls if r != seq.rects)
+        assert len(set(calls)) == len(calls)

@@ -6,6 +6,9 @@ import pytest
 
 from rectcrys import verify
 from rectcrys.crystal import RectSequence
+from rectcrys.errors import NonLRError
+from rectcrys.rsk import LRTableau, is_r_lr
+from rectcrys.tableaux import Tableau
 
 
 class TestWorkerCount:
@@ -84,3 +87,49 @@ class TestFailureCap:
         assert uncapped > verify.MAX_FAILURES + 1
         rep = verify._run_instances("capped", [seq, seq], check)
         assert len(rep.failures) == 2 * (verify.MAX_FAILURES + 1)
+
+
+class TestWeightDrop:
+    def test_perturbed_f_map_fails(self, monkeypatch):
+        seq = RectSequence([(1, 2), (2, 1)])
+        real = verify.factor_table
+        table = verify.FactorTable(1, 2, seq.n)
+        k = next(k for k, img in enumerate(table.f_map[1]) if img is not None)
+        table.f_map[1][k] = k  # f_1 now leaves this factor unchanged
+        monkeypatch.setattr(
+            verify,
+            "factor_table",
+            lambda eta, mu, n: table if (eta, mu) == (1, 2) else real(eta, mu, n),
+        )
+        failures = list(verify._check_crystal_axioms(seq))
+        drops = [f for f in failures if f["expected"] == "wt drop alpha_1"]
+        assert drops
+        fc = verify.FastCrystal(seq)
+        for f in drops:
+            # the reported drop is the whole-element content difference
+            el = tuple(
+                fc.tables[j].index[tuple(map(tuple, t["rows"]))]
+                for j, t in enumerate(f["instance"]["element"])
+            )
+            fb = fc.apply(el, 1, "f")
+            whole = [a - b for a, b in zip(fc.content(el), fc.content(fb))]
+            assert f["actual"] == whole
+
+
+class TestTauResultsChecked:
+    @pytest.mark.parametrize(
+        "check, rects",
+        [
+            ("_check_rmatrix_pairs", [(1, 1), (1, 1)]),
+            ("_check_three_rectangles", [(1, 1), (1, 1), (1, 1)]),
+        ],
+    )
+    def test_non_lr_switch_raises(self, monkeypatch, check, rects):
+        bad_seq = RectSequence([(1, 1), (2, 1)])
+        bad = Tableau(((1, 2, 3),), n=bad_seq.n)
+        assert not is_r_lr(bad.word(), bad_seq)
+        monkeypatch.setattr(
+            verify, "tau_swap", lambda q, pos: LRTableau._trusted(bad, bad_seq)
+        )
+        with pytest.raises(NonLRError):
+            list(getattr(verify, check)(RectSequence(rects)))

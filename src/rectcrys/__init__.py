@@ -72,7 +72,7 @@ from .kpoly import (
     monotonicity_check,
     transposed_kostka,
 )
-from .rmatrix import sigma_compose, sigma_swap, sigma_word, tau_swap
+from .rmatrix import sigma_compose, sigma_swap, tau_swap
 from .rsk import (
     LRTableau,
     TableauPair,

@@ -44,6 +44,20 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     return partition(int(x) for x in text.split(","))
 
 
+def _check_n(n: int) -> int:
+    if n < 2:
+        raise ValueError(f"--n must be at least 2, got {n}")
+    return n
+
+
+def _parse_mu(text: str, n: int) -> tuple[int, ...]:
+    """--mu for the Demazure side: a partition of --n."""
+    mu = _parse_partition(text)
+    if sum(mu) != n:
+        raise ValueError(f"--mu must be a partition of {n}, got {text!r}")
+    return mu
+
+
 def _parse_rects(text: str) -> RectSequence:
     rects = []
     for block in text.split(","):
@@ -246,15 +260,17 @@ def _cmd_kpoly(args) -> int:
 
 
 def _cmd_demazure(args) -> int:
-    gc = demazure_character(args.level, _parse_partition(args.mu), args.n)
+    n = _check_n(args.n)
+    gc = demazure_character(args.level, _parse_mu(args.mu, n), n)
     _emit(gc.to_json())
     return 0
 
 
 def _cmd_verify(args) -> int:
     jobs = args.jobs
+    _check_n(args.n)
     if args.suite == "main-theorem":
-        mu = _parse_partition(args.mu) if args.mu else None
+        mu = _parse_mu(args.mu, args.n) if args.mu else None
         reports = [verify_mod.verify_main_theorem(args.n, args.level, mu)]
     elif args.suite == "all":
         reports = verify_mod.verify_all(args.n, args.max_cells, jobs=jobs)

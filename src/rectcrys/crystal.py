@@ -223,36 +223,60 @@ class Signature:
     reduced: tuple[tuple[int, str], ...]
 
 
-def _combine(blocks: Iterable[tuple[int, int, int]]) -> Signature:
-    """Reduce blocks (position, phi, eps) given in emission order (left to right)."""
-    minus: list[tuple[int, int]] = []
-    stack: list[tuple[int, int]] = []
-    for pos, p, q in blocks:
+def _bracket(pairs: Sequence[tuple[int, int]]) -> tuple[int, int, int | None, int | None]:
+    """The signature rule on tensor factors listed left to right.
+
+    Factor k contributes ``pairs[k] = (phi, eps)``, read as the signs
+    -^phi +^eps, and each - cancels the nearest uncancelled + to its left.
+    Returns (phi, eps, f_pos, e_pos) of the product: f acts on the factor
+    of the rightmost surviving -, e on the factor of the leftmost surviving
+    +.  Positions are tensor positions, 1 for the rightmost factor.
+    """
+    phi = eps = 0
+    f_pos = None
+    stack: list[tuple[int, int]] = []  # uncancelled + as (position, count)
+    pos = len(pairs)
+    for p, q in pairs:
         while p and stack:
-            top_pos, top_q = stack[-1]
-            take = min(p, top_q)
-            p -= take
-            if top_q == take:
-                stack.pop()
+            top, cnt = stack[-1]
+            if cnt > p:
+                stack[-1] = (top, cnt - p)
+                eps -= p
+                p = 0
             else:
-                stack[-1] = (top_pos, top_q - take)
+                stack.pop()
+                eps -= cnt
+                p -= cnt
         if p:
-            minus.append((pos, p))
+            phi += p
+            f_pos = pos
         if q:
             stack.append((pos, q))
-    phi = sum(p for _, p in minus)
-    eps = sum(q for _, q in stack)
+            eps += q
+        pos -= 1
+    return phi, eps, f_pos, stack[0][0] if stack else None
+
+
+def _signature(pairs: Sequence[tuple[int, int]]) -> Signature:
+    """The Signature of ``pairs`` with its reduced word spelled out.
+
+    Whether a - survives depends only on what stands to its left, and a +
+    only on what stands to its right, so the survivors of factor k are the
+    growth of phi over the prefixes and of eps over the suffixes at k.
+    """
+    m = len(pairs)
+    left = [_bracket(pairs[:k])[0] for k in range(m + 1)]
+    right = [_bracket(pairs[k:])[1] for k in range(m + 1)]
     reduced = tuple(
-        [(pos, "-") for pos, p in minus for _ in range(p)]
-        + [(pos, "+") for pos, q in stack for _ in range(q)]
+        [(m - k, "-") for k in range(m) for _ in range(left[k + 1] - left[k])]
+        + [(m - k, "+") for k in range(m) for _ in range(right[k] - right[k + 1])]
     )
-    return Signature(
-        phi=phi,
-        eps=eps,
-        f_pos=minus[-1][0] if minus else None,
-        e_pos=stack[0][0] if stack else None,
-        reduced=reduced,
-    )
+    return Signature(*_bracket(pairs), reduced)
+
+
+def _word_pairs(word: Sequence[int], i: int) -> list[tuple[bool, bool]]:
+    """One (phi, eps) pair per letter: i is a -, i+1 a +."""
+    return [(x == i, x == i + 1) for x in word]
 
 
 def word_signature(word: Sequence[int], i: int) -> Signature:
@@ -260,23 +284,29 @@ def word_signature(word: Sequence[int], i: int) -> Signature:
 
     Positions count tensor factors: the rightmost letter is position 1.
     """
-    m = len(word)
-    blocks = []
-    for k, x in enumerate(word):
-        if x == i:
-            blocks.append((m - k, 1, 0))
-        elif x == i + 1:
-            blocks.append((m - k, 0, 1))
-    return _combine(blocks)
+    return _signature(_word_pairs(word, i))
+
+
+def _row_word(rows: tuple) -> list[int]:
+    """Reading word of a tableau given by its rows: bottom row first."""
+    word: list[int] = []
+    for row in reversed(rows):
+        word.extend(row)
+    return word
+
+
+def _rows_like(word: Sequence[int], rows: tuple) -> tuple:
+    """``word`` cut back into rows of the lengths of ``rows``."""
+    out, k = [], 0
+    for row in reversed(rows):
+        out.append(tuple(word[k : k + len(row)]))
+        k += len(row)
+    return tuple(reversed(out))
 
 
 @lru_cache(maxsize=None)
 def _tableau_stats(rows: tuple, inner: tuple, i: int) -> tuple[int, int]:
-    word = []
-    for row in reversed(rows):
-        word.extend(row)
-    sig = word_signature(word, i)
-    return sig.phi, sig.eps
+    return _bracket(_word_pairs(_row_word(rows), i))[:2]
 
 
 def tableau_phi_eps(t: Tableau, i: int) -> tuple[int, int]:
@@ -286,25 +316,8 @@ def tableau_phi_eps(t: Tableau, i: int) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def _tableau_apply(rows: tuple, inner: tuple, i: int, op: str) -> tuple | None:
     """Apply e_i or f_i to a tableau given by its rows; None when undefined."""
-    word = []
-    for row in reversed(rows):
-        word.extend(row)
-    sig = word_signature(word, i)
-    m = len(word)
-    if op == "f":
-        if sig.f_pos is None:
-            return None
-        idx, new = m - sig.f_pos, i + 1
-    else:
-        if sig.e_pos is None:
-            return None
-        idx, new = m - sig.e_pos, i
-    word[idx] = new
-    out, k = [], 0
-    for row in reversed(rows):
-        out.append(tuple(word[k : k + len(row)]))
-        k += len(row)
-    return tuple(reversed(out))
+    word = (word_f if op == "f" else word_e)(_row_word(rows), i)
+    return None if word is None else _rows_like(word, rows)
 
 
 def tableau_f(t: Tableau, i: int) -> Tableau | None:
@@ -321,93 +334,82 @@ def tableau_e(t: Tableau, i: int) -> Tableau | None:
     return Tableau._raw(rows, t.inner, t.n)
 
 
+def _element_pairs(b: CrystalElement, i: int) -> list[tuple[int, int]]:
+    """One (phi, eps) pair per factor, b_m first."""
+    return [_tableau_stats(t.rows, t.inner, i) for t in reversed(b.factors)]
+
+
 def signature(b: "CrystalElement | Sequence[int]", i: int) -> Signature:
     """Reduced signature of a crystal element (or word) at color i in 1..n-1."""
     if isinstance(b, CrystalElement):
-        blocks = []
-        for j in range(b.seq.m, 0, -1):
-            t = b.factors[j - 1]
-            p, q = _tableau_stats(t.rows, t.inner, i)
-            if p or q:
-                blocks.append((j, p, q))
-        return _combine(blocks)
+        return _signature(_element_pairs(b, i))
     return word_signature(b, i)
 
 
 def e(b: CrystalElement, i: int) -> CrystalElement | None:
     """Raising operator for a classical color i in 1..n-1; None when undefined."""
-    sig = signature(b, i)
-    if sig.e_pos is None:
+    e_pos = _bracket(_element_pairs(b, i))[3]
+    if e_pos is None:
         return None
-    t = tableau_e(b.factors[sig.e_pos - 1], i)
-    return b.replace_factor(sig.e_pos, t)
+    return b.replace_factor(e_pos, tableau_e(b.factors[e_pos - 1], i))
 
 
 def f(b: CrystalElement, i: int) -> CrystalElement | None:
     """Lowering operator for a classical color i in 1..n-1; None when undefined."""
-    sig = signature(b, i)
-    if sig.f_pos is None:
+    f_pos = _bracket(_element_pairs(b, i))[2]
+    if f_pos is None:
         return None
-    t = tableau_f(b.factors[sig.f_pos - 1], i)
-    return b.replace_factor(sig.f_pos, t)
+    return b.replace_factor(f_pos, tableau_f(b.factors[f_pos - 1], i))
 
 
 def phi(b: CrystalElement, i: int) -> int:
-    return signature(b, i).phi
+    return _bracket(_element_pairs(b, i))[0]
 
 
 def eps(b: CrystalElement, i: int) -> int:
-    return signature(b, i).eps
+    return _bracket(_element_pairs(b, i))[1]
 
 
 def reflection(b: CrystalElement, i: int) -> CrystalElement:
     """Crystal reflection r_i: f_i^p or e_i^(-p) with p = phi_i - eps_i."""
-    sig = signature(b, i)
-    p = sig.phi - sig.eps
+    phi_, eps_, _, _ = _bracket(_element_pairs(b, i))
     cur = b
-    for _ in range(p):
+    for _ in range(phi_ - eps_):
         cur = f(cur, i)
-    for _ in range(-p):
+    for _ in range(eps_ - phi_):
         cur = e(cur, i)
     return cur
 
 
 def word_f(w: Sequence[int], i: int) -> tuple[int, ...] | None:
-    sig = word_signature(w, i)
-    if sig.f_pos is None:
+    f_pos = _bracket(_word_pairs(w, i))[2]
+    if f_pos is None:
         return None
-    idx = len(w) - sig.f_pos
+    idx = len(w) - f_pos
     return tuple(w[:idx]) + (i + 1,) + tuple(w[idx + 1 :])
 
 
 def word_e(w: Sequence[int], i: int) -> tuple[int, ...] | None:
-    sig = word_signature(w, i)
-    if sig.e_pos is None:
+    e_pos = _bracket(_word_pairs(w, i))[3]
+    if e_pos is None:
         return None
-    idx = len(w) - sig.e_pos
+    idx = len(w) - e_pos
     return tuple(w[:idx]) + (i,) + tuple(w[idx + 1 :])
 
 
 def word_reflection(w: Sequence[int], i: int) -> tuple[int, ...]:
-    sig = word_signature(w, i)
-    p = sig.phi - sig.eps
+    phi_, eps_, _, _ = _bracket(_word_pairs(w, i))
     cur = tuple(w)
-    for _ in range(p):
+    for _ in range(phi_ - eps_):
         cur = word_f(cur, i)
-    for _ in range(-p):
+    for _ in range(eps_ - phi_):
         cur = word_e(cur, i)
     return cur
 
 
 @lru_cache(maxsize=None)
 def _tableau_reflect_rows(rows: tuple, inner: tuple, i: int) -> tuple:
-    p, q = _tableau_stats(rows, inner, i)
-    cur = rows
-    for _ in range(p - q):
-        cur = _tableau_apply(cur, inner, i, "f")
-    for _ in range(q - p):
-        cur = _tableau_apply(cur, inner, i, "e")
-    return cur
+    return _rows_like(word_reflection(_row_word(rows), i), rows)
 
 
 def tableau_reflection(t: Tableau, i: int) -> Tableau:

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .crystal import RectSequence
 from .energy import tableau_energy
-from .rsk import LRTableau, is_r_lr, lrt_tableaux
+from .rsk import LRTableau, lrt_tableaux
 from .tableaux import Tableau, column_insert, conjugate, key, partition, partitions_of
 
 
@@ -264,6 +264,8 @@ def monotonicity_check(
     in the extended sequence for the polynomial comparison (the polynomial
     does not depend on the ordering).
     """
+    if not 0 <= position <= seq.m:
+        raise ValueError(f"position must be in 0..{seq.m}, got {position}")
     lam = partition(lam)
     base = k_polynomial(lam, seq)
     if k == 0 or m == 0:
@@ -274,11 +276,13 @@ def monotonicity_check(
     extended_seq = RectSequence(rects_at)
     lam_ext = add_rows(lam, k, m)
     extended = k_polynomial(lam_ext, extended_seq)
+    # at the default position this is the enumeration k_polynomial just made
+    lr_images = set(lrt_tableaux(lam_ext, prepended))
     injection = []
     seen: dict[Tableau, tuple[int, ...]] = {}
     failure = None
     for t in lrt_tableaux(lam, seq):
-        q = LRTableau(t, seq)
+        q = LRTableau._trusted(t, seq)
         image = extend_map(t, k, m)
         entry = {
             "source": t.to_json(),
@@ -289,14 +293,14 @@ def monotonicity_check(
         if image.outer != lam_ext:
             failure = f"image shape {image.outer} != {lam_ext}"
             break
-        if not is_r_lr(image.word(), prepended):
+        if image not in lr_images:
             failure = "image not LR for the extended sequence"
             break
         if image in seen:
             failure = f"injection collides: {seen[image]} and {t.rows}"
             break
         seen[image] = t.rows
-        e_new = tableau_energy(LRTableau(image, prepended))
+        e_new = tableau_energy(LRTableau._trusted(image, prepended))
         if e_new != entry["energy"]:
             failure = f"energy changed: {entry['energy']} -> {e_new}"
             break

@@ -14,17 +14,8 @@ from typing import Sequence
 
 from .crystal import CrystalElement, RectSequence
 from .errors import NonLRError
-from .rsk import (
-    LRTableau,
-    _lift,
-    is_r_lr,
-    lrt_tableaux,
-    peel_recording,
-    rsk_pair,
-    standard_recording,
-    word_from_recording,
-)
-from .tableaux import Tableau, column_insert, slide_into, slide_out_of
+from .rsk import LRTableau, _lift, lrt_tableaux, peel_recording, rsk_pair
+from .tableaux import Tableau, column_insert
 
 
 @lru_cache(maxsize=None)
@@ -90,19 +81,6 @@ def sigma_swap(b: CrystalElement, pos: int) -> CrystalElement:
     return CrystalElement(seq.swapped(pos), factors, check=False)
 
 
-def sigma_word(u: Sequence[int], seq: RectSequence) -> tuple[int, ...]:
-    """The swapped-sequence LR word with the same standard recording tableau
-    and the switched insertion tableau.  ``seq`` must have two rectangles."""
-    if seq.m != 2:
-        raise ValueError("sigma_word expects a two-rectangle sequence")
-    u = tuple(u)
-    if not is_r_lr(u, seq):
-        raise NonLRError(f"word is not {seq.rects}-LR")
-    p = column_insert(u, n=seq.n)
-    p_new = _two_factor_tau(p.outer, (seq.rects[1], seq.rects[0]))
-    return word_from_recording(p_new, standard_recording(u))
-
-
 def lex_reduced_word(w: Sequence[int]) -> list[int]:
     """Lexicographically smallest reduced word of a permutation (one-line)."""
     w = list(w)
@@ -131,50 +109,3 @@ def sigma_compose(b: CrystalElement, w: Sequence[int]) -> CrystalElement:
     if cur.seq != target:
         raise AssertionError(f"composite landed on {cur.seq}, expected {target}")
     return cur
-
-
-def cyclic_shift_permutation(i: int, j: int, m: int) -> tuple[int, ...]:
-    """One-line form of the cycle r_{i+1} r_{i+2} ... r_{j-1} used by the
-    energy sum: position j moves to position i+1."""
-    w = list(range(1, m + 1))
-    for p in range(j - 1, i, -1):
-        w[p - 1], w[p] = w[p], w[p - 1]
-    winv = [0] * m
-    for idx, val in enumerate(w, start=1):
-        winv[val - 1] = idx
-    return tuple(winv)
-
-
-def kostka_tau_rows(
-    top: Sequence[int], bottom: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Jeu-de-taquin route for the switch of two one-row factors.
-
-    ``top`` is the earlier tensor position (upper row of the two-row skew
-    tableau), ``bottom`` the later one.  Slides reshape the tableau until the
-    row lengths are exchanged and the rows are again column-disjoint; returns
-    (new_top, new_bottom).
-    """
-    top, bottom = tuple(top), tuple(bottom)
-    a, b = len(top), len(bottom)
-    cells: dict[tuple[int, int], int] = {}
-    for k, x in enumerate(bottom):
-        cells[(2, k + 1)] = x
-    for k, x in enumerate(top):
-        cells[(1, b + k + 1)] = x
-
-    def row(r: int) -> list[int]:
-        return sorted(c for (rr, c) in cells if rr == r)
-
-    # rectify: pull the top row all the way left
-    while row(1)[0] > 1:
-        slide_out_of(cells, (1, row(1)[0] - 1))
-    # regrow the bottom row to the swapped length
-    while len(row(2)) < a:
-        slide_into(cells, (2, len(row(2)) + 1))
-    # push the top row right until the rows are column-disjoint
-    while row(1)[0] <= a:
-        slide_into(cells, (1, row(1)[-1] + 1))
-    return tuple(cells[(1, c)] for c in row(1)), tuple(
-        cells[(2, c)] for c in row(2)
-    )

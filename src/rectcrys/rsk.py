@@ -206,15 +206,3 @@ def word_from_recording(p: Tableau, q_std: Tableau) -> tuple[int, ...]:
             raise InconsistentPairError(str(exc)) from exc
         letters.append(y)
     return tuple(letters)
-
-
-def highest_weight_recording(b: CrystalElement) -> Tableau:
-    """Recording tableau of an sl_n highest weight element by content transfer:
-    its i-th row holds m copies of j exactly when row j of b holds m copies
-    of i."""
-    n = b.seq.n
-    rows: list[list[int]] = [[] for _ in range(n)]
-    for j in range(1, n + 1):
-        for x in b.row(j):
-            rows[x - 1].append(j)
-    return Tableau([tuple(sorted(r)) for r in rows], (), n=n)

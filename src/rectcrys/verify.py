@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import islice, product
+from operator import getitem
 from typing import Callable, Iterator, Sequence
 
 from .affine import (
@@ -32,7 +33,9 @@ from .affine import (
 from .crystal import (
     CrystalElement,
     RectSequence,
+    _bracket,
     enumerate_crystal,
+    eps,
     pairing,
     signature,
     tableau_e,
@@ -159,13 +162,23 @@ def _run_instances(
 # Tabulated per-rectangle data for the fast element walks.
 
 class FactorTable:
-    """Operator tables for one rectangle shape over a fixed alphabet."""
+    """Operator tables for one rectangle shape over a fixed alphabet.
+
+    Color 0 is tabulated by conjugating color 1 with promotion, so every
+    color 0..n-1 reads the same way.
+    """
 
     def __init__(self, eta: int, mu: int, n: int):
         self.n = n
         self.tableaux = list(enumerate_cst((mu,) * eta, n))
         self.index = {t.rows: k for k, t in enumerate(self.tableaux)}
         self.content = [t.content(n) for t in self.tableaux]
+        self.promote = [
+            self.index[promote_tableau(t, n).rows] for t in self.tableaux
+        ]
+        self.promote_inv = [0] * len(self.tableaux)
+        for k, img in enumerate(self.promote):
+            self.promote_inv[img] = k
         self.stats = [None] + [
             [tableau_phi_eps(t, i) for t in self.tableaux] for i in range(1, n)
         ]
@@ -175,17 +188,15 @@ class FactorTable:
         self.f_map = [None] + [
             [self._img(tableau_f(t, i)) for t in self.tableaux] for i in range(1, n)
         ]
-        self.promote = [
-            self.index[promote_tableau(t, n).rows] for t in self.tableaux
-        ]
-        self.promote_inv = [0] * len(self.tableaux)
-        for k, img in enumerate(self.promote):
-            self.promote_inv[img] = k
-        self.eps0 = [self.stats[1][img][1] for img in self.promote]
-        self.phi0 = [self.stats[1][img][0] for img in self.promote]
+        self.stats[0] = [self.stats[1][img] for img in self.promote]
+        self.e_map[0] = [self._conj(self.e_map[1][img]) for img in self.promote]
+        self.f_map[0] = [self._conj(self.f_map[1][img]) for img in self.promote]
 
     def _img(self, t: Tableau | None) -> int | None:
         return None if t is None else self.index[t.rows]
+
+    def _conj(self, k: int | None) -> int | None:
+        return None if k is None else self.promote_inv[k]
 
 
 @lru_cache(maxsize=None)
@@ -196,14 +207,18 @@ def factor_table(eta: int, mu: int, n: int) -> FactorTable:
 class FastCrystal:
     """Elements of B^R as tuples of per-factor indices.
 
-    Signatures are memoized per instance (one dict per color), so the memo
-    lives exactly as long as the walk over one B^R.
+    An index view over the signature rule of :mod:`rectcrys.crystal`: the
+    factor tables supply the (phi, eps) pairs, for color 0 through
+    promotion.  Signatures are memoized per instance (one dict per color),
+    so the memo lives exactly as long as the walk over one B^R.
     """
 
     def __init__(self, seq: RectSequence):
         self.seq = seq
         self.n = seq.n
         self.tables = [factor_table(e_, m_, seq.n) for e_, m_ in seq.rects]
+        # per color, the string lengths of each factor, b_m first as the rule reads them
+        self._stats = [[t.stats[i] for t in reversed(self.tables)] for i in range(seq.n)]
         self._signatures: list[dict] = [{} for _ in range(seq.n)]
 
     def elements(self) -> Iterator[tuple[int, ...]]:
@@ -217,35 +232,12 @@ class FastCrystal:
         return tuple(acc)
 
     def signature(self, el: tuple[int, ...], i: int):
-        """(phi_i, eps_i, f_pos, e_pos) of el for a classical color i."""
+        """(phi_i, eps_i, f_pos, e_pos) of el for a color i in 0..n-1."""
         memo = self._signatures[i]
         sig = memo.get(el)
         if sig is None:
-            sig = memo[el] = self._signature(el, i)
+            sig = memo[el] = _bracket(list(map(getitem, self._stats[i], reversed(el))))
         return sig
-
-    def _signature(self, el: tuple[int, ...], i: int):
-        minus = 0
-        f_pos = None
-        stack: list[tuple[int, int]] = []
-        for j in range(len(el), 0, -1):
-            p, q = self.tables[j - 1].stats[i][el[j - 1]]
-            while p and stack:
-                pos, cnt = stack[-1]
-                take = min(p, cnt)
-                p -= take
-                if cnt == take:
-                    stack.pop()
-                else:
-                    stack[-1] = (pos, cnt - take)
-            if p:
-                minus += p
-                f_pos = j
-            if q:
-                stack.append((j, q))
-        eps_total = sum(c for _, c in stack)
-        e_pos = stack[0][0] if stack else None
-        return minus, eps_total, f_pos, e_pos
 
     def apply(self, el: tuple[int, ...], i: int, op: str) -> tuple[int, ...] | None:
         phi_, eps_, f_pos, e_pos = self.signature(el, i)
@@ -260,13 +252,6 @@ class FastCrystal:
 
     def promote_el(self, el: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(t.promote[k] for t, k in zip(self.tables, el))
-
-    def promote_inv_el(self, el: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(t.promote_inv[k] for t, k in zip(self.tables, el))
-
-    def apply0(self, el: tuple[int, ...], op: str) -> tuple[int, ...] | None:
-        mid = self.apply(self.promote_el(el), 1, op)
-        return None if mid is None else self.promote_inv_el(mid)
 
     def to_element(self, el: tuple[int, ...]) -> CrystalElement:
         return CrystalElement(
@@ -291,18 +276,14 @@ def _check_crystal_axioms(seq: RectSequence) -> Iterator[dict]:
     for el in fc.elements():
         content = fc.content(el)
         pr_el = fc.promote_el(el)
-        pr2_el = fc.promote_el(pr_el)
         for i in range(n):
-            if i == 0:
-                phi_, eps_, _, _ = fc.signature(pr_el, 1)
-            else:
-                phi_, eps_, _, _ = fc.signature(el, i)
+            phi_, eps_, _, _ = fc.signature(el, i)
             expect = pairing(i, content)
             if phi_ - eps_ != expect:
                 yield _fail(
                     fc.instance_json(el), f"<h_{i}, wt> = {expect}", phi_ - eps_
                 )
-            fb = fc.apply0(el, "f") if i == 0 else fc.apply(el, i, "f")
+            fb = fc.apply(el, i, "f")
             if fb is not None:
                 # factors that f left alone add nothing to the weight drop
                 delta = [0] * n
@@ -311,27 +292,20 @@ def _check_crystal_axioms(seq: RectSequence) -> Iterator[dict]:
                         for idx, c in enumerate(tab.content[k]):
                             delta[idx] += c - tab.content[k2][idx]
                 want = [0] * n
-                want[i - 1 if i else n - 1] += 1
-                want[i if i else 0] -= 1
+                # alpha_i = e_i - e_{i+1} with letters mod n: index -1 is n
+                want[i - 1] += 1
+                want[i] -= 1
                 if delta != want:
                     yield _fail(fc.instance_json(el), f"wt drop alpha_{i}", delta)
-                back = fc.apply0(fb, "e") if i == 0 else fc.apply(fb, i, "e")
-                if back != el:
+                if fc.apply(fb, i, "e") != el:
                     yield _fail(fc.instance_json(el), f"e_{i} f_{i} = id", "mismatch")
-            eb = fc.apply0(el, "e") if i == 0 else fc.apply(el, i, "e")
-            if eb is not None:
-                back = fc.apply0(eb, "f") if i == 0 else fc.apply(eb, i, "f")
-                if back != el:
-                    yield _fail(fc.instance_json(el), f"f_{i} e_{i} = id", "mismatch")
+            eb = fc.apply(el, i, "e")
+            if eb is not None and fc.apply(eb, i, "f") != el:
+                yield _fail(fc.instance_json(el), f"f_{i} e_{i} = id", "mismatch")
             # promotion conjugation pr f_i = f_{i+1} pr, colors mod n
             nxt = (i + 1) % n
             lhs = fc.promote_el(fb) if fb is not None else None
-            if nxt == 0:
-                rhs_mid = fc.apply(pr2_el, 1, "f")
-                rhs = fc.promote_inv_el(rhs_mid) if rhs_mid is not None else None
-            else:
-                rhs = fc.apply(pr_el, nxt, "f")
-            if lhs != rhs:
+            if lhs != fc.apply(pr_el, nxt, "f"):
                 yield _fail(fc.instance_json(el), f"pr f_{i} = f_{nxt} pr", "mismatch")
 
 
@@ -712,7 +686,7 @@ def _crystal_routes_agree(seq: RectSequence) -> None:
         en = total_energy(b)
         wt = b.content()
         weight_sum[(wt, en)] = weight_sum.get((wt, en), 0) + 1
-        if all(signature(b, i).eps == 0 for i in range(1, n)):
+        if all(eps(b, i) == 0 for i in range(1, n)):
             counts = by_hw.setdefault(partition(wt), {})
             counts[en] = counts.get(en, 0) + 1
     hw_route = {lam: LaurentPolynomial(d) for lam, d in by_hw.items()}

@@ -286,3 +286,26 @@ class TestMalformedInput:
             cli.main([*argv, "--jobs", str(jobs)])
         assert err.value.code == 2
         assert "--jobs must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["demazure", "char", "--n", "0", "--level", "1", "--mu", ""],
+            ["verify", "main-theorem", "--n", "0", "--level", "1"],
+            ["demazure", "char", "--n", "1", "--level", "1", "--mu", "1"],
+            ["verify", "main-theorem", "--n", "1", "--level", "1"],
+        ],
+    )
+    def test_alphabet_too_small(self, capsys, argv):
+        assert "--n must be at least 2" in self.run_usage_error(capsys, argv)
+
+    @pytest.mark.parametrize("command", ["demazure char", "verify main-theorem"])
+    def test_mu_not_partition_of_n(self, capsys, command):
+        argv = [*command.split(), "--n", "3", "--level", "1", "--mu", "2,2"]
+        assert "--mu must be a partition of 3" in self.run_usage_error(capsys, argv)
+
+    @pytest.mark.parametrize("position", [-1, 3, 9])
+    def test_position_out_of_range(self, capsys, position):
+        argv = ["kpoly", "monotone", "--shape", "2,1", "--rects", "1x2,1x1"]
+        argv += ["--k", "1", "--m", "1", "--position", str(position)]
+        assert "position must be in 0..2" in self.run_usage_error(capsys, argv)

@@ -49,7 +49,35 @@ class TestRectSequence:
             CrystalElement(RectSequence([(2, 2)]), [Tableau([[1, 1]])])
 
 
+def textbook_signature(word, i):
+    """The signature rule as stated: write - for each i and + for each i+1,
+    cancel adjacent "+ -" pairs until none is left; f acts on the rightmost
+    surviving -, e on the leftmost surviving +."""
+    m = len(word)
+    signs = [(m - k, "-" if x == i else "+") for k, x in enumerate(word) if x in (i, i + 1)]
+    k = 0
+    while k + 1 < len(signs):
+        if signs[k][1] == "+" and signs[k + 1][1] == "-":
+            del signs[k : k + 2]
+            k = 0
+        else:
+            k += 1
+    minus = [pos for pos, s in signs if s == "-"]
+    plus = [pos for pos, s in signs if s == "+"]
+    f_pos = minus[-1] if minus else None
+    e_pos = plus[0] if plus else None
+    return len(minus), len(plus), f_pos, e_pos, tuple(signs)
+
+
 class TestSignature:
+    def test_matches_textbook_rule(self):
+        for length in range(8):
+            for word in itertools.product((1, 2, 3), repeat=length):
+                for i in (1, 2):
+                    s = word_signature(word, i)
+                    got = (s.phi, s.eps, s.f_pos, s.e_pos, s.reduced)
+                    assert got == textbook_signature(word, i), (word, i)
+
     def test_single_letter(self):
         s = word_signature((1,), 1)
         assert (s.phi, s.eps, s.f_pos, s.e_pos) == (1, 0, 1, None)

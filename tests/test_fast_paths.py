@@ -2,8 +2,9 @@
 
 Precomputed RectSequence data against the sums it replaces, tableaux built
 by the trusted constructor against the checked public constructor, the
-memoized FastCrystal signatures against the signature rule in crystal.py,
-and the one-lift energy path against the checked rsk_inverse.
+memoized FastCrystal signatures against the element signatures of
+crystal.py and, at color 0, against the promotion route of affine.py, and
+the one-lift energy path against the checked rsk_inverse.
 """
 
 import pickle
@@ -114,6 +115,17 @@ class TestFastCrystalSignature:
             assert fc.signature(el, i) == want
             assert fc.signature(el, i) == want  # served by the memo
 
+    @pytest.mark.parametrize("rects", CRYSTALS)
+    def test_color_zero_matches_affine(self, rects):
+        fc = FastCrystal(RectSequence(rects))
+        for el in fc.elements():
+            b = fc.to_element(el)
+            phi_, eps_, _, _ = fc.signature(el, 0)
+            assert (phi_, eps_) == (affine.phi0(b), affine.eps0(b))
+            for op, want in (("e", affine.e0(b)), ("f", affine.f0(b))):
+                got = fc.apply(el, 0, op)
+                assert (None if got is None else fc.to_element(got)) == want
+
 
 class TestLift:
     def test_matches_rsk_inverse(self):
@@ -142,6 +154,30 @@ def clear_memos():
                 obj.cache_clear()
 
 
+@pytest.fixture
+def lr_calls(monkeypatch):
+    """Every (word, rects) that is_r_lr tests, with cold memos; rsk_inverse
+    must not run."""
+    calls = []
+    real = rsk.is_r_lr
+
+    def counted(u, s):
+        calls.append((tuple(u), s.rects))
+        return real(u, s)
+
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("rsk_inverse called")
+
+    for mod in MODULES:
+        if hasattr(mod, "is_r_lr"):
+            monkeypatch.setattr(mod, "is_r_lr", counted)
+        if hasattr(mod, "rsk_inverse"):
+            monkeypatch.setattr(mod, "rsk_inverse", no_inverse)
+    clear_memos()
+    yield calls
+    clear_memos()
+
+
 class TestNoRechecks:
     @pytest.mark.parametrize(
         "lam, rects",
@@ -153,32 +189,19 @@ class TestNoRechecks:
             ((2, 2), [(2, 1), (2, 1)]),
         ],
     )
-    def test_one_lr_test_per_candidate(self, monkeypatch, lam, rects):
+    def test_one_lr_test_per_candidate(self, lr_calls, lam, rects):
         seq = RectSequence(rects)
         candidates = sum(1 for _ in enumerate_cst(lam, seq.n, content=seq.gamma()))
-        calls = []
-        real = rsk.is_r_lr
-
-        def counted(u, s):
-            calls.append((tuple(u), s.rects))
-            return real(u, s)
-
-        def no_inverse(*args, **kwargs):
-            raise AssertionError("rsk_inverse called")
-
-        for mod in MODULES:
-            if hasattr(mod, "is_r_lr"):
-                monkeypatch.setattr(mod, "is_r_lr", counted)
-            if hasattr(mod, "rsk_inverse"):
-                monkeypatch.setattr(mod, "rsk_inverse", no_inverse)
-        clear_memos()
-        try:
-            poly = k_polynomial(lam, seq)
-        finally:
-            clear_memos()
-        assert poly(1) > 0
+        assert k_polynomial(lam, seq)(1) > 0
         # one test per candidate of LRT(lam; R); every other call is a
         # candidate of the two-rectangle enumerations the switches make
-        assert sum(1 for _, r in calls if r == seq.rects) == candidates
-        assert all(len(r) == 2 for _, r in calls if r != seq.rects)
-        assert len(set(calls)) == len(calls)
+        assert sum(1 for _, r in lr_calls if r == seq.rects) == candidates
+        assert all(len(r) == 2 for _, r in lr_calls if r != seq.rects)
+        assert len(set(lr_calls)) == len(lr_calls)
+
+    @pytest.mark.parametrize("position", [0, 1, 3])
+    def test_monotonicity_tests_each_word_once(self, lr_calls, position):
+        seq = RectSequence([(1, 2), (1, 1), (1, 1)])
+        rep = kpoly.monotonicity_check((2, 1, 1), seq, 2, 1, position=position)
+        assert rep.holds and rep.injection
+        assert len(set(lr_calls)) == len(lr_calls)

@@ -5,7 +5,6 @@ from rectcrys.errors import NonLRError, ShapeMismatchError
 from rectcrys.rsk import (
     TableauPair,
     enumerate_lrt,
-    highest_weight_recording,
     is_r_lr,
     lrt_tableaux,
     rsk_inverse,
@@ -14,6 +13,18 @@ from rectcrys.rsk import (
     word_from_recording,
 )
 from rectcrys.tableaux import Tableau, column_insert, enumerate_cst, key, partitions_of
+
+
+def highest_weight_recording(b: CrystalElement) -> Tableau:
+    """Recording tableau of an sl_n highest weight element by content transfer:
+    its i-th row holds m copies of j exactly when row j of b holds m copies
+    of i."""
+    n = b.seq.n
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for j in range(1, n + 1):
+        for x in b.row(j):
+            rows[x - 1].append(j)
+    return Tableau([tuple(sorted(r)) for r in rows], (), n=n)
 
 
 class TestPair:

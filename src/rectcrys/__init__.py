@@ -80,7 +80,6 @@ from .rsk import (
     is_r_lr,
     rsk_inverse,
     rsk_pair,
-    standard_recording,
 )
 from .tableaux import (
     SkewShape,

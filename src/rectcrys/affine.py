@@ -31,6 +31,7 @@ from .tableaux import (
     column_insert,
     is_horizontal_strip,
     key,
+    peel_strip,
     reverse_row_insert,
     slide_into,
     slide_out_of,
@@ -183,8 +184,6 @@ def pair_promote(pair: TableauPair, seq: RectSequence) -> tuple[TableauPair, Pro
     followed by the conjugated v; the new insertion tableau is the promotion
     of p with its n-letters moved to the freshly added strip.
     """
-    from .tableaux import _col_uninsert, _cols_of, _tableau_of_cols
-
     n = seq.n
     p, q = pair.p, pair.q
     if p.inner != ():
@@ -200,17 +199,10 @@ def pair_promote(pair: TableauPair, seq: RectSequence) -> tuple[TableauPair, Pro
     if not is_horizontal_strip(strip):
         raise InconsistentPairError("letters n of p do not form a horizontal strip")
     strip.sort(key=lambda rc: rc[1])
-    cols = _cols_of(q)
-    ejected: list[int] = []
     try:
-        for cell in reversed(strip):
-            ejected.append(_col_uninsert(cols, cell))
+        qhat, v = peel_strip(q, strip)
     except ValueError as exc:
         raise InconsistentPairError(str(exc)) from exc
-    if any(ejected[i] > ejected[i + 1] for i in range(len(ejected) - 1)):
-        raise InconsistentPairError(f"ejected word not weakly increasing: {ejected}")
-    v = tuple(ejected)
-    qhat = _tableau_of_cols(cols, n)
     w0_qhat = young_w0(qhat, seq)
     w0_v = young_w0(v, seq)
     q_new = column_insert(w0_qhat.word() + tuple(w0_v), n=n)

@@ -169,15 +169,6 @@ class CrystalElement:
         factors[pos - 1] = t
         return CrystalElement(self.seq, factors, check=False)
 
-    def as_skew_tableau(self) -> Tableau:
-        """The element written on the skew shape R_m (x) ... (x) R_1."""
-        shape = self.seq.skew_shape()
-        rows = []
-        gamma = self.seq.gamma()
-        for r in range(1, len(gamma) + 1):
-            rows.append(self.row(r))
-        return Tableau(rows, shape.inner, n=self.seq.n, check=False)
-
     def to_json(self) -> dict:
         return {
             "rects": self.seq.to_json(),

@@ -202,6 +202,8 @@ def translation_reduced_word(mu: Sequence[int], n: int) -> list[int]:
     wall by wall; each crossing contributes one letter, so the word length is
     the number of separating hyperplanes.
     """
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
     t = translation_vector(mu, n)
     base = [Fraction(n - k, n + 1) for k in range(1, n + 1)]
     mean = sum(base) / n
@@ -315,6 +317,8 @@ def demazure_character(level: int, mu: Sequence[int], n: int) -> GradedCharacter
     dominant weights.  The Lambda_0 coefficient is left out of the peel: it
     is fixed by the finite part, since the operators keep the level.
     """
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
     if level < 1:
         raise ValueError("level must be >= 1")
     word = translation_reduced_word(mu, n)

@@ -70,11 +70,6 @@ def total_energy(b: CrystalElement) -> int:
     return sum(v for _, _, v in energy_terms(b))
 
 
-def energy_level(b: CrystalElement, j: int) -> int:
-    """The inner sum over i < j of the (i, j) energy terms."""
-    return sum(v for i, jj, v in energy_terms(b) if jj == j)
-
-
 def restricted_d(q: LRTableau, pos: int) -> int:
     """d at adjacent positions pos, pos+1 of an LR tableau with any number of
     rectangles: the east-count of the insertion shape of the restriction to

@@ -33,10 +33,6 @@ class LaurentPolynomial:
         self.coeffs = {e: c for e, c in acc.items() if c != 0}
 
     @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPolynomial":
-        return cls({exp: coeff})
-
-    @classmethod
     def zero(cls) -> "LaurentPolynomial":
         return cls()
 

@@ -18,12 +18,11 @@ from .errors import InconsistentPairError, NonLRError, ShapeMismatchError
 from .tableaux import (
     Tableau,
     column_insert,
-    column_insert_word,
     enumerate_cst,
     key,
     partition,
-    reverse_column_insert,
-    tableau_from_cells,
+    record,
+    unrecord,
 )
 
 
@@ -63,21 +62,8 @@ class LRTableau:
 
 def rsk_pair(b: CrystalElement) -> TableauPair:
     """The pair (p, q) of b; q has content gamma(R) and is R-LR."""
-    from .tableaux import _col_insert, _tableau_of_cols
-
     n = b.seq.n
-    cols: list[list[int]] = []
-    recording: dict[tuple[int, int], int] = {}
-    for r in range(1, n + 1):
-        for x in reversed(b.row(r)):
-            recording[_col_insert(cols, x)] = r
-    p = _tableau_of_cols(cols, n)
-    # The insertion cells are exactly the cells of p, so q has p's shape.
-    q_rows = tuple(
-        tuple(recording[(i, c)] for c in range(1, len(row) + 1))
-        for i, row in enumerate(p.rows, start=1)
-    )
-    return TableauPair(p, Tableau._raw(q_rows, (), n))
+    return TableauPair(*record([b.row(r) for r in range(1, n + 1)], n))
 
 
 def peel_recording(p: Tableau, q: Tableau, seq: RectSequence, alphabet: int | None = None) -> list[Tableau]:
@@ -88,35 +74,16 @@ def peel_recording(p: Tableau, q: Tableau, seq: RectSequence, alphabet: int | No
     rebuild the r-th row of the element.  ``alphabet`` bounds the letters of
     the factors (defaults to the recording alphabet size n of ``seq``).
     """
-    from .tableaux import _col_uninsert, _cols_of
-
-    by_label: dict[int, list[tuple[int, int]]] = {}
-    for cell, v in q.cell_map().items():
-        by_label.setdefault(v, []).append(cell)
-    cols = _cols_of(p)
-    rows: dict[int, tuple[int, ...]] = {}
-    for r in range(seq.n, 0, -1):
-        ejected = []
-        try:
-            for cell in sorted(by_label.get(r, ()), key=lambda rc: -rc[1]):
-                ejected.append(_col_uninsert(cols, cell))
-        except ValueError as exc:
-            raise InconsistentPairError(str(exc)) from exc
-        if any(ejected[i] > ejected[i + 1] for i in range(len(ejected) - 1)):
-            raise InconsistentPairError(
-                f"row {r} came out non-weakly-increasing: {ejected}"
-            )
-        rows[r] = tuple(ejected)
-    if cols:
-        raise InconsistentPairError("recording tableau does not cover p")
+    try:
+        rows = unrecord(p, q, seq.n)
+    except ValueError as exc:
+        raise InconsistentPairError(str(exc)) from exc
     bound = seq.n if alphabet is None else alphabet
     factors = []
     for j in range(1, seq.m + 1):
         lo, hi = seq.subalphabet(j)
         try:
-            factors.append(
-                Tableau([rows[r] for r in range(lo, hi + 1)], (), n=bound)
-            )
+            factors.append(Tableau(rows[lo - 1 : hi], (), n=bound))
         except ValueError as exc:
             raise InconsistentPairError(f"factor {j}: {exc}") from exc
     return factors
@@ -178,31 +145,3 @@ def _lrt_cached(lam: tuple[int, ...], rects: tuple[tuple[int, int], ...]) -> tup
 def lrt_tableaux(lam: Sequence[int], seq: RectSequence) -> tuple[Tableau, ...]:
     """Cached tuple of the R-LR tableaux of shape ``lam``."""
     return _lrt_cached(partition(lam), seq.rects)
-
-
-def standard_recording(u: Sequence[int]) -> Tableau:
-    """Recording tableau of a plain word: the word is a tensor product of
-    single boxes, the rightmost letter inserted first."""
-    cur = Tableau((), (), check=False)
-    recording: dict[tuple[int, int], int] = {}
-    for r, x in enumerate(reversed(tuple(u)), start=1):
-        cur, cells = column_insert_word(cur, (x,))
-        recording[cells[0]] = r
-    return tableau_from_cells(recording, n=len(tuple(u)))
-
-
-def word_from_recording(p: Tableau, q_std: Tableau) -> tuple[int, ...]:
-    """Inverse of (column insertion, standard recording): recover the word."""
-    if p.outer != q_std.outer or p.inner != ():
-        raise ShapeMismatchError("pair shapes differ or not normal")
-    positions = {v: cell for cell, v in q_std.cell_map().items()}
-    n = len(positions)
-    cur = p
-    letters = []
-    for r in range(n, 0, -1):
-        try:
-            cur, y = reverse_column_insert(cur, positions[r])
-        except (KeyError, ValueError) as exc:
-            raise InconsistentPairError(str(exc)) from exc
-        letters.append(y)
-    return tuple(letters)

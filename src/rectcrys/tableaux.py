@@ -183,7 +183,6 @@ class Tableau:
         rows: Sequence[Sequence[int]],
         inner: Iterable[int] = (),
         n: int | None = None,
-        check: bool = True,
     ):
         rows_t = [tuple(int(x) for x in row) for row in rows]
         inner_full = list(_pad(partition(inner), len(rows_t)))
@@ -198,8 +197,7 @@ class Tableau:
         self.inner = partition(inner_full)
         maxval = max((x for row in rows_t for x in row), default=0)
         self.n = maxval if n is None else int(n)
-        if check:
-            self._validate()
+        self._validate()
 
     @classmethod
     def _raw(cls, rows: tuple, inner: tuple, n: int | None) -> "Tableau":
@@ -295,17 +293,16 @@ class Tableau:
             rows.pop()
             inner.pop()
         if not rows:
-            return Tableau((), (), n=self.n, check=False)
+            return Tableau._raw((), (), self.n)
         shift = min(inner)
-        return Tableau(rows, [i - shift for i in inner], n=self.n, check=False)
+        return Tableau._raw(tuple(rows), partition(i - shift for i in inner), self.n)
 
     def add_one(self, p: int = 1) -> "Tableau":
         """Entrywise addition of ``p``."""
-        return Tableau(
+        return Tableau._raw(
             tuple(tuple(x + p for x in row) for row in self.rows),
             self.inner,
-            n=self.n + p,
-            check=False,
+            self.n + p,
         )
 
     def to_json(self) -> dict:
@@ -348,7 +345,7 @@ def tableau_from_cells(
 ) -> Tableau:
     """Assemble a tableau from a cell-to-letter map (positions kept)."""
     if not cells:
-        return Tableau((), (), n=n, check=False)
+        return Tableau._raw((), (), n)
     shape = shape_from_cells(cells.keys())
     inner = _pad(shape.inner, shape.nrows)
     rows = tuple(
@@ -401,25 +398,6 @@ def _col_insert(cols: list[list[int]], x: int) -> tuple[int, int]:
         j += 1
 
 
-def _col_uninsert(cols: list[list[int]], cell: tuple[int, int]) -> int:
-    """Undo a column insertion that ended at ``cell``; returns the ejected letter."""
-    r, c = cell
-    if not (1 <= c <= len(cols)) or len(cols[c - 1]) != r or (
-        c < len(cols) and len(cols[c]) >= r
-    ):
-        raise ValueError(f"cell {cell} is not a removable corner")
-    y = cols[c - 1].pop()
-    if not cols[c - 1]:
-        cols.pop()
-    for j in range(c - 2, -1, -1):
-        col = cols[j]
-        i = bisect_right(col, y) - 1
-        if i < 0:
-            raise ValueError(f"reverse column insertion stuck at column {j + 1}")
-        col[i], y = y, col[i]
-    return y
-
-
 def column_insert(word: Sequence[int], n: int | None = None) -> Tableau:
     """The unique normal-shape column-strict tableau Knuth-equivalent to ``word``.
 
@@ -430,13 +408,6 @@ def column_insert(word: Sequence[int], n: int | None = None) -> Tableau:
     for x in reversed(word):
         _col_insert(cols, x)
     return _tableau_of_cols(cols, n)
-
-
-def insertion_cells(word: Sequence[int]) -> tuple[Tableau, list[tuple[int, int]]]:
-    """Insertion tableau plus the new cell of each step, in insertion order."""
-    cols: list[list[int]] = []
-    cells = [_col_insert(cols, x) for x in reversed(word)]
-    return _tableau_of_cols(cols), cells
 
 
 @lru_cache(maxsize=None)
@@ -456,20 +427,82 @@ def insertion_shape(word: Sequence[int]) -> tuple[int, ...]:
     return _insertion_shape_cached(tuple(word))
 
 
-def column_insert_word(
-    t: Tableau, w: Sequence[int]
-) -> tuple[Tableau, list[tuple[int, int]]]:
-    """Column-insert the letters of ``w`` (right to left) into ``t``."""
+def record(
+    groups: Sequence[Sequence[int]], n: int | None = None
+) -> tuple[Tableau, Tableau]:
+    """Column-insert each group's letters right to left, group after group.
+
+    Returns the insertion tableau P (letters in 1..n) and the recording
+    tableau Q, which labels each new cell with the 1-based index of its group.
+    """
+    cols: list[list[int]] = []
+    qcols: list[list[int]] = []
+    for k, group in enumerate(groups, start=1):
+        for x in reversed(group):
+            # the new cell is the bottom of its column, so q grows the same way
+            c = _col_insert(cols, x)[1]
+            if c > len(qcols):
+                qcols.append([])
+            qcols[c - 1].append(k)
+    return _tableau_of_cols(cols, n), _tableau_of_cols(qcols, len(groups))
+
+
+def _peel(cols: list[list[int]], cells: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Undo the column insertions that ended at ``cells``, rightmost first.
+
+    Returns the ejected letters, which must come out weakly increasing.
+    """
+    out: list[int] = []
+    for r, c in sorted(cells, key=lambda rc: -rc[1]):
+        if not (1 <= c <= len(cols)) or len(cols[c - 1]) != r or (
+            c < len(cols) and len(cols[c]) >= r
+        ):
+            raise ValueError(f"cell {(r, c)} is not a removable corner")
+        y = cols[c - 1].pop()
+        if not cols[c - 1]:
+            cols.pop()
+        for j in range(c - 2, -1, -1):
+            col = cols[j]
+            i = bisect_right(col, y) - 1
+            if i < 0:
+                raise ValueError(f"reverse column insertion stuck at column {j + 1}")
+            col[i], y = y, col[i]
+        if out and out[-1] > y:
+            raise ValueError(f"ejected letters not weakly increasing: {out + [y]}")
+        out.append(y)
+    return tuple(out)
+
+
+def peel_strip(
+    t: Tableau, cells: Iterable[tuple[int, int]]
+) -> tuple[Tableau, tuple[int, ...]]:
+    """Reverse the column insertions that ended at ``cells`` of ``t``,
+    rightmost first; returns the rest of ``t`` and the ejected word."""
     cols = _cols_of(t)
-    cells = [_col_insert(cols, x) for x in reversed(w)]
-    return _tableau_of_cols(cols, t.n), cells
+    word = _peel(cols, cells)
+    return _tableau_of_cols(cols, t.n), word
 
 
 def reverse_column_insert(t: Tableau, cell: tuple[int, int]) -> tuple[Tableau, int]:
     """Reverse one column insertion at a corner ``cell`` of ``t``."""
-    cols = _cols_of(t)
-    y = _col_uninsert(cols, cell)
-    return _tableau_of_cols(cols, t.n), y
+    rest, (y,) = peel_strip(t, (cell,))
+    return rest, y
+
+
+def unrecord(p: Tableau, q: Tableau, ngroups: int) -> list[tuple[int, ...]]:
+    """Inverse of :func:`record`: the groups recorded by (p, q).
+
+    Label by label from ``ngroups`` down to 1, the cells of q with that
+    label are peeled off p; q must cover p exactly.
+    """
+    by_label: dict[int, list[tuple[int, int]]] = {}
+    for cell, v in zip(q.cells(), (v for row in q.rows for v in row)):
+        by_label.setdefault(v, []).append(cell)
+    cols = _cols_of(p)
+    groups = [_peel(cols, by_label.get(k, ())) for k in range(ngroups, 0, -1)]
+    if cols:
+        raise ValueError("recording tableau does not cover p")
+    return groups[::-1]
 
 
 def row_insert(t: Tableau, x: int) -> tuple[Tableau, tuple[int, int]]:
@@ -491,7 +524,7 @@ def row_insert(t: Tableau, x: int) -> tuple[Tableau, tuple[int, int]]:
             break
         row[i], x = x, row[i]
         r += 1
-    return Tableau(rows, (), n=t.n, check=False), cell
+    return Tableau._raw(tuple(map(tuple, rows)), (), t.n), cell
 
 
 def reverse_row_insert(t: Tableau, cell: tuple[int, int]) -> tuple[Tableau, int]:
@@ -513,7 +546,7 @@ def reverse_row_insert(t: Tableau, cell: tuple[int, int]) -> tuple[Tableau, int]
         if j < 0:
             raise ValueError(f"reverse row insertion stuck at row {i + 1}")
         row[j], y = y, row[j]
-    return Tableau(rows, (), n=t.n, check=False), y
+    return Tableau._raw(tuple(map(tuple, rows)), (), t.n), y
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +642,7 @@ def antinormal(word: Sequence[int], n: int | None = None) -> Tableau:
     assert this rather than assuming it.  The result is translation-normalized.
     """
     if not word:
-        return Tableau((), (), n=n, check=False)
+        return Tableau._raw((), (), n)
     cells = _word_staircase(word)
     guard = 4 * len(word) * len(word) + 16
     while not _is_antinormal_cells(cells):
@@ -666,7 +699,7 @@ def enumerate_cst(
     """
     outer = partition(shape)
     if not outer:
-        yield Tableau((), (), n=n, check=False)
+        yield Tableau._raw((), (), n)
         return
     if len(outer) > n:
         return

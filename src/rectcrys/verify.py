@@ -45,7 +45,7 @@ from .crystal import (
 )
 from .energy import (
     classical_charge,
-    energy_level,
+    energy_terms,
     local_H,
     restricted_d,
     tableau_energy,
@@ -524,11 +524,19 @@ def _check_energy_drop(seq: RectSequence) -> Iterator[dict]:
         if k == 1:
             yield _fail(b.to_json(), "acting position > 1", k)
             continue
+        want, got = _level_sums(b), _level_sums(eb)
+        want[k] -= 1
         for j in range(2, seq.m + 1):
-            want = energy_level(b, j) - (1 if j == k else 0)
-            got = energy_level(eb, j)
-            if got != want:
-                yield _fail(b.to_json(), f"level sum {j}: {want}", got)
+            if got[j] != want[j]:
+                yield _fail(b.to_json(), f"level sum {j}: {want[j]}", got[j])
+
+
+def _level_sums(b: CrystalElement) -> list[int]:
+    """Index j holds the inner sum over i < j of the (i, j) energy terms."""
+    sums = [0] * (b.seq.m + 1)
+    for _, j, v in energy_terms(b):
+        sums[j] += v
+    return sums
 
 
 def _check_three_rectangles(seq: RectSequence) -> Iterator[dict]:

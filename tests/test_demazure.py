@@ -230,6 +230,14 @@ class TestDemazureCharacter:
                         level, mu
                     )
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_rejects_small_n(self, n):
+        mu = (1,) * n
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            translation_reduced_word(mu, n)
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            demazure_character(1, mu, n)
+
     def test_peel_rejects_non_characters(self):
         # n = 2, size 2: finite weight (2,) is lam = (2,), (0,) is (1, 1)
         assert list(_peel({(2,): 1, (0,): 2, (-2,): 1}, 2, 2, 0)) == [

@@ -5,15 +5,16 @@ import pytest
 from rectcrys.crystal import RectSequence, enumerate_crystal
 from rectcrys.errors import NonLRError
 from rectcrys.rmatrix import _two_factor_tau, lex_reduced_word, sigma_compose, sigma_swap, tau_swap
-from rectcrys.rsk import (
-    LRTableau,
-    is_r_lr,
-    lrt_tableaux,
-    rsk_pair,
-    standard_recording,
-    word_from_recording,
+from rectcrys.rsk import LRTableau, is_r_lr, lrt_tableaux, rsk_pair
+from rectcrys.tableaux import (
+    Tableau,
+    column_insert,
+    partitions_of,
+    record,
+    slide_into,
+    slide_out_of,
+    unrecord,
 )
-from rectcrys.tableaux import column_insert, partitions_of, slide_into, slide_out_of
 from conftest import element_from
 
 
@@ -36,7 +37,13 @@ def sigma_word(u: Sequence[int], seq: RectSequence) -> tuple[int, ...]:
         raise NonLRError(f"word is not {seq.rects}-LR")
     p = column_insert(u, n=seq.n)
     p_new = _two_factor_tau(p.outer, (seq.rects[1], seq.rects[0]))
-    return word_from_recording(p_new, standard_recording(u))
+    groups = unrecord(p_new, standard_recording(u), len(u))
+    return tuple(x for (x,) in reversed(groups))
+
+
+def standard_recording(u: Sequence[int]) -> Tableau:
+    """Recording tableau of a plain word: one letter per group, rightmost first."""
+    return record([(x,) for x in reversed(u)])[1]
 
 
 def cyclic_shift_permutation(i: int, j: int, m: int) -> tuple[int, ...]:

@@ -1,18 +1,27 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectcrys.crystal import CrystalElement, RectSequence, enumerate_crystal, signature
-from rectcrys.errors import NonLRError, ShapeMismatchError
+from rectcrys.errors import InconsistentPairError, NonLRError, ShapeMismatchError
 from rectcrys.rsk import (
     TableauPair,
     enumerate_lrt,
     is_r_lr,
     lrt_tableaux,
+    peel_recording,
     rsk_inverse,
     rsk_pair,
-    standard_recording,
-    word_from_recording,
 )
-from rectcrys.tableaux import Tableau, column_insert, enumerate_cst, key, partitions_of
+from rectcrys.tableaux import (
+    Tableau,
+    column_insert,
+    enumerate_cst,
+    key,
+    partitions_of,
+    record,
+    unrecord,
+)
 
 
 def highest_weight_recording(b: CrystalElement) -> Tableau:
@@ -83,6 +92,12 @@ class TestInverse:
         with pytest.raises(NonLRError):
             rsk_inverse(TableauPair(p, q), seq)
 
+    def test_inconsistent_pair_rejected(self):
+        # the peel ejects the rows (1,) and (1,), which do not stack into a
+        # column-strict factor
+        with pytest.raises(InconsistentPairError, match="factor 1: "):
+            peel_recording(Tableau([[1, 1]]), Tableau([[1, 2]]), RectSequence([(2, 1)]))
+
 
 class TestIsRLr:
     def test_single_key(self):
@@ -131,14 +146,25 @@ class TestEnumerateLrt:
         assert words == sorted(words)
 
 
+group_lists = st.lists(
+    st.lists(st.integers(min_value=1, max_value=4), max_size=4).map(
+        lambda g: tuple(sorted(g))
+    ),
+    max_size=5,
+)
+
+
 class TestStandardRecording:
-    def test_roundtrip(self):
-        for w in [(2, 1, 3, 1), (1, 1, 1), (3, 2, 1), (1, 2, 2, 3)]:
-            q = standard_recording(w)
-            assert word_from_recording(column_insert(w), q) == w
+    """record/unrecord, with single-letter groups giving standard recording."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(group_lists)
+    def test_roundtrip(self, groups):
+        assert unrecord(*record(groups), len(groups)) == groups
 
     def test_is_standard(self):
-        q = standard_recording((2, 1, 2))
+        p, q = record([(x,) for x in reversed((2, 1, 2))])
+        assert p == column_insert((2, 1, 2))
         assert sorted(x for row in q.rows for x in row) == [1, 2, 3]
 
 

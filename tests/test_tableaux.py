@@ -13,17 +13,19 @@ from rectcrys.tableaux import (
     column_insert,
     conjugate,
     enumerate_cst,
-    insertion_cells,
     insertion_shape,
     key,
     partition,
     partitions_of,
+    peel_strip,
+    record,
     reverse_column_insert,
     reverse_row_insert,
     row_insert,
     shape_from_cells,
     slide_into,
     tensor_shape,
+    unrecord,
     _is_antinormal_cells,
     _word_staircase,
 )
@@ -141,12 +143,25 @@ class TestColumnInsert:
     @settings(max_examples=60, deadline=None)
     @given(words)
     def test_insertion_cells_are_reversible(self, w):
-        t, cells = insertion_cells(w)
+        t, q = record([(x,) for x in reversed(w)])
+        cells = {v: cell for cell, v in q.cell_map().items()}
         out = []
-        for cell in reversed(cells):
-            t, y = reverse_column_insert(t, cell)
+        for k in range(len(w), 0, -1):
+            t, y = reverse_column_insert(t, cells[k])
             out.append(y)
         assert tuple(out) == w  # letters come back in left-to-right order
+
+
+class TestRecord:
+    def test_peel_errors(self):
+        column = column_insert((2, 1))  # 1 above 2
+        with pytest.raises(ValueError, match="not a removable corner"):
+            peel_strip(column, [(1, 1)])
+        with pytest.raises(ValueError, match="not weakly increasing"):
+            peel_strip(column, [(2, 1), (1, 1)])
+        with pytest.raises(ValueError, match="does not cover"):
+            unrecord(column, Tableau([[], [1]], inner=[1]), 1)  # bottom cell only
+        assert unrecord(column, Tableau([[1], [2]]), 2) == [(1,), (2,)]
 
 
 class TestRowInsert:

@@ -69,7 +69,7 @@ class TestFailureCap:
             ),
             (
                 verify._check_energy_drop,
-                {"eps0": always(10**6), "energy_level": always(0)},
+                {"eps0": always(10**6), "energy_terms": always([])},
                 [(1, 1)] * 4,
             ),
             (

@@ -56,7 +56,6 @@ from .energy import (
 )
 from .errors import (
     InconsistentPairError,
-    MismatchedExpansionError,
     NonLRError,
     NotPartitionOfNError,
     RectcrysError,

@@ -88,15 +88,13 @@ def promote_inverse_tableau(t: Tableau, n: int | None = None) -> Tableau:
 def promote(b: CrystalElement) -> CrystalElement:
     """Promotion of b, factor by factor."""
     n = b.seq.n
-    return CrystalElement(
-        b.seq, [promote_tableau(t, n) for t in b.factors], check=False
-    )
+    return CrystalElement._raw(b.seq, tuple(promote_tableau(t, n) for t in b.factors))
 
 
 def promote_inverse(b: CrystalElement) -> CrystalElement:
     n = b.seq.n
-    return CrystalElement(
-        b.seq, [promote_inverse_tableau(t, n) for t in b.factors], check=False
+    return CrystalElement._raw(
+        b.seq, tuple(promote_inverse_tableau(t, n) for t in b.factors)
     )
 
 

@@ -103,9 +103,7 @@ class RectSequence:
 
     def swapped(self, pos: int) -> "RectSequence":
         """Rectangles at positions pos, pos+1 exchanged."""
-        r = list(self.rects)
-        r[pos - 1], r[pos] = r[pos], r[pos - 1]
-        return RectSequence(r)
+        return _swapped(self.rects, pos)
 
     def permuted(self, w: Sequence[int]) -> "RectSequence":
         """The sequence wR, holding R_{w^{-1}(j)} at position j."""
@@ -123,25 +121,41 @@ class RectSequence:
         return f"RectSequence({list(self.rects)})"
 
 
+@lru_cache(maxsize=256)
+def _swapped(rects: tuple[tuple[int, int], ...], pos: int) -> RectSequence:
+    """RectSequence.swapped, shared by every element of one B^R."""
+    r = list(rects)
+    r[pos - 1], r[pos] = r[pos], r[pos - 1]
+    return RectSequence(r)
+
+
 class CrystalElement:
     """An element b = b_m (x) ... (x) b_1 of B^R; factors[0] is b_1."""
 
     __slots__ = ("seq", "factors")
 
-    def __init__(self, seq: RectSequence, factors: Sequence[Tableau], check: bool = True):
+    def __init__(self, seq: RectSequence, factors: Sequence[Tableau]):
         self.seq = seq
         self.factors = tuple(factors)
-        if check:
-            if len(self.factors) != seq.m:
-                raise ValueError(f"expected {seq.m} factors, got {len(self.factors)}")
-            for j, t in enumerate(self.factors, start=1):
-                if t.outer != seq.rect_shape(j) or t.inner != ():
-                    raise ValueError(
-                        f"factor {j} has shape {t.outer}/{t.inner}, "
-                        f"expected rectangle {seq.rect_shape(j)}"
-                    )
-                if any(x > seq.n for row in t.rows for x in row):
-                    raise ValueError(f"factor {j} uses letters beyond {seq.n}")
+        if len(self.factors) != seq.m:
+            raise ValueError(f"expected {seq.m} factors, got {len(self.factors)}")
+        for j, t in enumerate(self.factors, start=1):
+            if t.outer != seq.rect_shape(j) or t.inner != ():
+                raise ValueError(
+                    f"factor {j} has shape {t.outer}/{t.inner}, "
+                    f"expected rectangle {seq.rect_shape(j)}"
+                )
+            if any(x > seq.n for row in t.rows for x in row):
+                raise ValueError(f"factor {j} uses letters beyond {seq.n}")
+
+    @classmethod
+    def _raw(cls, seq: RectSequence, factors: tuple) -> "CrystalElement":
+        """Trusted constructor: ``factors`` is a tuple of tableaux already
+        filling the rectangles of ``seq`` over its alphabet."""
+        b = object.__new__(cls)
+        b.seq = seq
+        b.factors = factors
+        return b
 
     def word(self) -> tuple[int, ...]:
         """Reading word: factor b_m first, b_1 last."""
@@ -167,7 +181,7 @@ class CrystalElement:
     def replace_factor(self, pos: int, t: Tableau) -> "CrystalElement":
         factors = list(self.factors)
         factors[pos - 1] = t
-        return CrystalElement(self.seq, factors, check=False)
+        return CrystalElement._raw(self.seq, tuple(factors))
 
     def to_json(self) -> dict:
         return {
@@ -456,4 +470,4 @@ def enumerate_crystal(seq: RectSequence):
         list(enumerate_cst(seq.rect_shape(j), seq.n)) for j in range(1, seq.m + 1)
     ]
     for combo in product(*factor_sets):
-        yield CrystalElement(seq, combo, check=False)
+        yield CrystalElement._raw(seq, combo)

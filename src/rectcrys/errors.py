@@ -21,9 +21,5 @@ class RowNError(RectcrysError):
     """A corner cell sits in the bottom row, where the cocyclage step is undefined."""
 
 
-class MismatchedExpansionError(RectcrysError):
-    """The two expansion routes of a graded character disagree."""
-
-
 class NotPartitionOfNError(RectcrysError):
     """The given sequence is not a partition of the required size."""

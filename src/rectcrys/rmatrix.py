@@ -78,7 +78,7 @@ def sigma_swap(b: CrystalElement, pos: int) -> CrystalElement:
     factors = list(b.factors)
     factors[pos - 1] = Tableau._raw(rows1, (), seq.n)
     factors[pos] = Tableau._raw(rows2, (), seq.n)
-    return CrystalElement(seq.swapped(pos), factors, check=False)
+    return CrystalElement._raw(seq.swapped(pos), tuple(factors))
 
 
 def lex_reduced_word(w: Sequence[int]) -> list[int]:

@@ -1,9 +1,9 @@
 """Exhaustive verification suites over enumerated crystals.
 
-Every suite walks a family of rectangle sequences bounded by the alphabet
-size and the total cell count, checks its statements instance by instance,
-and returns a report whose failure list is empty exactly when the suite
-passes.  Heavily repeated per-factor data (string lengths, operator images,
+Every suite is a list of (instances, check) parts: rectangle sequences
+bounded by the alphabet size and the total cell count, or the main theorem's
+(n, level, mu).  One runner checks them all and returns a report whose
+failure list is empty exactly when the suite passes.  Heavily repeated per-factor data (string lengths, operator images,
 promotion) is tabulated once per rectangle.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import islice, product
 from operator import getitem
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .affine import (
     apply_op,
@@ -43,6 +43,7 @@ from .crystal import (
     tableau_phi_eps,
     tableau_reflection,
 )
+from .demazure import crystal_side_character, demazure_character
 from .energy import (
     classical_charge,
     energy_terms,
@@ -51,7 +52,6 @@ from .energy import (
     tableau_energy,
     total_energy,
 )
-from .errors import MismatchedExpansionError
 from .kpoly import LaurentPolynomial, character_weights, graded_character, monotonicity_check
 from .rmatrix import sigma_swap, tau_swap
 from .rsk import LRTableau, lrt_tableaux, peel_recording, rsk_pair
@@ -128,34 +128,33 @@ def worker_count(jobs: int, instances: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, instances))
 
 
-def _capped(check: Callable, seq: RectSequence) -> list:
-    return list(islice(check(seq), MAX_FAILURES + 1))
+def _capped(task: tuple[Callable[..., Iterator[dict]], object]) -> list:
+    check, instance = task
+    return list(islice(check(instance), MAX_FAILURES + 1))
 
 
 def _run_instances(
     suite: str,
-    seqs: Sequence[RectSequence],
-    check: Callable[[RectSequence], Iterator[dict]],
+    parts: Sequence[tuple[Iterable, Callable[..., Iterator[dict]]]],
     jobs: int = 1,
 ) -> VerifyReport:
-    """Run ``check``, a generator of failures, on every instance; each
-    instance contributes at most MAX_FAILURES + 1 failures."""
+    """Run every part's ``check``, a generator of failures, on each of the
+    part's instances, all in one pool; each instance counts once and
+    contributes at most MAX_FAILURES + 1 failures."""
     start = time.monotonic()
-    report = VerifyReport(suite=suite, instances=len(seqs))
-    run = partial(_capped, check)
-    workers = worker_count(jobs, len(seqs))
+    tasks = [(check, instance) for instances, check in parts for instance in instances]
+    workers = worker_count(jobs, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, seqs))
+            results = list(pool.map(_capped, tasks))
     else:
-        results = [run(seq) for seq in seqs]
-    for failures in results:
-        report.failures.extend(failures)
-    report.failures.sort(key=lambda d: json.dumps(d, sort_keys=True, default=str))
-    report.elapsed_ms = int((time.monotonic() - start) * 1000)
-    return report
+        results = map(_capped, tasks)
+    failures = [f for found in results for f in found]
+    failures.sort(key=lambda d: json.dumps(d, sort_keys=True, default=str))
+    elapsed_ms = int((time.monotonic() - start) * 1000)
+    return VerifyReport(suite, len(tasks), failures, elapsed_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +253,8 @@ class FastCrystal:
         return tuple(t.promote[k] for t, k in zip(self.tables, el))
 
     def to_element(self, el: tuple[int, ...]) -> CrystalElement:
-        return CrystalElement(
-            self.seq,
-            [t.tableaux[k] for t, k in zip(self.tables, el)],
-            check=False,
+        return CrystalElement._raw(
+            self.seq, tuple(t.tableaux[k] for t, k in zip(self.tables, el))
         )
 
     def instance_json(self, el: tuple[int, ...] | None = None):
@@ -310,8 +307,8 @@ def _check_crystal_axioms(seq: RectSequence) -> Iterator[dict]:
 
 
 def verify_crystal_axioms(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport:
-    seqs = list(rect_sequences(n_max, max_cells))
-    return _run_instances("crystal-axioms", seqs, _check_crystal_axioms, jobs)
+    seqs = rect_sequences(n_max, max_cells)
+    return _run_instances("crystal-axioms", [(seqs, _check_crystal_axioms)], jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +325,10 @@ def _check_rsk(seq: RectSequence) -> Iterator[dict]:
         if tuple(fc.tables[j].index[t.rows] for j, t in enumerate(factors)) != el:
             yield _fail(fc.instance_json(el), "rsk_inverse . rsk_pair = id", "mismatch")
             break
-    count = 0
-    for lam in partitions_of(seq.ncells, n):
-        cst = sum(1 for _ in enumerate_cst(lam, n))
-        count += cst * len(lrt_tableaux(lam, seq))
+    count = sum(
+        sum(character_weights(lam, n).values()) * len(lrt_tableaux(lam, seq))
+        for lam in partitions_of(seq.ncells, n)
+    )
     if count != len(elements):
         yield _fail({"rects": seq.to_json()}, f"image size {len(elements)}", count)
     for el in elements:
@@ -358,8 +355,7 @@ def _check_rsk(seq: RectSequence) -> Iterator[dict]:
 
 
 def verify_rsk(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport:
-    seqs = list(rect_sequences(n_max, max_cells))
-    return _run_instances("rsk", seqs, _check_rsk, jobs)
+    return _run_instances("rsk", [(rect_sequences(n_max, max_cells), _check_rsk)], jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +401,11 @@ def _check_yang_baxter(seq: RectSequence) -> Iterator[dict]:
 
 
 def verify_rmatrix(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport:
-    pairs = list(rect_sequences(n_max, max_cells, num_rects=2))
-    triples = list(rect_sequences(n_max, max_cells, num_rects=3))
-    rep = _run_instances("rmatrix", pairs, _check_rmatrix_pairs, jobs)
-    rep2 = _run_instances("rmatrix-yang-baxter", triples, _check_yang_baxter, jobs)
-    rep.instances += rep2.instances
-    rep.failures.extend(rep2.failures)
-    rep.elapsed_ms += rep2.elapsed_ms
-    return rep
+    parts = [
+        (rect_sequences(n_max, max_cells, num_rects=2), _check_rmatrix_pairs),
+        (rect_sequences(n_max, max_cells, num_rects=3), _check_yang_baxter),
+    ]
+    return _run_instances("rmatrix", parts, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -561,20 +554,13 @@ def _check_three_rectangles(seq: RectSequence) -> Iterator[dict]:
 
 
 def verify_energy(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport:
-    two = list(rect_sequences(n_max, max_cells, num_rects=2))
-    rep = _run_instances("energy-two-factor", two, _check_energy_two_factor, jobs)
-    alls = list(rect_sequences(n_max, max_cells))
-    rep_g = _run_instances("energy-general", alls, _check_energy_general, jobs)
-    drops = list(rect_sequences(min(n_max, 3), max_cells))
-    rep_d = _run_instances("energy-drop", drops, _check_energy_drop, jobs)
-    triples = list(rect_sequences(n_max, max_cells, num_rects=3))
-    rep_t = _run_instances("energy-three-rectangles", triples, _check_three_rectangles, jobs)
-    out = VerifyReport(suite="energy")
-    for r in (rep, rep_g, rep_d, rep_t):
-        out.instances += r.instances
-        out.failures.extend(r.failures)
-        out.elapsed_ms += r.elapsed_ms
-    return out
+    parts = [
+        (rect_sequences(n_max, max_cells, num_rects=2), _check_energy_two_factor),
+        (rect_sequences(n_max, max_cells), _check_energy_general),
+        (rect_sequences(min(n_max, 3), max_cells), _check_energy_drop),
+        (rect_sequences(n_max, max_cells, num_rects=3), _check_three_rectangles),
+    ]
+    return _run_instances("energy", parts, jobs)
 
 
 def _check_charge(seq: RectSequence) -> Iterator[dict]:
@@ -590,8 +576,8 @@ def _check_charge(seq: RectSequence) -> Iterator[dict]:
 
 
 def verify_charge_energy(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport:
-    seqs = list(rect_sequences(n_max, max_cells, rows_only=True))
-    return _run_instances("charge-energy", seqs, _check_charge, jobs)
+    seqs = rect_sequences(n_max, max_cells, rows_only=True)
+    return _run_instances("charge-energy", [(seqs, _check_charge)], jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -642,17 +628,16 @@ def _check_cocyclage(seq: RectSequence) -> Iterator[dict]:
 
 
 def verify_cocyclage(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport:
-    seqs = list(rect_sequences(n_max, max_cells))
-    rep = _run_instances("cocyclage", seqs, _check_cocyclage, jobs)
+    seqs = rect_sequences(n_max, max_cells)
+    rep = _run_instances("cocyclage", [(seqs, _check_cocyclage)], jobs)
     rep.failures.extend(_check_stuck_component())
     return rep
 
 
-def _check_stuck_component() -> list:
+def _check_stuck_component() -> Iterator[dict]:
     """The three-rectangle example where e_0 never lowers the energy: all five
     elements of the component admitting e_0 land in the wider component at the
     same energy."""
-    failures = []
     seq = RectSequence([(1, 2), (1, 1), (1, 1)])
     src = Tableau([[1, 1], [2, 3]], n=3)
     dst = Tableau([[1, 1, 3], [2]], n=3)
@@ -665,27 +650,25 @@ def _check_stuck_component() -> list:
             continue
         hits += 1
         if rsk_pair(eb).q != dst:
-            failures.append(_fail(b.to_json(), "lands in the wider component", "no"))
+            yield _fail(b.to_json(), "lands in the wider component", "no")
         e_src = tableau_energy(LRTableau(src, seq))
         e_dst = tableau_energy(LRTableau(dst, seq))
         if e_src != e_dst:
-            failures.append(_fail(b.to_json(), "equal energy", (e_src, e_dst)))
+            yield _fail(b.to_json(), "equal energy", (e_src, e_dst))
     if hits != 5:
-        failures.append(_fail({"rects": seq.to_json()}, "five elements admit e_0", hits))
-    return failures
+        yield _fail({"rects": seq.to_json()}, "five elements admit e_0", hits)
 
 
 # ---------------------------------------------------------------------------
 # Suite: the two expansion routes of the graded character.
 
-def _crystal_routes_agree(seq: RectSequence) -> None:
+def _check_characters(seq: RectSequence) -> Iterator[dict]:
     """Scan B^R and check the LR route of graded_character against it.
 
     The coefficient of s_lambda counted over sl_n highest weight elements of
     weight lambda, graded by energy, must equal K_{lambda;R}(q); and the
     expansion, weighted by the irreducible characters, must reproduce the
-    weight-and-energy generating function of the whole crystal.  Raises
-    MismatchedExpansionError otherwise.
+    weight-and-energy generating function of the whole crystal.
     """
     n = seq.n
     by_hw: dict[tuple[int, ...], dict[int, int]] = {}
@@ -699,29 +682,23 @@ def _crystal_routes_agree(seq: RectSequence) -> None:
             counts[en] = counts.get(en, 0) + 1
     hw_route = {lam: LaurentPolynomial(d) for lam, d in by_hw.items()}
     lr_route = graded_character(seq).as_dict()
+    instance = {"rects": seq.to_json()}
     if hw_route != lr_route:
-        raise MismatchedExpansionError(
-            f"highest-weight route {hw_route} != tableau route {lr_route}"
-        )
+        msg = f"highest-weight route {hw_route} != tableau route {lr_route}"
+        yield _fail(instance, "routes agree", msg)
+        return
     expanded: dict[tuple[tuple[int, ...], int], int] = {}
     for lam, poly in lr_route.items():
         for wt, mult in character_weights(lam, n).items():
             for e, c in poly.coeffs.items():
                 expanded[(wt, e)] = expanded.get((wt, e), 0) + mult * c
     if expanded != weight_sum:
-        raise MismatchedExpansionError("weight generating functions differ")
-
-
-def _check_characters(seq: RectSequence) -> Iterator[dict]:
-    try:
-        _crystal_routes_agree(seq)
-    except MismatchedExpansionError as exc:
-        yield _fail({"rects": seq.to_json()}, "routes agree", str(exc))
+        yield _fail(instance, "routes agree", "weight generating functions differ")
 
 
 def verify_characters(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport:
-    seqs = list(rect_sequences(n_max, max_cells))
-    return _run_instances("characters", seqs, _check_characters, jobs)
+    seqs = rect_sequences(n_max, max_cells)
+    return _run_instances("characters", [(seqs, _check_characters)], jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -747,36 +724,29 @@ def _check_monotonicity_seq(
 def verify_monotonicity(
     n_max: int, max_cells: int, kmax: int = 2, mmax: int = 2, jobs: int = 1
 ) -> VerifyReport:
-    seqs = list(rect_sequences(n_max, max_cells))
+    seqs = rect_sequences(n_max, max_cells)
     check = partial(_check_monotonicity_seq, kmax=kmax, mmax=mmax)
-    return _run_instances("monotonicity", seqs, check, jobs)
+    return _run_instances("monotonicity", [(seqs, check)], jobs)
 
 
 # ---------------------------------------------------------------------------
 # Suite: the main character identity.
 
+def _check_main_theorem(instance: tuple[int, int, tuple[int, ...]]) -> Iterator[dict]:
+    n, level, mu = instance
+    dc = demazure_character(level, mu, n)
+    cc = crystal_side_character(level, mu)
+    if dc != cc:
+        where = {"n": n, "level": level, "mu": list(mu)}
+        yield _fail(where, cc.to_json(), dc.to_json())
+
+
 def verify_main_theorem(
     n: int, level: int, mu: Sequence[int] | None = None, jobs: int = 1
 ) -> VerifyReport:
-    from .demazure import crystal_side_character, demazure_character
-
-    start = time.monotonic()
-    report = VerifyReport(suite="main-theorem")
-    mus = [tuple(mu)] if mu is not None else list(partitions_of(n, n))
-    for m in mus:
-        report.instances += 1
-        dc = demazure_character(level, m, n)
-        cc = crystal_side_character(level, m)
-        if dc != cc:
-            report.failures.append(
-                _fail(
-                    {"n": n, "level": level, "mu": list(m)},
-                    cc.to_json(),
-                    dc.to_json(),
-                )
-            )
-    report.elapsed_ms = int((time.monotonic() - start) * 1000)
-    return report
+    mus = [tuple(mu)] if mu is not None else partitions_of(n, n)
+    instances = ((n, level, m) for m in mus)
+    return _run_instances("main-theorem", [(instances, _check_main_theorem)], jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -797,6 +767,6 @@ SUITES = {
 def verify_all(n_max: int, max_cells: int, jobs: int = 1) -> list[VerifyReport]:
     reports = [fn(n_max, max_cells, jobs=jobs) for fn in SUITES.values()]
     for level in (1, 2):
-        for n in range(2, min(n_max, 3) + 1):
-            reports.append(verify_main_theorem(n, level))
+        for n in range(2, min(n_max, 5) + 1):
+            reports.append(verify_main_theorem(n, level, jobs=jobs))
     return reports

@@ -134,7 +134,7 @@ def test_criterion_7_main_theorem():
     start = time.monotonic()
     failures = []
     count = 0
-    for n in (2, 3):
+    for n in (2, 3, 4, 5):
         for level in (1, 2):
             rep = verify_main_theorem(n, level)
             count += rep.instances

@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from rectcrys import cli
+from rectcrys import cli, verify
 from rectcrys.verify import VerifyReport
 
 
@@ -222,11 +225,18 @@ class TestVerifyCommand:
                 failures=[{"instance": {}, "expected": 0, "actual": 1}],
             )
 
-        monkeypatch.setitem(cli.verify_mod.SUITES, "charge-energy", fake)
+        monkeypatch.setitem(verify.SUITES, "charge-energy", fake)
         code, _ = run_cli(
             capsys, ["verify", "charge-energy", "--n", "2", "--max-cells", "2"]
         )
         assert code == 1
+
+    def test_import_leaves_verify_out(self):
+        # the suites load only when a verify command runs
+        code = "import sys, rectcrys.cli; sys.exit('rectcrys.verify' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_missing_bounds_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -278,6 +288,13 @@ class TestMalformedInput:
         assert golden_seq.n == 7
         argv = ["--infile", golden_files["element"], "crystal", op, "--color", str(color)]
         assert "--color must be in 0..6" in self.run_usage_error(capsys, argv)
+
+    def test_unknown_suite(self, capsys):
+        argv = ["verify", "no-such-suite", "--n", "3", "--max-cells", "4"]
+        err = self.run_usage_error(capsys, argv)
+        assert "unknown suite 'no-such-suite'" in err
+        for name in [*verify.SUITES, "all", "main-theorem"]:
+            assert name in err
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_not_positive(self, capsys, jobs):

@@ -18,6 +18,7 @@ from rectcrys.crystal import (
     young_w0,
 )
 from rectcrys.tableaux import Tableau, column_insert
+from rectcrys.verify import rect_sequences
 
 
 def small_crystals(max_letters=3, max_cells=6):
@@ -47,6 +48,14 @@ class TestRectSequence:
             RectSequence([(0, 2)])
         with pytest.raises(ValueError):
             CrystalElement(RectSequence([(2, 2)]), [Tableau([[1, 1]])])
+
+    def test_swapped_is_shared(self):
+        for seq in rect_sequences(4, 6):
+            for pos in range(1, seq.m):
+                r = list(seq.rects)
+                r[pos - 1], r[pos] = r[pos], r[pos - 1]
+                assert seq.swapped(pos) == RectSequence(r)
+                assert seq.swapped(pos) is seq.swapped(pos)
 
 
 def textbook_signature(word, i):

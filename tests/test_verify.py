@@ -43,8 +43,35 @@ class TestWorkerCount:
         monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
         seqs = [RectSequence(r) for r in rects]
-        rep = verify._run_instances("axioms", seqs, verify._check_crystal_axioms, jobs=4)
+        rep = verify._run_instances("axioms", [(seqs, verify._check_crystal_axioms)], jobs=4)
         assert rep.ok and rep.instances == len(seqs)
+
+
+class TestMainTheoremPool:
+    def test_jobs_spread_mus(self, monkeypatch):
+        class InProcessPool:
+            sizes = []
+
+            def __init__(self, max_workers):
+                self.sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        pooled = verify.verify_main_theorem(5, 2, jobs=2)
+        assert InProcessPool.sizes == [2]
+        serial = verify.verify_main_theorem(5, 2, jobs=1)
+        assert InProcessPool.sizes == [2]
+        assert pooled.instances == serial.instances == 7
+        assert pooled.failures == serial.failures == []
 
 
 def always(value):
@@ -85,7 +112,7 @@ class TestFailureCap:
         seq = RectSequence(rects)
         uncapped = sum(1 for _ in check(seq))
         assert uncapped > verify.MAX_FAILURES + 1
-        rep = verify._run_instances("capped", [seq, seq], check)
+        rep = verify._run_instances("capped", [([seq, seq], check)])
         assert len(rep.failures) == 2 * (verify.MAX_FAILURES + 1)
 
 

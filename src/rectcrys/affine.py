@@ -9,7 +9,6 @@ tableaux is the cyclage operator on LR words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -28,6 +27,7 @@ from .errors import InconsistentPairError, NonLRError, RowNError
 from .rsk import TableauPair, is_r_lr, rsk_inverse
 from .tableaux import (
     Tableau,
+    _Frozen,
     column_insert,
     is_horizontal_strip,
     key,
@@ -149,8 +149,7 @@ def tableau_phi0(t: Tableau, n: int) -> int:
 # ---------------------------------------------------------------------------
 # Promotion on the tableau pair.
 
-@dataclass(frozen=True)
-class PromotionTrace:
+class PromotionTrace(_Frozen):
     """Intermediate data of one pair promotion.
 
     removed_strip: cells of the letters n in p (the strip H);
@@ -159,10 +158,18 @@ class PromotionTrace:
     added_strip: cells gained by the new recording tableau.
     """
 
-    removed_strip: tuple[tuple[int, int], ...]
-    ejected: tuple[int, ...]
-    intermediate: Tableau
-    added_strip: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("removed_strip", "ejected", "intermediate", "added_strip")
+
+    def __init__(
+        self,
+        removed_strip: tuple[tuple[int, int], ...],
+        ejected: tuple[int, ...],
+        intermediate: Tableau,
+        added_strip: tuple[tuple[int, int], ...],
+    ):
+        values = (removed_strip, ejected, intermediate, added_strip)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def to_json(self) -> dict:
         return {

@@ -2,17 +2,20 @@
 
 Entries live in one JSON file keyed by (n, lambda, rects); a schema version
 field invalidates every prior entry when bumped.  Unreadable or mismatched
-files are ignored and overwritten, never trusted.
+files are ignored and overwritten, never trusted.  Processes may share the
+file: a write merges with what is on disk under a lock, so no writer drops
+another's entries.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import sys
 import tempfile
 
-from .kpoly import LaurentPolynomial
+from .laurent import LaurentPolynomial
 
 SCHEMA_VERSION = 1
 ENV_CACHE_DIR = "RECTCRYS_CACHE_DIR"
@@ -42,24 +45,25 @@ class PolynomialCache:
         self.path = os.path.join(self.directory, "kpoly.json")
         self._entries: dict[str, dict] = {}
         if self.enabled:
-            self._load()
+            self._entries = self._read()
 
-    def _load(self) -> None:
+    def _read(self) -> dict[str, dict]:
+        """The entries in the file now; none when it is missing, unreadable
+        or of another schema."""
         try:
             with open(self.path) as fh:
                 data = json.load(fh)
             if data.get("schema") != SCHEMA_VERSION:
-                self._entries = {}
-                return
+                return {}
             entries = data.get("entries", {})
             if not isinstance(entries, dict):
                 raise ValueError("entries must be a map")
-            self._entries = entries
+            return entries
         except FileNotFoundError:
-            self._entries = {}
-        except (ValueError, OSError) as exc:
+            return {}
+        except (ValueError, OSError, AttributeError) as exc:
             print(f"cache unreadable, recomputing: {exc}", file=sys.stderr)
-            self._entries = {}
+            return {}
 
     def get(self, key: str) -> LaurentPolynomial | None:
         if not self.enabled:
@@ -81,11 +85,17 @@ class PolynomialCache:
         self._flush()
 
     def _flush(self) -> None:
+        """Merge the entries into the file's current ones and replace it
+        atomically, holding an exclusive lock on a sibling file from the
+        read to the replace."""
         try:
             os.makedirs(self.directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                json.dump({"schema": SCHEMA_VERSION, "entries": self._entries}, fh)
-            os.replace(tmp, self.path)
+            with open(self.path + ".lock", "w") as lock:
+                fcntl.flock(lock, fcntl.LOCK_EX)
+                self._entries = {**self._read(), **self._entries}
+                fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+                with os.fdopen(fd, "w") as fh:
+                    json.dump({"schema": SCHEMA_VERSION, "entries": self._entries}, fh)
+                os.replace(tmp, self.path)
         except OSError as exc:
             print(f"cache write failed, continuing: {exc}", file=sys.stderr)

@@ -11,24 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .affine import chi, e0, f0, pair_promote, promote, promote_inverse
-from .cache import PolynomialCache, cache_key
-from .crystal import CrystalElement, RectSequence, e, f, reflection
-from .energy import classical_charge, energy_terms, local_H, total_energy
 from .errors import RectcrysError
-from .kpoly import (
-    graded_character,
-    k_polynomial,
-    kostka_foulkes,
-    kostka_sequence,
-    monotonicity_check,
-)
-from .rmatrix import sigma_compose, sigma_swap
-from .rsk import TableauPair, lrt_tableaux, rsk_inverse, rsk_pair
-from .tableaux import Tableau, antinormal, column_insert, key, partition
-from .demazure import demazure_character
+
+if TYPE_CHECKING:
+    from .crystal import CrystalElement, RectSequence
+    from .laurent import LaurentPolynomial
+
+# Each handler imports the modules it uses, so that a request compiles and
+# loads only what its subcommand needs.
 
 
 def _require(args, *names) -> None:
@@ -38,6 +30,8 @@ def _require(args, *names) -> None:
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
+    from .tableaux import partition
+
     if not text.strip():
         return ()
     return partition(int(x) for x in text.split(","))
@@ -58,6 +52,8 @@ def _parse_mu(text: str, n: int) -> tuple[int, ...]:
 
 
 def _parse_rects(text: str) -> RectSequence:
+    from .crystal import RectSequence
+
     rects = []
     for block in text.split(","):
         eta, _, mu = block.strip().partition("x")
@@ -89,6 +85,8 @@ def _emit(data) -> None:
 
 
 def _element_from_stdin(args) -> CrystalElement:
+    from .crystal import CrystalElement
+
     return CrystalElement.from_json(_read_json(args.infile))
 
 
@@ -100,6 +98,8 @@ def _maybe_element(result: CrystalElement | None) -> None:
 # Subcommand handlers.
 
 def _cmd_tableau(args) -> int:
+    from .tableaux import Tableau, antinormal, column_insert, key
+
     if args.op == "insert":
         data = _read_json(args.infile)
         _emit(column_insert(data["word"]).to_json())
@@ -116,6 +116,9 @@ def _cmd_tableau(args) -> int:
 
 
 def _cmd_crystal(args) -> int:
+    from .affine import e0, f0
+    from .crystal import e, f, reflection
+
     op = args.op_flag if args.op == "op" else args.op
     if op not in ("e", "f", "r"):
         raise ValueError("operator must be one of e, f, r (--op for 'crystal op')")
@@ -134,6 +137,10 @@ def _cmd_crystal(args) -> int:
 
 
 def _cmd_rsk(args) -> int:
+    from .crystal import RectSequence
+    from .rsk import TableauPair, lrt_tableaux, rsk_inverse, rsk_pair
+    from .tableaux import Tableau
+
     if args.op == "pair":
         b = _element_from_stdin(args)
         pair = rsk_pair(b)
@@ -155,6 +162,9 @@ def _cmd_rsk(args) -> int:
 
 
 def _cmd_affine(args) -> int:
+    from .affine import chi, e0, f0, pair_promote, promote, promote_inverse
+    from .rsk import rsk_pair
+
     if args.op == "chi":
         _require(args, "rects")
         data = _read_json(args.infile)
@@ -183,6 +193,8 @@ def _cmd_affine(args) -> int:
 
 
 def _cmd_rmatrix(args) -> int:
+    from .rmatrix import sigma_compose, sigma_swap
+
     b = _element_from_stdin(args)
     if args.op == "swap":
         _emit(sigma_swap(b, _check_pos(args.pos, b)).to_json())
@@ -193,6 +205,10 @@ def _cmd_rmatrix(args) -> int:
 
 
 def _cmd_energy(args) -> int:
+    from .crystal import CrystalElement, RectSequence
+    from .energy import classical_charge, energy_terms, local_H, total_energy
+    from .tableaux import Tableau
+
     if args.op == "charge":
         t = Tableau.from_json(_read_json(args.infile))
         _emit({"charge": classical_charge(t)})
@@ -214,35 +230,50 @@ def _cmd_energy(args) -> int:
     return 0
 
 
-def _cmd_kpoly(args) -> int:
+def _cached(args, seq, lam, compute) -> LaurentPolynomial:
+    """The polynomial of (lam, seq) from the disk cache, or ``compute()``
+    stored there on a miss."""
+    from .cache import PolynomialCache, cache_key
+
     cache = PolynomialCache(directory=args.cache_dir, enabled=not args.no_cache)
+    key_ = cache_key(seq.n, lam, seq.rects)
+    poly = cache.get(key_)
+    if poly is None:
+        poly = compute()
+        cache.put(key_, poly)
+    return poly
+
+
+def _cmd_kpoly(args) -> int:
     if args.op == "compute":
         _require(args, "shape", "rects")
         lam = _parse_partition(args.shape)
         seq = _parse_rects(args.rects)
-        key_ = cache_key(seq.n, lam, seq.rects)
-        poly = cache.get(key_)
-        if poly is None:
-            poly = k_polynomial(lam, seq)
-            cache.put(key_, poly)
-        _emit(poly.to_json())
+
+        def compute():
+            from .kpoly import k_polynomial  # a cache hit never loads kpoly
+
+            return k_polynomial(lam, seq)
+
+        _emit(_cached(args, seq, lam, compute).to_json())
     elif args.op == "kostka":
+        from .kpoly import kostka_foulkes, kostka_sequence
+
         _require(args, "mu")
         if getattr(args, "lambda") is None:
             raise ValueError("missing required flags: --lambda")
         lam = _parse_partition(getattr(args, "lambda"))
         mu = _parse_partition(args.mu)
-        seq = kostka_sequence(mu)
-        key_ = cache_key(seq.n, lam, seq.rects)
-        poly = cache.get(key_)
-        if poly is None:
-            poly = kostka_foulkes(lam, mu)
-            cache.put(key_, poly)
+        poly = _cached(args, kostka_sequence(mu), lam, lambda: kostka_foulkes(lam, mu))
         _emit(poly.to_json())
     elif args.op == "character":
+        from .kpoly import graded_character
+
         _require(args, "rects")
         _emit(graded_character(_parse_rects(args.rects)).to_json())
     else:  # monotone
+        from .kpoly import monotonicity_check
+
         _require(args, "shape", "rects")
         rep = monotonicity_check(
             _parse_partition(args.shape),
@@ -257,6 +288,8 @@ def _cmd_kpoly(args) -> int:
 
 
 def _cmd_demazure(args) -> int:
+    from .demazure import demazure_character
+
     n = _check_n(args.n)
     gc = demazure_character(args.level, _parse_mu(args.mu, n), n)
     _emit(gc.to_json())

@@ -8,11 +8,10 @@ signature rule; the affine color 0 lives in :mod:`rectcrys.affine`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .tableaux import Tableau, SkewShape, key, tensor_shape
+from .tableaux import Tableau, SkewShape, _Frozen, key, tensor_shape
 
 
 @lru_cache(maxsize=256)
@@ -22,15 +21,15 @@ def _rect_key(eta: int, mu: int, lo: int, n: int) -> Tableau:
     return key((mu,) * eta, n=n, offset=lo - 1)
 
 
-@dataclass(frozen=True, init=False)
-class RectSequence:
+class RectSequence(_Frozen):
     """A sequence R = (R_1, ..., R_m) of rectangles (eta_j rows, mu_j columns).
 
     The row counts sum to n, and the alphabet 1..n splits into consecutive
     subalphabets A_1, ..., A_m of sizes eta_1, ..., eta_m.
     """
 
-    rects: tuple[tuple[int, int], ...]
+    __slots__ = ("rects", "n", "_bounds", "_owner", "_gamma")
+    _fields = ("rects",)
 
     def __init__(self, rects: Iterable[Sequence[int]]):
         # n, the subalphabet bounds, the owner of each letter and gamma are
@@ -46,13 +45,21 @@ class RectSequence:
             owner += [j] * e
             gamma += [m] * e
             n += e
-        self.__dict__.update(
-            rects=tuple(rs),
-            n=n,
-            _bounds=tuple(bounds),
-            _owner=tuple(owner),
-            _gamma=tuple(gamma),
-        )
+        put = object.__setattr__
+        put(self, "rects", tuple(rs))
+        put(self, "n", n)
+        put(self, "_bounds", tuple(bounds))
+        put(self, "_owner", tuple(owner))
+        put(self, "_gamma", tuple(gamma))
+
+    # Written out, not the generic field walk: RectSequence keys many memos.
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RectSequence:
+            return NotImplemented
+        return self.rects == other.rects
+
+    def __hash__(self) -> int:
+        return hash((self.rects,))
 
     def __reduce__(self):
         return RectSequence, (self.rects,)
@@ -212,20 +219,28 @@ class CrystalElement:
 # ---------------------------------------------------------------------------
 # Signature rule.
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(_Frozen):
     """Reduced signature of an element or word at one color.
 
-    ``reduced`` lists the surviving biletters as (position, sign) pairs with
-    sign '-' or '+'; positions are tensor positions (factor indices, or for a
-    word the 1-based index counted from the right end).
+    ``phi``, ``eps``: the counts of surviving - and +; ``f_pos``, ``e_pos``:
+    where f and e act (None when they do not).  ``reduced`` lists the
+    surviving biletters as (position, sign) pairs with sign '-' or '+';
+    positions are tensor positions (factor indices, or for a word the
+    1-based index counted from the right end).
     """
 
-    phi: int
-    eps: int
-    f_pos: int | None
-    e_pos: int | None
-    reduced: tuple[tuple[int, str], ...]
+    __slots__ = _fields = ("phi", "eps", "f_pos", "e_pos", "reduced")
+
+    def __init__(
+        self,
+        phi: int,
+        eps: int,
+        f_pos: int | None,
+        e_pos: int | None,
+        reduced: tuple[tuple[int, str], ...],
+    ):
+        for name, value in zip(self._fields, (phi, eps, f_pos, e_pos, reduced)):
+            object.__setattr__(self, name, value)
 
 
 def _bracket(pairs: Sequence[tuple[int, int]]) -> tuple[int, int, int | None, int | None]:

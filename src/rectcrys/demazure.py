@@ -17,7 +17,8 @@ from operator import add, sub
 from typing import Mapping, Sequence
 
 from .errors import NotPartitionOfNError
-from .kpoly import GradedCharacter, LaurentPolynomial, character_weights
+from .kpoly import GradedCharacter, character_weights
+from .laurent import LaurentPolynomial
 from .tableaux import conjugate, partition
 
 

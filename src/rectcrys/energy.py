@@ -99,14 +99,14 @@ def tableau_energy_terms(q: LRTableau) -> list[tuple[int, int, int]]:
             out.append((i, j, restricted_d(cur, i)))
             if i > 1:
                 el = sigma_swap(el, i)
-                cur = LRTableau._trusted(rsk_pair(el).q, el.seq)
+                cur = LRTableau._raw(rsk_pair(el).q, el.seq)
     out.sort(key=lambda t: (t[1], -t[0]))
     return out
 
 
 @lru_cache(maxsize=None)
 def _tableau_energy_cached(rows: tuple, inner: tuple, rects: tuple) -> int:
-    q = LRTableau._trusted(Tableau._raw(rows, inner, None), RectSequence(rects))
+    q = LRTableau._raw(Tableau._raw(rows, inner, None), RectSequence(rects))
     return sum(v for _, _, v in tableau_energy_terms(q))
 
 

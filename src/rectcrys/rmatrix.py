@@ -37,7 +37,7 @@ def tau_swap(q: LRTableau, pos: int) -> LRTableau:
     property alone once more than two rectangles are present.
     """
     t = _tau_swap_cached(q.tableau.rows, q.tableau.inner, q.seq.rects, pos)
-    return LRTableau._trusted(t, q.seq.swapped(pos))
+    return LRTableau._raw(t, q.seq.swapped(pos))
 
 
 def _two_factor_tau(shape: tuple[int, ...], rects: tuple[tuple[int, int], tuple[int, int]]) -> Tableau:

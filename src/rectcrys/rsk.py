@@ -9,7 +9,6 @@ the key tableau of R_j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -17,6 +16,7 @@ from .crystal import CrystalElement, RectSequence
 from .errors import InconsistentPairError, NonLRError, ShapeMismatchError
 from .tableaux import (
     Tableau,
+    _Frozen,
     column_insert,
     enumerate_cst,
     key,
@@ -26,38 +26,29 @@ from .tableaux import (
 )
 
 
-@dataclass(frozen=True)
-class TableauPair:
+class TableauPair(_Frozen):
     """Insertion tableau and recording tableau of equal shape."""
 
-    p: Tableau
-    q: Tableau
+    __slots__ = _fields = ("p", "q")
 
-    def __post_init__(self):
-        if self.p.outer != self.q.outer or self.p.inner != self.q.inner:
-            raise ShapeMismatchError(
-                f"pair shapes differ: {self.p.outer} vs {self.q.outer}"
-            )
+    def __init__(self, p: Tableau, q: Tableau):
+        if p.outer != q.outer or p.inner != q.inner:
+            raise ShapeMismatchError(f"pair shapes differ: {p.outer} vs {q.outer}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
 
-@dataclass(frozen=True)
-class LRTableau:
-    """An R-LR tableau together with its rectangle sequence."""
+class LRTableau(_Frozen):
+    """An R-LR tableau together with its rectangle sequence.  ``_raw`` is
+    the route for tableaux that are R-LR by construction."""
 
-    tableau: Tableau
-    seq: RectSequence
+    __slots__ = _fields = ("tableau", "seq")
 
-    def __post_init__(self):
-        if not is_r_lr(self.tableau.word(), self.seq):
-            raise NonLRError(f"tableau is not {self.seq.rects}-LR")
-
-    @classmethod
-    def _trusted(cls, tableau: Tableau, seq: RectSequence) -> "LRTableau":
-        """Trusted constructor: ``tableau`` is R-LR by construction."""
-        lr = object.__new__(cls)
-        object.__setattr__(lr, "tableau", tableau)
-        object.__setattr__(lr, "seq", seq)
-        return lr
+    def __init__(self, tableau: Tableau, seq: RectSequence):
+        if not is_r_lr(tableau.word(), seq):
+            raise NonLRError(f"tableau is not {seq.rects}-LR")
+        object.__setattr__(self, "tableau", tableau)
+        object.__setattr__(self, "seq", seq)
 
 
 def rsk_pair(b: CrystalElement) -> TableauPair:
@@ -129,7 +120,7 @@ def enumerate_lrt(lam: Sequence[int], seq: RectSequence) -> list[LRTableau]:
     if sum(lam) != seq.ncells:
         raise ValueError(f"|{lam}| != {seq.ncells} cells of R")
     out = [
-        LRTableau._trusted(t, seq)
+        LRTableau._raw(t, seq)
         for t in enumerate_cst(lam, seq.n, content=seq.gamma())
         if is_r_lr(t.word(), seq)
     ]

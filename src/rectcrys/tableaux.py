@@ -15,7 +15,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -60,12 +59,55 @@ def _pad(p: Sequence[int], length: int) -> tuple[int, ...]:
     return tuple(p) + (0,) * (length - len(p))
 
 
-@dataclass(frozen=True, init=False)
-class SkewShape:
+class _Frozen:
+    """Base of the immutable value types, a frozen dataclass by hand.
+
+    A subclass lists its fields in ``_fields`` and its slots in
+    ``__slots__``; its constructor checks its arguments and sets each field
+    once with ``object.__setattr__``.  Equality (same class only), hash,
+    ``repr`` and pickling go by the fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    @classmethod
+    def _raw(cls, *values):
+        """Trusted constructor: the fields as given, unchecked."""
+        obj = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(obj, name, value)
+        return obj
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self._raw, self._values()
+
+
+class SkewShape(_Frozen):
     """A skew shape outer/inner, stored as a pair of partitions."""
 
-    outer: tuple[int, ...]
-    inner: tuple[int, ...]
+    __slots__ = _fields = ("outer", "inner")
 
     def __init__(self, outer: Iterable[int], inner: Iterable[int] = ()):
         outer_p = partition(outer)

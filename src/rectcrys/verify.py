@@ -52,7 +52,8 @@ from .energy import (
     tableau_energy,
     total_energy,
 )
-from .kpoly import LaurentPolynomial, character_weights, graded_character, monotonicity_check
+from .kpoly import character_weights, graded_character, monotonicity_check
+from .laurent import LaurentPolynomial
 from .rmatrix import sigma_swap, tau_swap
 from .rsk import LRTableau, lrt_tableaux, peel_recording, rsk_pair
 from .tableaux import Tableau, column_insert, enumerate_cst, partition, partitions_of, reverse_row_insert

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,47 @@ import sys
 import pytest
 
 from rectcrys import cli, verify
+from rectcrys.cache import PolynomialCache
+from rectcrys.laurent import LaurentPolynomial
 from rectcrys.verify import VerifyReport
+
+
+SRC_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+COMPUTE_MODULES = (
+    "tableaux", "crystal", "rsk", "affine", "rmatrix", "energy", "kpoly", "demazure", "verify", "cache"
+)
+# Runs the CLI on its arguments (none: only imports it) in a fresh
+# interpreter and prints the modules that loaded to stderr.
+LOADS = """
+import sys
+before = set(sys.modules)
+from rectcrys import cli
+if len(sys.argv) > 1:
+    assert cli.main(sys.argv[1:]) == 0
+print(" ".join(sorted(set(sys.modules) - before)), file=sys.stderr)
+"""
+# One of three cache writers: load the cache, wait for the others to load
+# it too, then put distinct keys one by one.
+WRITER = """
+import os, sys, time
+from rectcrys.cache import PolynomialCache
+from rectcrys.laurent import LaurentPolynomial
+directory, sync, name, count = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+cache = PolynomialCache(directory=directory)
+open(os.path.join(sync, name), "w").close()
+while len(os.listdir(sync)) < 3:
+    time.sleep(0.001)
+for k in range(count):
+    cache.put(name + str(k), LaurentPolynomial({k: 1}))
+"""
+
+
+def loaded_by(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADS, *argv], env=SRC_ENV, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
 
 
 def run_cli(capsys, argv):
@@ -156,6 +197,73 @@ class TestRoundTrips:
         assert json.loads(out)["rows"] == [[2, 2, 2], [3, 3, 3]]
 
 
+def parser_ops():
+    """Every (subcommand, op) that build_parser accepts; the verify suite is
+    free text, so verify appears once, with op None."""
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for command, parser in sub.choices.items():
+        first = next(a for a in parser._actions if not a.option_strings)
+        for op in first.choices or (None,):
+            yield command, op
+
+
+# (subcommand, op) -> (the input file it reads or None, its other arguments)
+EVERY_OP = {
+    ("tableau", "insert"): ("word", []),
+    ("tableau", "antinormal"): ("word", []),
+    ("tableau", "word"): ("tableau", []),
+    ("tableau", "key"): (None, ["--gamma", "0,3,3"]),
+    ("crystal", "e"): ("element", ["--color", "1"]),
+    ("crystal", "f"): ("element", ["--color", "0"]),
+    ("crystal", "r"): ("element", ["--color", "2"]),
+    ("crystal", "op"): ("element", ["--op", "e", "--color", "0"]),
+    ("rsk", "pair"): ("element", []),
+    ("rsk", "inverse"): ("pair", []),
+    ("rsk", "lrt"): (None, ["--shape", "2,1", "--rects", "1x1,1x1,1x1"]),
+    ("affine", "promote"): ("element", []),
+    ("affine", "promote-inverse"): ("element", []),
+    ("affine", "e0"): ("element", []),
+    ("affine", "f0"): ("element", []),
+    ("affine", "chi"): ("lr_word", ["--rects", "1x1,1x1"]),
+    ("affine", "trace"): ("element", []),
+    ("rmatrix", "swap"): ("element", ["--pos", "1"]),
+    ("rmatrix", "compose"): ("element", ["--perm", "3,1,2"]),
+    ("energy", "total"): ("element", []),
+    ("energy", "local"): ("element", ["--pos", "2"]),
+    ("energy", "charge"): ("tableau", []),
+    ("kpoly", "compute"): (None, ["--shape", "2,1", "--rects", "1x1,1x1,1x1"]),
+    ("kpoly", "kostka"): (None, ["--lambda", "2,1", "--mu", "1,1,1"]),
+    ("kpoly", "character"): (None, ["--rects", "1x2,1x1"]),
+    ("kpoly", "monotone"): (None, ["--shape", "2,1", "--rects", "1x1,1x1,1x1", "--k", "1", "--m", "1"]),
+    ("demazure", "char"): (None, ["--n", "2", "--level", "1", "--mu", "1,1"]),
+    ("verify", None): (None, ["rsk", "--n", "2", "--max-cells", "2"]),
+}
+
+
+@pytest.mark.parametrize("command, op", list(parser_ops()))
+def test_every_op_runs(capsys, golden_files, tmp_path, command, op):
+    """Each op answers a valid request with exit 0 and JSON lines."""
+    assert (command, op) in EVERY_OP, "give the new op an input in EVERY_OP"
+    source, extra = EVERY_OP[command, op]
+    files = dict(
+        golden_files,
+        word=write_json(tmp_path, "w.json", {"word": [2, 1, 1]}),
+        tableau=write_json(tmp_path, "t.json", {"rows": [[1, 1], [2]]}),
+        lr_word=write_json(tmp_path, "lr.json", {"word": [2, 1]}),
+    )
+    argv = [] if source is None else ["--infile", files[source]]
+    argv += [command] + ([] if op is None else [op]) + extra
+    if command == "kpoly":
+        argv += ["--cache-dir", str(tmp_path / "cache")]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert out
+    for line in out.splitlines():
+        json.loads(line)
+
+
 class TestCache:
     def args(self, tmp_path, extra=()):
         return [
@@ -191,6 +299,12 @@ class TestCache:
         _, again = run_cli(capsys, self.args(tmp_path))
         assert again == first
 
+    def test_non_object_file_recomputed(self, capsys, tmp_path):
+        _, first = run_cli(capsys, self.args(tmp_path))
+        (tmp_path / "kpoly.json").write_text("[]")
+        code, again = run_cli(capsys, self.args(tmp_path))
+        assert code == 0 and again == first
+
     def test_schema_bump_invalidates(self, capsys, tmp_path):
         _, first = run_cli(capsys, self.args(tmp_path))
         store = json.loads((tmp_path / "kpoly.json").read_text())
@@ -199,6 +313,25 @@ class TestCache:
         (tmp_path / "kpoly.json").write_text(json.dumps(store))
         _, again = run_cli(capsys, self.args(tmp_path))
         assert again == first  # stale-schema entries are never served
+
+    def test_concurrent_writers_keep_every_entry(self, tmp_path):
+        # Both writers load the (empty) file before either writes; a writer
+        # that rewrote the file from its own entries would drop the other's.
+        cache_dir, sync = tmp_path / "cache", tmp_path / "sync"
+        sync.mkdir()
+        names = ("a", "b", "c")  # more writers than the two cores CI has
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", WRITER, str(cache_dir), str(sync), name, "25"],
+                env=SRC_ENV,
+            )
+            for name in names
+        ]
+        assert [w.wait(timeout=120) for w in writers] == [0] * len(names)
+        cache = PolynomialCache(directory=str(cache_dir))
+        for name in names:
+            for k in range(25):
+                assert cache.get(f"{name}{k}") == LaurentPolynomial({k: 1}), (name, k)
 
 
 class TestVerifyCommand:
@@ -231,12 +364,22 @@ class TestVerifyCommand:
         )
         assert code == 1
 
-    def test_import_leaves_verify_out(self):
-        # the suites load only when a verify command runs
-        code = "import sys, rectcrys.cli; sys.exit('rectcrys.verify' in sys.modules)"
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    def test_import_leaves_verify_out(self, golden_files, tmp_path):
+        # A request loads only the modules its subcommand uses: importing the
+        # CLI loads no compute module (nor dataclasses), a single-element
+        # request no Kostka, Demazure or cache code, a cache hit no
+        # Kostka polynomial code at all.
+        compute = {f"rectcrys.{m}" for m in COMPUTE_MODULES}
+        loaded = loaded_by()
+        assert not loaded & (compute | {"dataclasses"}), loaded
+        for command in (["affine", "promote"], ["rsk", "pair"], ["rmatrix", "swap"], ["energy", "total"]):
+            loaded = loaded_by("--infile", golden_files["element"], *command)
+            assert not loaded & {"rectcrys.kpoly", "rectcrys.demazure", "rectcrys.cache"}, (command, loaded)
+        request = ["kpoly", "compute", "--shape", "2,1", "--rects", "1x1,1x1,1x1", "--cache-dir", str(tmp_path)]
+        assert cli.main(request) == 0
+        loaded = loaded_by(*request)
+        assert "rectcrys.cache" in loaded
+        assert not loaded & {"rectcrys.kpoly", "rectcrys.energy", "rectcrys.rsk", "rectcrys.rmatrix"}, loaded
 
     def test_missing_bounds_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -18,7 +18,7 @@ from rectcrys.demazure import (
     translation_vector,
 )
 from rectcrys.errors import NotPartitionOfNError
-from rectcrys.kpoly import LaurentPolynomial
+from rectcrys.laurent import LaurentPolynomial
 from rectcrys.tableaux import enumerate_cst, partitions_of
 
 

@@ -156,7 +156,7 @@ class TestTauResultsChecked:
         bad = Tableau(((1, 2, 3),), n=bad_seq.n)
         assert not is_r_lr(bad.word(), bad_seq)
         monkeypatch.setattr(
-            verify, "tau_swap", lambda q, pos: LRTableau._trusted(bad, bad_seq)
+            verify, "tau_swap", lambda q, pos: LRTableau._raw(bad, bad_seq)
         )
         with pytest.raises(NonLRError):
             list(getattr(verify, check)(RectSequence(rects)))

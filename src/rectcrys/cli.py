@@ -309,12 +309,6 @@ def _cmd_verify(args) -> int:
         reports = [verify.verify_main_theorem(args.n, args.level, mu, jobs=jobs)]
     elif args.suite == "all":
         reports = verify.verify_all(args.n, args.max_cells, jobs=jobs)
-    elif args.suite == "monotonicity":
-        reports = [
-            verify.verify_monotonicity(
-                args.n, args.max_cells, kmax=args.k, mmax=args.m, jobs=jobs
-            )
-        ]
     else:
         reports = [verify.SUITES[args.suite](args.n, args.max_cells, jobs=jobs)]
     ok = all(r.ok for r in reports)
@@ -402,8 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cells", type=int, default=0)
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--mu", default=None)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--m", type=int, default=2)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 

@@ -14,13 +14,6 @@ from typing import Iterable, Sequence
 from .tableaux import Tableau, SkewShape, _Frozen, key, tensor_shape
 
 
-@lru_cache(maxsize=256)
-def _rect_key(eta: int, mu: int, lo: int, n: int) -> Tableau:
-    """The key tableau of an eta x mu rectangle on the letters lo..lo+eta-1,
-    shared by every RectSequence."""
-    return key((mu,) * eta, n=n, offset=lo - 1)
-
-
 class RectSequence(_Frozen):
     """A sequence R = (R_1, ..., R_m) of rectangles (eta_j rows, mu_j columns).
 
@@ -99,7 +92,7 @@ class RectSequence(_Frozen):
     def key_tableau(self, j: int) -> Tableau:
         """Y_j: the key tableau of R_j filled from its own subalphabet A_j."""
         eta, mu = self.rects[j - 1]
-        return _rect_key(eta, mu, self._bounds[j - 1][0], self.n)
+        return key((mu,) * eta, n=self.n, offset=self._bounds[j - 1][0] - 1)
 
     def skew_shape(self) -> SkewShape:
         """The shape R_m (x) ... (x) R_1."""

@@ -10,7 +10,6 @@ grading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
@@ -19,7 +18,7 @@ from typing import Mapping, Sequence
 from .errors import NotPartitionOfNError
 from .kpoly import GradedCharacter, character_weights
 from .laurent import LaurentPolynomial
-from .tableaux import conjugate, partition
+from .tableaux import _Frozen, conjugate, partition
 
 
 def cartan_entry(n: int, i: int, j: int) -> int:
@@ -34,21 +33,19 @@ def cartan_entry(n: int, i: int, j: int) -> int:
     return a
 
 
-@dataclass(frozen=True)
-class AffineWeight:
+class AffineWeight(_Frozen):
     """An element lam0*L_0 + sum finite_i*L_i + delta_coeff*delta of the
     affine weight lattice, for fixed rank data n."""
 
-    n: int
-    lam0: int
-    finite: tuple[int, ...]
-    delta: int
+    __slots__ = _fields = ("n", "lam0", "finite", "delta")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, lam0: int, finite: tuple[int, ...], delta: int):
+        if n < 2:
             raise ValueError("rank data needs n >= 2")
-        if len(self.finite) != self.n - 1:
-            raise ValueError(f"finite part must have length {self.n - 1}")
+        if len(finite) != n - 1:
+            raise ValueError(f"finite part must have length {n - 1}")
+        for name, value in zip(self._fields, (n, lam0, finite, delta)):
+            object.__setattr__(self, name, value)
 
     def coeff(self, i: int) -> int:
         """Coefficient of the i-th fundamental weight; equals <h_i, self>."""

@@ -9,7 +9,6 @@ suites check it against a scan of the crystal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Mapping, Sequence
@@ -18,14 +17,16 @@ from .crystal import RectSequence
 from .energy import tableau_energy
 from .laurent import LaurentPolynomial
 from .rsk import LRTableau, lrt_tableaux
-from .tableaux import Tableau, column_insert, conjugate, key, partition, partitions_of
+from .tableaux import Tableau, _Frozen, _Record, column_insert, conjugate, key, partition, partitions_of
 
 
-@dataclass(frozen=True)
-class GradedCharacter:
+class GradedCharacter(_Frozen):
     """Map from partitions (at most n parts) to coefficient polynomials."""
 
-    terms: tuple[tuple[tuple[int, ...], LaurentPolynomial], ...]
+    __slots__ = _fields = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[tuple[int, ...], LaurentPolynomial], ...]):
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_dict(cls, d: Mapping[tuple[int, ...], LaurentPolynomial]) -> "GradedCharacter":
@@ -125,13 +126,22 @@ def character_weights(lam: tuple[int, ...], n: int) -> dict[tuple[int, ...], int
 # ---------------------------------------------------------------------------
 # Monotonicity under adding a rectangle.
 
-@dataclass
-class MonotonicityReport:
-    holds: bool
-    base: LaurentPolynomial
-    extended: LaurentPolynomial
-    injection: list[dict]
-    failure: str | None = None
+class MonotonicityReport(_Record):
+    __slots__ = _fields = ("holds", "base", "extended", "injection", "failure")
+
+    def __init__(
+        self,
+        holds: bool,
+        base: LaurentPolynomial,
+        extended: LaurentPolynomial,
+        injection: list[dict],
+        failure: str | None = None,
+    ):
+        self.holds = holds
+        self.base = base
+        self.extended = extended
+        self.injection = injection
+        self.failure = failure
 
     def to_json(self) -> dict:
         return {

@@ -3,8 +3,10 @@
 An element b maps to the pair (p, q): p is the column-insertion tableau of
 the reading word of b, and q records the shape growth as the rows of b are
 inserted bottom row group first.  The image consists of pairs whose recording
-tableau is R-LR: its restriction to each subalphabet A_j column-inserts to
-the key tableau of R_j.
+tableau is R-LR: it has content gamma(R) and its restriction to each
+subalphabet A_j column-inserts to the key tableau of R_j, that is, its
+reading word is highest weight for every color i with i and i+1 in one
+subalphabet (a Levi color of R).
 """
 
 from __future__ import annotations
@@ -12,18 +14,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .crystal import CrystalElement, RectSequence
+from .crystal import CrystalElement, RectSequence, _bracket, _word_pairs
 from .errors import InconsistentPairError, NonLRError, ShapeMismatchError
-from .tableaux import (
-    Tableau,
-    _Frozen,
-    column_insert,
-    enumerate_cst,
-    key,
-    partition,
-    record,
-    unrecord,
-)
+from .tableaux import Tableau, _Frozen, conjugate, key, partition, record, unrecord
 
 
 class TableauPair(_Frozen):
@@ -101,29 +94,69 @@ def _lift(q: Tableau, seq: RectSequence, p: Tableau | None = None) -> CrystalEle
     return CrystalElement(seq, peel_recording(p, q, seq))
 
 
+def _levi_colors(seq: RectSequence) -> list[int]:
+    """The colors i with i and i+1 in the same subalphabet."""
+    return [i for i in range(1, seq.n) if seq.alphabet_of(i) == seq.alphabet_of(i + 1)]
+
+
 def is_r_lr(u: Sequence[int], seq: RectSequence) -> bool:
-    """True when every subalphabet restriction inserts to its key tableau."""
-    word = tuple(u)
-    if any(x < 1 or x > seq.n for x in word):
-        return False
-    for j in range(1, seq.m + 1):
-        lo, hi = seq.subalphabet(j)
-        sub = tuple(x for x in word if lo <= x <= hi)
-        if column_insert(sub, n=seq.n) != seq.key_tableau(j):
+    """True when ``u`` has content gamma(R) and is highest weight for every
+    Levi color of R."""
+    counts = [0] * (seq.n + 1)
+    for x in u:
+        if not 1 <= x <= seq.n:
             return False
-    return True
+        counts[x] += 1
+    if tuple(counts[1:]) != seq.gamma():
+        return False
+    return all(_bracket(_word_pairs(u, i))[1] == 0 for i in _levi_colors(seq))
 
 
 def enumerate_lrt(lam: Sequence[int], seq: RectSequence) -> list[LRTableau]:
-    """All R-LR tableaux of shape ``lam``, in row-word lexicographic order."""
+    """All R-LR tableaux of shape ``lam``, in row-word lexicographic order.
+
+    Cells are filled in row-major order.  A letter x goes in when it keeps
+    the columns strict and the content within gamma(R), and, for a Levi
+    color x-1, when the x placed so far, this one included, are no more
+    than the x-1 in the rows above.  The reading word lists the rows bottom
+    first, so these are the suffixes that decide whether it is highest
+    weight for color x-1.
+    """
     lam = partition(lam)
     if sum(lam) != seq.ncells:
         raise ValueError(f"|{lam}| != {seq.ncells} cells of R")
-    out = [
-        LRTableau._raw(t, seq)
-        for t in enumerate_cst(lam, seq.n, content=seq.gamma())
-        if is_r_lr(t.word(), seq)
-    ]
+    n = seq.n
+    if len(lam) > n:
+        return []
+    gamma = (0, *seq.gamma())
+    levi = {i + 1 for i in _levi_colors(seq)}
+    placed = [0] * (n + 1)
+    col_len = conjugate(lam)
+    rows: list[list[int]] = [[] for _ in lam]
+    out: list[LRTableau] = []
+
+    def caps() -> list[int]:
+        # how many of each letter the rows so far and the next row may hold
+        return [min(g, placed[x - 1]) if x in levi else g for x, g in enumerate(gamma)]
+
+    def fill(r: int, c: int, cap: list[int]) -> None:
+        if c > lam[r - 1]:
+            if r == len(lam):
+                out.append(LRTableau._raw(Tableau._raw(tuple(map(tuple, rows)), (), n), seq))
+                return
+            r, c, cap = r + 1, 1, caps()
+        lo = max(r, rows[r - 1][-1] if c > 1 else 1)
+        if r > 1 and lam[r - 2] >= c:
+            lo = max(lo, rows[r - 2][c - 1] + 1)
+        for x in range(lo, n - (col_len[c - 1] - r) + 1):
+            if placed[x] < cap[x]:
+                placed[x] += 1
+                rows[r - 1].append(x)
+                fill(r, c + 1, cap)
+                rows[r - 1].pop()
+                placed[x] -= 1
+
+    fill(1, 1, caps())
     out.sort(key=lambda lr: lr.tableau.word())
     return out
 

@@ -104,6 +104,16 @@ class _Frozen:
         return self._raw, self._values()
 
 
+class _Record(_Frozen):
+    """A mutable record: fields may be reassigned, and it is unhashable,
+    like a dataclass that is not frozen."""
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+
 class SkewShape(_Frozen):
     """A skew shape outer/inner, stored as a pair of partitions."""
 
@@ -637,12 +647,6 @@ def slide_out_of(
             r += 1
 
 
-def _word_staircase(word: Sequence[int]) -> dict[tuple[int, int], int]:
-    """The word laid out anti-diagonally, one letter per row, bottom row first."""
-    m = len(word)
-    return {(m - i, i + 1): word[i] for i in range(m)}
-
-
 def _is_antinormal_cells(cells: Iterable[tuple[int, int]]) -> bool:
     occupied = set(cells)
     corners = sum(
@@ -653,50 +657,25 @@ def _is_antinormal_cells(cells: Iterable[tuple[int, int]]) -> bool:
     return corners == 1
 
 
-def antinormal_targets(cells: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
-    """Valid inward-slide targets on the southeast side of the current shape."""
-    occupied = set(cells)
-    rmax = max(r for r, _ in occupied)
-    cmax = max(c for _, c in occupied)
-    out = []
-    for r in range(1, rmax + 1):
-        for c in range(1, cmax + 1):
-            cand = (r, c)
-            if cand in occupied:
-                continue
-            if (r + 1, c) in occupied or (r, c + 1) in occupied:
-                continue
-            if (r - 1, c) not in occupied and (r, c - 1) not in occupied:
-                continue
-            try:
-                shape_from_cells(occupied | {cand})
-            except ValueError:
-                continue
-            out.append(cand)
-    return out
-
-
 def antinormal(word: Sequence[int], n: int | None = None) -> Tableau:
     """The antinormal-shape tableau Knuth-equivalent to ``word``.
 
-    Computed by inward jeu-de-taquin slides, always into the southeast-most
-    available cell.  Any valid slide order yields the same tableau; tests
-    assert this rather than assuming it.  The result is translation-normalized.
+    Reversing a word and complementing its letters (x -> N+1-x) respects
+    Knuth equivalence and turns a tableau's reading word into that of the
+    tableau rotated by 180 degrees and complemented.  So the word is
+    reversed and complemented, column-inserted, and the normal-shape result
+    rotated and complemented back.  The result is translation-normalized.
     """
     if not word:
         return Tableau._raw((), (), n)
-    cells = _word_staircase(word)
-    guard = 4 * len(word) * len(word) + 16
-    while not _is_antinormal_cells(cells):
-        targets = antinormal_targets(cells)
-        if not targets:
-            raise RuntimeError("no valid slide target; shape is stuck")
-        hole = max(targets, key=lambda rc: (rc[0] + rc[1], rc[0]))
-        slide_into(cells, hole)
-        guard -= 1
-        if guard < 0:
-            raise RuntimeError("antinormal slides failed to terminate")
-    return tableau_from_cells(cells, n).translate_normal()
+    top = max(word)
+    p = column_insert([top + 1 - x for x in reversed(word)])
+    rows = p.rows[::-1]
+    return Tableau._raw(
+        tuple(tuple(top + 1 - x for x in reversed(row)) for row in rows),
+        partition(p.outer[0] - len(row) for row in rows),
+        n,
+    )
 
 
 def is_horizontal_strip(cells: Iterable[tuple[int, int]]) -> bool:
@@ -730,14 +709,11 @@ def key(gamma: Sequence[int], n: int | None = None, offset: int = 0) -> Tableau:
 # ---------------------------------------------------------------------------
 # Enumeration.
 
-def enumerate_cst(
-    shape: Sequence[int], n: int, content: Sequence[int] | None = None
-) -> Iterator[Tableau]:
+def enumerate_cst(shape: Sequence[int], n: int) -> Iterator[Tableau]:
     """All column-strict tableaux of normal shape ``shape`` over 1..n.
 
-    With ``content`` given, only fillings with those letter multiplicities are
-    produced.  Cells are filled in row-major order; results come out in
-    row-by-row lexicographic order.
+    Cells are filled in row-major order; results come out in row-by-row
+    lexicographic order.
     """
     outer = partition(shape)
     if not outer:
@@ -745,11 +721,6 @@ def enumerate_cst(
         return
     if len(outer) > n:
         return
-    remaining = None
-    if content is not None:
-        remaining = list(content) + [0] * (n - len(content))
-        if len(remaining) > n or sum(remaining) != sum(outer):
-            return
     col_len = conjugate(outer)
     rows: list[list[int]] = [[] for _ in outer]
 
@@ -764,14 +735,8 @@ def enumerate_cst(
             lo = max(lo, rows[r - 2][c - 1] + 1)
         hi = n - (col_len[c - 1] - r)
         for x in range(lo, hi + 1):
-            if remaining is not None:
-                if remaining[x - 1] == 0:
-                    continue
-                remaining[x - 1] -= 1
             rows[r - 1].append(x)
             yield from fill(r, c + 1)
             rows[r - 1].pop()
-            if remaining is not None:
-                remaining[x - 1] += 1
 
     yield from fill(1, 1)

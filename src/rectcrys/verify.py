@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import islice, product
 from operator import getitem
 from typing import Callable, Iterable, Iterator, Sequence
@@ -56,15 +55,19 @@ from .kpoly import character_weights, graded_character, monotonicity_check
 from .laurent import LaurentPolynomial
 from .rmatrix import sigma_swap, tau_swap
 from .rsk import LRTableau, lrt_tableaux, peel_recording, rsk_pair
-from .tableaux import Tableau, column_insert, enumerate_cst, partition, partitions_of, reverse_row_insert
+from .tableaux import Tableau, _Record, column_insert, enumerate_cst, partition, partitions_of, reverse_row_insert
 
 
-@dataclass
-class VerifyReport:
-    suite: str
-    instances: int = 0
-    failures: list = field(default_factory=list)
-    elapsed_ms: int = 0
+class VerifyReport(_Record):
+    __slots__ = _fields = ("suite", "instances", "failures", "elapsed_ms")
+
+    def __init__(
+        self, suite: str, instances: int = 0, failures: list | None = None, elapsed_ms: int = 0
+    ):
+        self.suite = suite
+        self.instances = instances
+        self.failures = [] if failures is None else failures
+        self.elapsed_ms = elapsed_ms
 
     @property
     def ok(self) -> bool:
@@ -535,9 +538,8 @@ def _level_sums(b: CrystalElement) -> list[int]:
 
 def _check_three_rectangles(seq: RectSequence) -> Iterator[dict]:
     M = max(seq.mu(j) for j in (1, 2, 3))
-    for lam in partitions_of(seq.ncells, seq.n):
-        if not lam or lam[0] != M:
-            continue
+    for rest in partitions_of(seq.ncells - M, seq.n - 1, M):
+        lam = (M,) + rest
         for t in lrt_tableaux(lam, seq):
             q = LRTableau(t, seq)
             t2 = _checked_tau(q, 2)
@@ -705,14 +707,12 @@ def verify_characters(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport
 # ---------------------------------------------------------------------------
 # Suite: monotonicity under adding a rectangle.
 
-def _check_monotonicity_seq(
-    seq: RectSequence, kmax: int = 2, mmax: int = 2
-) -> Iterator[dict]:
+def _check_monotonicity_seq(seq: RectSequence) -> Iterator[dict]:
     for lam in partitions_of(seq.ncells, seq.n):
         if not lrt_tableaux(lam, seq):
             continue
-        for k in range(1, kmax + 1):
-            for m in range(1, mmax + 1):
+        for k in (1, 2):
+            for m in (1, 2):
                 rep = monotonicity_check(lam, seq, k, m)
                 if not rep.holds:
                     yield _fail(
@@ -722,12 +722,9 @@ def _check_monotonicity_seq(
                     )
 
 
-def verify_monotonicity(
-    n_max: int, max_cells: int, kmax: int = 2, mmax: int = 2, jobs: int = 1
-) -> VerifyReport:
+def verify_monotonicity(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport:
     seqs = rect_sequences(n_max, max_cells)
-    check = partial(_check_monotonicity_seq, kmax=kmax, mmax=mmax)
-    return _run_instances("monotonicity", [(seqs, check)], jobs)
+    return _run_instances("monotonicity", [(seqs, _check_monotonicity_seq)], jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ def test_criterion_7_main_theorem():
 
 
 def test_criterion_8_monotonicity():
-    rep = verify_monotonicity(3, 6, kmax=2, mmax=2)
+    rep = verify_monotonicity(3, 6)
     report_suite("criterion 8: monotonicity under adding a rectangle", rep)
 
 

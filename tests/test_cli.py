@@ -368,7 +368,8 @@ class TestVerifyCommand:
         # A request loads only the modules its subcommand uses: importing the
         # CLI loads no compute module (nor dataclasses), a single-element
         # request no Kostka, Demazure or cache code, a cache hit no
-        # Kostka polynomial code at all.
+        # Kostka polynomial code at all, and a computing request no
+        # dataclasses.
         compute = {f"rectcrys.{m}" for m in COMPUTE_MODULES}
         loaded = loaded_by()
         assert not loaded & (compute | {"dataclasses"}), loaded
@@ -380,6 +381,11 @@ class TestVerifyCommand:
         loaded = loaded_by(*request)
         assert "rectcrys.cache" in loaded
         assert not loaded & {"rectcrys.kpoly", "rectcrys.energy", "rectcrys.rsk", "rectcrys.rmatrix"}, loaded
+        miss = ["kpoly", "compute", "--shape", "2,1", "--rects", "1x1,1x1,1x1", "--cache-dir", str(tmp_path / "miss")]
+        demazure = ["demazure", "char", "--n", "3", "--level", "1", "--mu", "2,1"]
+        for command, module in ((miss, "rectcrys.kpoly"), (demazure, "rectcrys.demazure")):
+            loaded = loaded_by(*command)
+            assert module in loaded and "dataclasses" not in loaded, (command, loaded)
 
     def test_missing_bounds_usage_error(self):
         with pytest.raises(SystemExit) as err:

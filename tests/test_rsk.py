@@ -22,6 +22,7 @@ from rectcrys.tableaux import (
     record,
     unrecord,
 )
+from rectcrys.verify import rect_sequences
 
 
 def highest_weight_recording(b: CrystalElement) -> Tableau:
@@ -34,6 +35,19 @@ def highest_weight_recording(b: CrystalElement) -> Tableau:
         for x in b.row(j):
             rows[x - 1].append(j)
     return Tableau([tuple(sorted(r)) for r in rows], (), n=n)
+
+
+def old_is_r_lr(word, seq: RectSequence) -> bool:
+    """The predicate of the old filter: every subalphabet restriction of the
+    word column-inserts to the key tableau of its rectangle."""
+    if any(x < 1 or x > seq.n for x in word):
+        return False
+    for j in range(1, seq.m + 1):
+        lo, hi = seq.subalphabet(j)
+        sub = tuple(x for x in word if lo <= x <= hi)
+        if column_insert(sub, n=seq.n) != seq.key_tableau(j):
+            return False
+    return True
 
 
 class TestPair:
@@ -144,6 +158,32 @@ class TestEnumerateLrt:
         seq = RectSequence([(1, 1), (1, 1), (1, 1), (1, 1)])
         words = [t.tableau.word() for t in enumerate_lrt((2, 1, 1), seq)]
         assert words == sorted(words)
+
+
+class TestGeneratedAgainstFilter:
+    """The direct enumeration and the signature-rule predicate against the
+    old route: column-strict tableaux of content gamma(R) filtered by
+    ``old_is_r_lr``, on every (lambda, R) of rect_sequences(4, 8)."""
+
+    def test_matches_filter(self):
+        cst = {}
+        pairs = 0
+        for seq in rect_sequences(4, 8):
+            n = seq.n
+            for lam in partitions_of(seq.ncells, n):
+                if (n, lam) not in cst:
+                    cst[n, lam] = list(enumerate_cst(lam, n))
+                filtered = []
+                for t in cst[n, lam]:
+                    word = t.word()
+                    old = old_is_r_lr(word, seq)
+                    assert is_r_lr(word, seq) == old, (word, seq)
+                    if old and t.content(n) == seq.gamma():
+                        filtered.append(t)
+                filtered.sort(key=Tableau.word)
+                assert [lr.tableau for lr in enumerate_lrt(lam, seq)] == filtered, (lam, seq)
+                pairs += 1
+        assert pairs == 2603
 
 
 group_lists = st.lists(

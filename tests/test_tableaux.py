@@ -9,7 +9,6 @@ from rectcrys.tableaux import (
     SkewShape,
     Tableau,
     antinormal,
-    antinormal_targets,
     column_insert,
     conjugate,
     enumerate_cst,
@@ -24,10 +23,10 @@ from rectcrys.tableaux import (
     row_insert,
     shape_from_cells,
     slide_into,
+    tableau_from_cells,
     tensor_shape,
     unrecord,
     _is_antinormal_cells,
-    _word_staircase,
 )
 
 words = st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=7).map(tuple)
@@ -68,6 +67,35 @@ def antinormal_oracle(word, n=7):
     rows = [tuple(n + 1 - x for x in reversed(p.rows[k - 1 - i])) for i in range(k)]
     inner = [width - p.outer[k - 1 - i] for i in range(k)]
     return Tableau(rows, inner).translate_normal()
+
+
+def word_staircase(word):
+    """The word laid out anti-diagonally, one letter per row, bottom row first."""
+    m = len(word)
+    return {(m - i, i + 1): word[i] for i in range(m)}
+
+
+def antinormal_targets(cells):
+    """Valid inward-slide targets on the southeast side of the current shape."""
+    occupied = set(cells)
+    rmax = max(r for r, _ in occupied)
+    cmax = max(c for _, c in occupied)
+    out = []
+    for r in range(1, rmax + 1):
+        for c in range(1, cmax + 1):
+            cand = (r, c)
+            if cand in occupied:
+                continue
+            if (r + 1, c) in occupied or (r, c + 1) in occupied:
+                continue
+            if (r - 1, c) not in occupied and (r, c - 1) not in occupied:
+                continue
+            try:
+                shape_from_cells(occupied | {cand})
+            except ValueError:
+                continue
+            out.append(cand)
+    return out
 
 
 class TestPartitions:
@@ -209,13 +237,11 @@ class TestAntinormal:
     def test_slide_order_independence(self, w, seed):
         if not w:
             return
+        # inward jeu-de-taquin slides from the staircase, in a random order
         rng = random.Random(seed)
-        cells = _word_staircase(w)
+        cells = word_staircase(w)
         while not _is_antinormal_cells(cells):
-            targets = antinormal_targets(cells)
-            slide_into(cells, rng.choice(targets))
-        from rectcrys.tableaux import tableau_from_cells
-
+            slide_into(cells, rng.choice(antinormal_targets(cells)))
         got = tableau_from_cells(cells).translate_normal()
         assert got == antinormal(w)
 
@@ -278,8 +304,6 @@ def _skew_fillings(outer, inner, n):
 
     def bt(k):
         if k == len(cells):
-            from rectcrys.tableaux import tableau_from_cells
-
             yield tableau_from_cells(dict(assignment), n=n)
             return
         r, c = cells[k]

@@ -126,8 +126,6 @@ def enumerate_lrt(lam: Sequence[int], seq: RectSequence) -> list[LRTableau]:
     if sum(lam) != seq.ncells:
         raise ValueError(f"|{lam}| != {seq.ncells} cells of R")
     n = seq.n
-    if len(lam) > n:
-        return []
     gamma = (0, *seq.gamma())
     levi = {i + 1 for i in _levi_colors(seq)}
     placed = [0] * (n + 1)

@@ -22,7 +22,7 @@ _EXPORTS = {
     "crystal": "CrystalElement RectSequence Signature e enumerate_crystal eps f"
     " highest_weight_element phi reflection signature young_w0",
     "demazure": "AffineWeight FormalCharacter crystal_side_character demazure_character"
-    " simple_reflection_weight translation_reduced_word",
+    " translation_reduced_word",
     "energy": "classical_charge charge_word d_stat energy_terms local_H tableau_energy"
     " total_energy",
     "errors": "InconsistentPairError NonLRError NotPartitionOfNError RectcrysError"

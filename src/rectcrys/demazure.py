@@ -1,11 +1,12 @@
 """Affine type A weight arithmetic and Demazure characters.
 
 Weights live in the lattice spanned by the fundamental weights and the null
-root delta.  Demazure operators act on finite formal sums of exponentials;
-applying them along a reduced word of the translation attached to a partition
-of n yields the Demazure character, which is then expanded into irreducible
-characters of the finite subalgebra with q keeping track of the delta
-grading.
+root delta.  Demazure operators act on finite formal sums of exponentials.
+The Demazure character at the translation attached to a partition of n is
+stable under the finite Weyl group, so the operators run only along the
+shortest element of its coset, and the Weyl character formula expands the
+result into irreducible characters of the finite subalgebra, with q keeping
+track of the delta grading.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from operator import add, sub
 from typing import Mapping, Sequence
 
 from .errors import NotPartitionOfNError
-from .kpoly import GradedCharacter, character_weights
+from .kpoly import GradedCharacter
 from .laurent import LaurentPolynomial
 from .tableaux import _Frozen, conjugate, partition
 
@@ -78,11 +79,6 @@ def simple_root(n: int, i: int) -> AffineWeight:
     """alpha_i = delta_{0i} delta + sum_j a_{ij} Lambda_j."""
     fin = tuple(cartan_entry(n, i, j) for j in range(1, n))
     return AffineWeight(n, cartan_entry(n, i, 0), fin, 1 if i == 0 else 0)
-
-
-def simple_reflection_weight(w: AffineWeight, i: int) -> AffineWeight:
-    """r_i(w) = w - <h_i, w> alpha_i."""
-    return w.add(simple_root(w.n, i), -w.coeff(i))
 
 
 def _term_key(n: int, w) -> tuple[int, ...]:
@@ -165,18 +161,10 @@ class FormalCharacter:
 
 
 # ---------------------------------------------------------------------------
-# The affine Weyl group acting on the level-one affine subspace, realized on
-# integer vectors of sum zero: classical reflections permute coordinates and
-# the extra reflection swaps the outer coordinates across a shifted wall.
-
-def _reflect_vector(v: tuple, i: int) -> tuple:
-    v = list(v)
-    if i == 0:
-        v[0], v[-1] = v[-1] + 1, v[0] - 1
-    else:
-        v[i - 1], v[i] = v[i], v[i - 1]
-    return tuple(v)
-
+# Reduced words from walks of a point through the alcoves of the level-one
+# affine subspace, realized on vectors of sum zero: classical reflections
+# swap adjacent coordinates and the extra reflection swaps the outer
+# coordinates across a shifted wall.
 
 def translation_vector(mu: Sequence[int], n: int) -> tuple[int, ...]:
     """Sum-zero vector of the antidominant weight attached to mu: the sorted
@@ -193,19 +181,23 @@ def translation_length(t: Sequence[int]) -> int:
     return sum(abs(t[i] - t[j]) for i in range(len(t)) for j in range(i + 1, len(t)))
 
 
-def translation_reduced_word(mu: Sequence[int], n: int) -> list[int]:
-    """A reduced word for the translation by the antidominant weight of mu.
-
-    The translate of a generic point of the fundamental alcove is walked back
-    wall by wall; each crossing contributes one letter, so the word length is
-    the number of separating hyperplanes.
-    """
+def _translate_point(mu: Sequence[int], n: int) -> list[Fraction]:
+    """A generic point of the fundamental alcove moved by the translation
+    attached to mu."""
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     t = translation_vector(mu, n)
     base = [Fraction(n - k, n + 1) for k in range(1, n + 1)]
     mean = sum(base) / n
-    point = [x - mean + tx for x, tx in zip(base, t)]
+    return [x - mean + tx for x, tx in zip(base, t)]
+
+
+def _wall_walk(point: list[Fraction]) -> list[int]:
+    """Walk a generic point (in place) back to the fundamental alcove wall
+    by wall, finite walls first.  Each crossing contributes one letter, and the
+    letters, read left to right, spell a reduced word of the element that
+    carries the fundamental alcove to the point's alcove."""
+    n = len(point)
     word: list[int] = []
     while True:
         desc = None
@@ -216,13 +208,22 @@ def translation_reduced_word(mu: Sequence[int], n: int) -> list[int]:
         if desc is None and point[0] - point[-1] > 1:
             desc = 0
         if desc is None:
-            break
+            return word
         word.append(desc)
         if desc == 0:
             point[0], point[-1] = point[-1] + 1, point[0] - 1
         else:
             point[desc - 1], point[desc] = point[desc], point[desc - 1]
-    expected = translation_length(t)
+
+
+def translation_reduced_word(mu: Sequence[int], n: int) -> list[int]:
+    """A reduced word for the translation by the antidominant weight of mu.
+
+    The translate of a generic point of the fundamental alcove is walked back
+    wall by wall, so the word length is the number of separating hyperplanes.
+    """
+    word = _wall_walk(_translate_point(mu, n))
+    expected = translation_length(translation_vector(mu, n))
     if len(word) != expected:
         raise AssertionError(
             f"walk length {len(word)} != separating count {expected}"
@@ -230,113 +231,74 @@ def translation_reduced_word(mu: Sequence[int], n: int) -> list[int]:
     return word
 
 
-def apply_word_to_vector(word: Sequence[int], v: tuple) -> tuple:
-    """Apply reflections right to left, matching the group element of the word."""
-    for i in reversed(word):
-        v = _reflect_vector(v, i)
-    return v
-
-
 # ---------------------------------------------------------------------------
 # Demazure characters and their classical decomposition.
 
-def _partition_from_finite(fin: tuple[int, ...], size: int, n: int) -> tuple[int, ...]:
-    """The unique partition of ``size`` with at most n parts and the given
-    consecutive differences."""
-    tail = size - sum(i * c for i, c in enumerate(fin, start=1))
-    if tail % n:
-        raise ValueError(f"no partition of {size} with differences {fin}")
-    last = tail // n
-    lam = [last + sum(fin[i:]) for i in range(len(fin))] + [last]
-    if last < 0:
-        raise ValueError(f"no partition of {size} with differences {fin}")
-    return partition(lam)
+def _straighten(terms: Mapping[tuple[int, ...], int], level: int, n: int) -> GradedCharacter:
+    """Apply the Weyl character formula D_{w_0} of the finite subalgebra to
+    each exponential and collect the irreducible characters by q-degree.
 
-
-def _peel(weights: dict[tuple[int, ...], int], size: int, n: int, degree: int):
-    """Irreducible characters with their multiplicities in one degree of a
-    finite character, keyed by finite weights, largest shape first.
-
-    A max-heap holds every dominant weight with a nonzero coefficient, each
-    converted to its partition when it enters.  Removing the character of
-    lam only touches weights dominated by lam, so the heap top is always the
-    largest shape left; entries cancelled meanwhile are skipped.
+    The finite part of a weight becomes the vector v = lam + rho with sum
+    level * n + |rho|, rho = (n-1, ..., 1, 0).  The term vanishes when v has
+    a repeated entry; otherwise it is sgn(sigma) times the character of the
+    shape sort(v) - rho, sigma the sorting permutation.  Terms are grouped
+    by finite part first, since many q-degrees share one.
     """
-    from heapq import heappop, heappush
-
-    remaining = {fin: c for fin, c in weights.items() if c}
-    heap: list = []
-
-    def push(fin: tuple[int, ...]) -> None:
-        lam = _partition_from_finite(fin, size, n)
-        heappush(heap, (tuple(-x for x in lam + (0,) * (n - len(lam))), fin, lam))
-
-    for fin in remaining:
-        if min(fin) >= 0:
-            push(fin)
-    while remaining:
-        if not heap:
-            raise ValueError(f"no dominant weight left in degree {degree}")
-        _, fin, lam = heappop(heap)
-        mult = remaining.get(fin)
-        if mult is None:
+    by_finite: dict[tuple[int, ...], dict[int, int]] = {}
+    for w, c in terms.items():
+        if w[n] > 0:
+            raise ValueError("positive delta coefficient in a Demazure character")
+        by_degree = by_finite.setdefault(w[1:n], {})
+        by_degree[-w[n]] = by_degree.get(-w[n], 0) + c
+    size = level * n
+    out: dict[tuple[int, ...], dict[int, int]] = {}
+    for fin, by_degree in by_finite.items():
+        tail = size - sum(i * f for i, f in enumerate(fin, start=1))
+        if tail % n:
+            raise ValueError(f"no partition of {size} with differences {fin}")
+        v = [tail // n]
+        for f in reversed(fin):
+            v.append(v[-1] + f + 1)
+        # v lists lam_n + rho_n, ..., lam_1 + rho_1
+        if len(set(v)) < n:
             continue
-        if mult < 0:
-            raise ValueError(f"negative multiplicity at {lam}, degree {degree}")
-        yield lam, mult
-        for fin_wt, m, dominant in _finite_character(lam, n):
-            before = remaining.get(fin_wt, 0)
-            c = before - m * mult
-            if c:
-                remaining[fin_wt] = c
-                if dominant and not before:
-                    push(fin_wt)
-            else:
-                del remaining[fin_wt]
-
-
-@lru_cache(maxsize=None)
-def _finite_character(lam: tuple[int, ...], n: int) -> tuple[tuple, ...]:
-    """The weights of character_weights(lam, n) as (consecutive differences,
-    multiplicity, whether dominant)."""
-    out = []
-    for wt, m in character_weights(lam, n).items():
-        fin = tuple(map(sub, wt[:-1], wt[1:]))
-        out.append((fin, m, min(fin) >= 0))
-    return tuple(out)
+        sign = -1 if sum(a > b for k, a in enumerate(v) for b in v[k + 1:]) % 2 else 1
+        v.sort(reverse=True)
+        lam = tuple(x - k for k, x in zip(range(n - 1, -1, -1), v))
+        acc = out.setdefault(lam, {})
+        for e, c in by_degree.items():
+            acc[e] = acc.get(e, 0) + sign * c
+    result = {}
+    for lam, acc in out.items():
+        poly = LaurentPolynomial(acc)
+        if not poly.coeffs:
+            continue
+        negative = [e for e, m in poly.coeffs.items() if m < 0]
+        if negative:
+            raise ValueError(f"negative multiplicity at {lam}, degree {min(negative)}")
+        result[partition(lam)] = poly
+    return GradedCharacter.from_dict(result)
 
 
 def demazure_character(level: int, mu: Sequence[int], n: int) -> GradedCharacter:
     """Graded decomposition of the Demazure character at the translation of mu.
 
-    Applies the Demazure operators along the reduced word to the exponential
-    of level * Lambda_0, reads q as the exponential of -delta, and peels
-    irreducible characters of the finite subalgebra greedily from the
-    dominant weights.  The Lambda_0 coefficient is left out of the peel: it
-    is fixed by the finite part, since the operators keep the level.
+    The Demazure module is stable under the finite subalgebra, so its
+    character is D_{w_0} D_v(e^{level * Lambda_0}), where v is the shortest
+    element of the coset W_fin * t: the walk from the translate's point
+    sorted into the dominant chamber.  The operators run along v's reduced
+    word, and the Weyl character formula turns each resulting term into one
+    irreducible character, with q read as the exponential of -delta.
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     if level < 1:
         raise ValueError("level must be >= 1")
-    word = translation_reduced_word(mu, n)
+    word = _wall_walk(sorted(_translate_point(mu, n), reverse=True))
     ch = FormalCharacter(n, {(level,) + (0,) * n: 1})
     for i in reversed(word):
         ch = ch.demazure_op(i)
-    by_degree: dict[int, dict[tuple[int, ...], int]] = {}
-    for w, c in ch.terms.items():
-        if w[n] > 0:
-            raise ValueError("positive delta coefficient in a Demazure character")
-        weights = by_degree.setdefault(-w[n], {})
-        fin = w[1:n]
-        weights[fin] = weights.get(fin, 0) + c
-    out: dict[tuple[int, ...], dict[int, int]] = {}
-    for degree, weights in sorted(by_degree.items()):
-        for lam, mult in _peel(weights, level * n, n, degree):
-            out.setdefault(lam, {})[degree] = mult
-    return GradedCharacter.from_dict(
-        {lam: LaurentPolynomial(d) for lam, d in out.items()}
-    )
+    return _straighten(ch.terms, level, n)
 
 
 def crystal_side_character(level: int, mu: Sequence[int]) -> GradedCharacter:

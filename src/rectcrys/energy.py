@@ -88,16 +88,19 @@ def tableau_energy_terms(q: LRTableau) -> list[tuple[int, int, int]]:
     switches tau at positions j-1, ..., i+1.  sigma keeps the insertion
     tableau and acts as tau on the recording tableau, so q is lifted once to
     the element with key insertion tableau, the switches are walked on that
-    element, and each term reads the element's recording tableau.
+    element, and each term reads the element's recording tableau.  A switch
+    of two equal rectangles is the identity and is skipped; the walk
+    exchanges R_i and R_j only for 1 < i < j, so q is lifted only when those
+    rectangles differ.
     """
     seq = q.seq
-    lifted = _lift(q.tableau, seq) if seq.m >= 3 else None
+    lifted = _lift(q.tableau, seq) if len(set(seq.rects[1:])) > 1 else None
     out = []
     for j in range(2, seq.m + 1):
         cur, el = q, lifted
         for i in range(j - 1, 0, -1):
             out.append((i, j, restricted_d(cur, i)))
-            if i > 1:
+            if i > 1 and cur.seq.rects[i - 1] != cur.seq.rects[i]:
                 el = sigma_swap(el, i)
                 cur = LRTableau._raw(rsk_pair(el).q, el.seq)
     out.sort(key=lambda t: (t[1], -t[0]))

@@ -126,10 +126,17 @@ def rect_sequences(
                 yield RectSequence(tuple(zip(comp, ws)))
 
 
+# A pool starts only when each worker gets this many instances.  Starting
+# two workers costs 30-80 ms on a 2-core box, more than they save on the
+# seven main-theorem instances at n = 5, level 2 (about 100 ms in process).
+MIN_INSTANCES_PER_WORKER = 4
+
+
 def worker_count(jobs: int, instances: int) -> int:
-    """Worker processes for ``jobs`` requested: never more than the cpus or
-    the instances; 1 means run in process."""
-    return max(1, min(jobs, os.cpu_count() or 1, instances))
+    """Worker processes for ``jobs`` requested: never more than the cpus, and
+    never fewer than MIN_INSTANCES_PER_WORKER instances each; 1 means run in
+    process."""
+    return max(1, min(jobs, os.cpu_count() or 1, instances // MIN_INSTANCES_PER_WORKER))
 
 
 def _capped(task: tuple[Callable[..., Iterator[dict]], object]) -> list:

@@ -134,11 +134,11 @@ def test_criterion_7_main_theorem():
     start = time.monotonic()
     failures = []
     count = 0
-    for n in (2, 3, 4, 5):
-        for level in (1, 2):
-            rep = verify_main_theorem(n, level)
-            count += rep.instances
-            failures.extend(rep.failures)
+    cases = [(n, level) for n in (2, 3, 4, 5) for level in (1, 2)] + [(6, 2)]
+    for n, level in cases:
+        rep = verify_main_theorem(n, level)
+        count += rep.instances
+        failures.extend(rep.failures)
     elapsed_ms = int((time.monotonic() - start) * 1000)
     ok = not failures and elapsed_ms <= 300_000
     detail = f"{count} (n, level, mu) instances, {elapsed_ms} ms"

@@ -5,21 +5,66 @@ import pytest
 from rectcrys.demazure import (
     AffineWeight,
     FormalCharacter,
-    _peel,
-    apply_word_to_vector,
+    _straighten,
     cartan_entry,
     crystal_side_character,
     demazure_character,
     fundamental,
-    simple_reflection_weight,
     simple_root,
     translation_length,
     translation_reduced_word,
     translation_vector,
 )
 from rectcrys.errors import NotPartitionOfNError
+from rectcrys.kpoly import character_weights
 from rectcrys.laurent import LaurentPolynomial
 from rectcrys.tableaux import enumerate_cst, partitions_of
+
+
+def simple_reflection_weight(w, i):
+    """r_i(w) = w - <h_i, w> alpha_i."""
+    return w.add(simple_root(w.n, i), -w.coeff(i))
+
+
+def reflect_vector(v, i):
+    """The affine Weyl group on sum-zero vectors: classical reflections swap
+    adjacent coordinates, and r_0 swaps the outer ones across a shifted wall."""
+    v = list(v)
+    if i == 0:
+        v[0], v[-1] = v[-1] + 1, v[0] - 1
+    else:
+        v[i - 1], v[i] = v[i], v[i - 1]
+    return tuple(v)
+
+
+def apply_word_to_vector(word, v):
+    """Apply reflections right to left, matching the group element of the word."""
+    for i in reversed(word):
+        v = reflect_vector(v, i)
+    return v
+
+
+def full_word_character(level, mu, n):
+    """The Demazure character by every operator of the translation's reduced
+    word, as FormalCharacter terms."""
+    ch = FormalCharacter(n, {(level,) + (0,) * n: 1})
+    for i in reversed(translation_reduced_word(mu, n)):
+        ch = ch.demazure_op(i)
+    return ch.terms
+
+
+def expanded_terms(gc, level, n):
+    """The weights of a graded character, irreducible by irreducible and
+    degree by degree, as FormalCharacter terms (q is the exponential of
+    -delta)."""
+    acc = {}
+    for lam, poly in gc.terms:
+        for wt, m in character_weights(lam, n).items():
+            fin = tuple(a - b for a, b in zip(wt, wt[1:]))
+            for degree, c in poly.coeffs.items():
+                key = (level - sum(fin), *fin, -degree)
+                acc[key] = acc.get(key, 0) + m * c
+    return {w: c for w, c in acc.items() if c}
 
 
 def random_weight(rng, n):
@@ -238,15 +283,31 @@ class TestDemazureCharacter:
         with pytest.raises(ValueError, match="n must be at least 2"):
             demazure_character(1, mu, n)
 
-    def test_peel_rejects_non_characters(self):
-        # n = 2, size 2: finite weight (2,) is lam = (2,), (0,) is (1, 1)
-        assert list(_peel({(2,): 1, (0,): 2, (-2,): 1}, 2, 2, 0)) == [
-            ((2,), 1),
-            ((1, 1), 1),
-        ]
+    def test_matches_full_translation_word(self):
+        # The oracle: every operator of the translation's word, compared
+        # weight by weight with the irreducibles expanded, checks both the
+        # W_fin-invariance the coset word relies on and the multiplicities.
+        cases = [(n, level) for n in (2, 3, 4, 5) for level in (1, 2)]
+        cases += [(n, 3) for n in (2, 3, 4)]
+        for n, level in cases:
+            for mu in partitions_of(n, n):
+                gc = demazure_character(level, mu, n)
+                assert expanded_terms(gc, level, n) == full_word_character(
+                    level, mu, n
+                ), (n, level, mu)
+
+    def test_straighten_rejects_non_characters(self):
+        # n = 2, level 1: finite weight (2,) is lam = (2,), (0,) is (1, 1),
+        # and (-2,) straightens to minus the character of (1, 1)
+        def terms(weights):
+            return {(1 - fin, fin, 0): c for fin, c in weights.items()}
+
+        gc = _straighten(terms({2: 1, 0: 2, -2: 1}), 1, 2)
+        assert gc.as_dict() == {
+            (2,): LaurentPolynomial.one(),
+            (1, 1): LaurentPolynomial.one(),
+        }
         with pytest.raises(ValueError, match="negative multiplicity"):
-            list(_peel({(2,): 1, (-2,): 1}, 2, 2, 0))
-        with pytest.raises(ValueError, match="no dominant weight"):
-            list(_peel({(-2,): 1}, 2, 2, 0))
+            _straighten(terms({2: 1, -2: 1}), 1, 2)
         with pytest.raises(ValueError, match="no partition"):
-            list(_peel({(1,): 1}, 2, 2, 0))
+            _straighten(terms({1: 1}), 1, 2)

@@ -4,17 +4,20 @@ import pytest
 
 from rectcrys.crystal import RectSequence, enumerate_crystal
 from rectcrys.errors import NonLRError
-from rectcrys.rmatrix import _two_factor_tau, lex_reduced_word, sigma_compose, sigma_swap, tau_swap
+from rectcrys.rmatrix import _sigma_pair, _two_factor_tau, lex_reduced_word, sigma_compose, sigma_swap, tau_swap
 from rectcrys.rsk import LRTableau, is_r_lr, lrt_tableaux, rsk_pair
 from rectcrys.tableaux import (
     Tableau,
     column_insert,
+    enumerate_cst,
     partitions_of,
     record,
     slide_into,
     slide_out_of,
     unrecord,
 )
+from rectcrys.verify import rect_sequences
+
 from conftest import element_from
 
 
@@ -120,6 +123,19 @@ class TestSigma:
         seq = RectSequence([(2, 2), (2, 2)])
         for b in enumerate_crystal(seq):
             assert sigma_swap(b, 1) == b
+        # Every factor pair of two equal rectangles of rect_sequences(4, 8),
+        # over that sequence's alphabet: the energy walk skips these switches.
+        pairs = set()
+        for seq in rect_sequences(4, 8):
+            pairs.update((rect, seq.n) for rect in seq.rects if seq.rects.count(rect) > 1)
+        count = 0
+        for (eta, mu), n in sorted(pairs):
+            rows = [t.rows for t in enumerate_cst((mu,) * eta, n)]
+            for rows1 in rows:
+                for rows2 in rows:
+                    assert _sigma_pair((eta, mu), (eta, mu), rows1, rows2, n) == (rows1, rows2)
+                    count += 1
+        assert count == 1151
 
     def test_golden(self, golden, golden_b):
         tb = sigma_swap(golden_b, 2)

@@ -19,7 +19,9 @@ class TestWorkerCount:
             (4, 8, 100, 4),
             (16, 8, 100, 8),
             (16, 2, 100, 2),
-            (16, 8, 3, 3),
+            (16, 8, 12, 3),
+            (16, 8, 11, 2),
+            (2, 8, 2, 1),
             (4, 8, 1, 1),
             (4, 8, 0, 1),
             (4, None, 100, 1),
@@ -66,12 +68,14 @@ class TestMainTheoremPool:
 
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        pooled = verify.verify_main_theorem(5, 2, jobs=2)
+        small = verify.verify_main_theorem(2, 1, jobs=2)
+        assert InProcessPool.sizes == []  # two instances stay in process
+        pooled = verify.verify_main_theorem(6, 1, jobs=2)
         assert InProcessPool.sizes == [2]
-        serial = verify.verify_main_theorem(5, 2, jobs=1)
+        serial = verify.verify_main_theorem(6, 1, jobs=1)
         assert InProcessPool.sizes == [2]
-        assert pooled.instances == serial.instances == 7
-        assert pooled.failures == serial.failures == []
+        assert small.instances == 2 and pooled.instances == serial.instances == 11
+        assert small.failures == pooled.failures == serial.failures == []
 
 
 def always(value):

@@ -12,17 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .crystal import (
-    CrystalElement,
-    RectSequence,
-    e,
-    eps,
-    f,
-    phi,
-    signature,
-    tableau_phi_eps,
-    young_w0,
-)
+from .crystal import CrystalElement, RectSequence, e, eps, f, phi, signature, young_w0
 from .errors import InconsistentPairError, NonLRError, RowNError
 from .rsk import TableauPair, is_r_lr, rsk_inverse
 from .tableaux import (
@@ -118,15 +108,6 @@ def phi0(b: CrystalElement) -> int:
     return phi(promote(b), 1)
 
 
-def apply_op(b: CrystalElement, i: int, op: str) -> CrystalElement | None:
-    """Uniform access to e_i/f_i for colors 0..n-1."""
-    if op not in ("e", "f"):
-        raise ValueError(f"op must be 'e' or 'f', got {op!r}")
-    if i == 0:
-        return e0(b) if op == "e" else f0(b)
-    return e(b, i) if op == "e" else f(b, i)
-
-
 def string_lengths(b: CrystalElement, i: int) -> tuple[int, int]:
     """(phi_i, eps_i) for any color 0..n-1."""
     if i == 0:
@@ -134,16 +115,6 @@ def string_lengths(b: CrystalElement, i: int) -> tuple[int, int]:
     else:
         sig = signature(b, i)
     return sig.phi, sig.eps
-
-
-def tableau_eps0(t: Tableau, n: int) -> int:
-    _, q = tableau_phi_eps(promote_tableau(t, n), 1)
-    return q
-
-
-def tableau_phi0(t: Tableau, n: int) -> int:
-    p, _ = tableau_phi_eps(promote_tableau(t, n), 1)
-    return p
 
 
 # ---------------------------------------------------------------------------

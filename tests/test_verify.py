@@ -1,4 +1,6 @@
-"""Instance scheduling and the per-instance failure cap of the verify suites."""
+"""Instance scheduling and the per-instance failure cap of the verify suites,
+and the index tables the suites walk, tied to the library routes and shown
+to fail when perturbed."""
 
 import concurrent.futures
 
@@ -6,7 +8,9 @@ import pytest
 
 from rectcrys import verify
 from rectcrys.crystal import RectSequence
+from rectcrys.energy import energy_terms, total_energy
 from rectcrys.errors import NonLRError
+from rectcrys.rmatrix import sigma_swap
 from rectcrys.rsk import LRTableau, is_r_lr
 from rectcrys.tableaux import Tableau
 
@@ -100,7 +104,7 @@ class TestFailureCap:
             ),
             (
                 verify._check_energy_drop,
-                {"eps0": always(10**6), "energy_terms": always([])},
+                {"FastCrystal.energy_terms": always([])},
                 [(1, 1)] * 4,
             ),
             (
@@ -112,7 +116,7 @@ class TestFailureCap:
     )
     def test_cap_holds(self, monkeypatch, check, patches, rects):
         for name, fake in patches.items():
-            monkeypatch.setattr(verify, name, fake)
+            monkeypatch.setattr(f"rectcrys.verify.{name}", fake)
         seq = RectSequence(rects)
         uncapped = sum(1 for _ in check(seq))
         assert uncapped > verify.MAX_FAILURES + 1
@@ -164,3 +168,81 @@ class TestTauResultsChecked:
         )
         with pytest.raises(NonLRError):
             list(getattr(verify, check)(RectSequence(rects)))
+
+
+class TestPairTables:
+    def test_match_library_routes(self):
+        for seq in verify.rect_sequences(3, 7):
+            fc = verify.FastCrystal(seq)
+            for el in fc.elements():
+                b = fc.to_element(el)
+                assert fc.energy_terms(el) == energy_terms(b)
+                assert fc.energy(el) == total_energy(b)
+                for pos in range(1, seq.m):
+                    rects, img = verify._switch(seq.rects, el, pos, seq.n)
+                    got = verify.FastCrystal(RectSequence(rects)).to_element(img)
+                    assert got == sigma_swap(b, pos)
+
+
+def patched_pair_table(monkeypatch, seq, perturb):
+    """Serve a perturbed copy of the pair table of seq's two rectangles."""
+    real = verify.pair_table
+    table = verify.PairTable(*seq.rects, seq.n)
+    perturb(table)
+    monkeypatch.setattr(
+        verify,
+        "pair_table",
+        lambda a, b, n: table if (a, b, n) == (*seq.rects, seq.n) else real(a, b, n),
+    )
+
+
+class TestPerturbedPairTable:
+    SEQ = RectSequence([(1, 2), (1, 1)])
+
+    def test_sigma_entry_fails_rmatrix_pairs(self, monkeypatch):
+        def perturb(table):
+            table.sigma[0][0] = table.sigma[0][1]
+
+        patched_pair_table(monkeypatch, self.SEQ, perturb)
+        assert list(verify._check_rmatrix_pairs(self.SEQ))
+
+    @pytest.mark.parametrize("check", ["_check_energy_two_factor", "_check_energy_general"])
+    def test_energy_entry_fails(self, monkeypatch, check):
+        def perturb(table):
+            table.energy[0][1] += 1
+
+        patched_pair_table(monkeypatch, self.SEQ, perturb)
+        assert list(getattr(verify, check)(self.SEQ))
+
+
+class TestRoundTripByIndex:
+    """The RSK round trip reads each factor from its table's index; a peel
+    that returns no valid factor must fail the suite."""
+
+    SEQ = RectSequence([(1, 2), (1, 1)])
+
+    def test_corrupted_rows_fail(self, monkeypatch):
+        real = verify.unrecord
+
+        def corrupted(p, q, ngroups):
+            rows = real(p, q, ngroups)
+            for r, row in enumerate(rows):
+                if row[0] != row[-1]:
+                    rows[r] = (row[-1],) + row[1:-1] + (row[0],)
+                    break
+            return rows
+
+        monkeypatch.setattr(verify, "unrecord", corrupted)
+        failures = list(verify._check_rsk(self.SEQ))
+        assert [f["expected"] for f in failures] == ["rsk_inverse . rsk_pair = id"]
+
+    def test_failed_peel_fails(self, monkeypatch):
+        def fails(p, q, ngroups):
+            raise ValueError("recording tableau does not cover p")
+
+        monkeypatch.setattr(verify, "unrecord", fails)
+        failures = list(verify._check_rsk(self.SEQ))
+        assert [f["expected"] for f in failures] == ["rsk_inverse . rsk_pair = id"]
+
+    def test_intact_round_trip_passes(self):
+        assert list(verify._check_rsk(self.SEQ)) == []

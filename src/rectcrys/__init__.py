@@ -17,23 +17,22 @@ from importlib import import_module
 
 # Submodule -> the names it exports.
 _EXPORTS = {
-    "affine": "PromotionTrace chi chi_inverse cocyclage_witness e0 eps0 f0 pair_promote"
-    " phi0 promote promote_inverse promote_tableau",
-    "crystal": "CrystalElement RectSequence Signature e enumerate_crystal eps f"
-    " highest_weight_element phi reflection signature young_w0",
+    "affine": "PromotionTrace chi cocyclage_witness e0 f0 pair_promote promote"
+    " promote_inverse promote_tableau",
+    "crystal": "CrystalElement RectSequence Signature e f reflection signature young_w0",
     "demazure": "AffineWeight FormalCharacter crystal_side_character demazure_character"
     " translation_reduced_word",
-    "energy": "classical_charge charge_word d_stat energy_terms local_H tableau_energy"
+    "energy": "classical_charge charge_word energy_terms local_H tableau_energy"
     " total_energy",
     "errors": "InconsistentPairError NonLRError NotPartitionOfNError RectcrysError"
     " RowNError ShapeMismatchError",
     "kpoly": "GradedCharacter graded_character k_polynomial kostka_foulkes"
-    " monotonicity_check transposed_kostka",
+    " monotonicity_check",
     "laurent": "LaurentPolynomial",
     "rmatrix": "sigma_compose sigma_swap tau_swap",
     "rsk": "LRTableau TableauPair enumerate_lrt is_r_lr rsk_inverse rsk_pair",
-    "tableaux": "SkewShape Tableau antinormal column_insert conjugate enumerate_cst key"
-    " partition partitions_of tensor_shape",
+    "tableaux": "Tableau antinormal column_insert conjugate enumerate_cst key partition"
+    " partitions_of",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

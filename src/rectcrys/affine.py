@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .crystal import CrystalElement, RectSequence, e, eps, f, phi, signature, young_w0
+from .crystal import CrystalElement, RectSequence, e, f, young_w0
 from .errors import InconsistentPairError, NonLRError, RowNError
 from .rsk import TableauPair, is_r_lr, rsk_inverse
 from .tableaux import (
@@ -23,56 +23,60 @@ from .tableaux import (
     key,
     peel_strip,
     reverse_row_insert,
-    slide_into,
-    slide_out_of,
-    tableau_from_cells,
 )
 
 
 @lru_cache(maxsize=None)
-def _promote_rows(rows: tuple, inner: tuple, n: int) -> tuple[tuple, tuple]:
-    t = Tableau._raw(rows, inner, n)
-    cells = t.cell_map()
-    strip = sorted((c for c, v in cells.items() if v == n), key=lambda rc: rc[1])
-    if not is_horizontal_strip(strip):
-        raise ValueError(f"letters {n} do not form a horizontal strip")
-    for c in strip:
-        del cells[c]
-    vacated = [slide_into(cells, hole) for hole in strip]
-    for c in vacated:
-        cells[c] = 0
-    bumped = {c: v + 1 for c, v in cells.items()}
-    out = tableau_from_cells(bumped, n=n)
-    return out.rows, out.inner
+def _promote_rows(rows: tuple, n: int) -> tuple:
+    """Promotion of a normal-shape tableau given by its rows.
+
+    The letters n leave holes.  Each hole, from left to right, slides
+    inward: the north neighbour moves in when it is at least the west one,
+    until neither is left.  The vacated cells take 0 (read as empty by the
+    later slides), and then every entry goes up by one.
+    """
+    grid = [list(row) for row in rows]
+    holes = sorted(
+        ((r, c) for r, row in enumerate(grid) for c, x in enumerate(row) if x == n),
+        key=lambda rc: rc[1],
+    )
+    for r, c in holes:
+        while True:
+            north = grid[r - 1][c] if r else 0
+            west = grid[r][c - 1] if c else 0
+            if not (north or west):
+                break
+            if north >= west:
+                grid[r][c], r = north, r - 1
+            else:
+                grid[r][c], c = west, c - 1
+        grid[r][c] = 0
+    return tuple(tuple(x + 1 for x in row) for row in grid)
 
 
-@lru_cache(maxsize=None)
-def _promote_inverse_rows(rows: tuple, inner: tuple, n: int) -> tuple[tuple, tuple]:
-    t = Tableau._raw(rows, inner, n)
-    cells = {c: v - 1 for c, v in t.cell_map().items()}
-    strip = sorted((c for c, v in cells.items() if v == 0), key=lambda rc: -rc[1])
-    if not is_horizontal_strip(strip):
-        raise ValueError("letters 1 do not form a horizontal strip")
-    for c in strip:
-        del cells[c]
-    for hole in strip:
-        cells[slide_out_of(cells, hole)] = n
-    out = tableau_from_cells(cells, n=n)
-    return out.rows, out.inner
+def _turned(rows: tuple, n: int) -> tuple:
+    """The rows turned by 180 degrees, each letter x replaced by n + 1 - x."""
+    return tuple([tuple([n + 1 - x for x in reversed(row)]) for row in reversed(rows)])
 
 
 def promote_tableau(t: Tableau, n: int | None = None) -> Tableau:
-    """Promotion of a single column-strict tableau over 1..n."""
+    """Promotion of a normal-shape column-strict tableau over 1..n."""
+    if t.inner:
+        raise ValueError("promotion needs a normal shape")
     n = t.n if n is None else n
-    rows, inner = _promote_rows(t.rows, t.inner, n)
-    return Tableau._raw(rows, inner, n)
+    return Tableau._raw(_promote_rows(t.rows, n), (), n)
 
 
 def promote_inverse_tableau(t: Tableau, n: int | None = None) -> Tableau:
-    """Inverse promotion: vacated cells are read off the letters 1."""
+    """Inverse promotion of a rectangular tableau over 1..n.
+
+    On a rectangle, turning by 180 degrees and complementing is evacuation,
+    and evacuation conjugates promotion to its inverse.
+    """
+    if t.inner or len(set(map(len, t.rows))) > 1:
+        raise ValueError("inverse promotion needs a rectangle")
     n = t.n if n is None else n
-    rows, inner = _promote_inverse_rows(t.rows, t.inner, n)
-    return Tableau._raw(rows, inner, n)
+    return Tableau._raw(_turned(_promote_rows(_turned(t.rows, n), n), n), (), n)
 
 
 def promote(b: CrystalElement) -> CrystalElement:
@@ -98,23 +102,6 @@ def f0(b: CrystalElement) -> CrystalElement | None:
     """Affine lowering operator pr^-1 . f_1 . pr; None when undefined."""
     mid = f(promote(b), 1)
     return None if mid is None else promote_inverse(mid)
-
-
-def eps0(b: CrystalElement) -> int:
-    return eps(promote(b), 1)
-
-
-def phi0(b: CrystalElement) -> int:
-    return phi(promote(b), 1)
-
-
-def string_lengths(b: CrystalElement, i: int) -> tuple[int, int]:
-    """(phi_i, eps_i) for any color 0..n-1."""
-    if i == 0:
-        sig = signature(promote(b), 1)
-    else:
-        sig = signature(b, i)
-    return sig.phi, sig.eps
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +212,6 @@ def chi(word: Sequence[int], seq: RectSequence) -> tuple[int, ...]:
         raise NonLRError("chi requires an R-LR word")
     x, u = word[-1], word[:-1]
     return young_w0((x,), seq) + young_w0(u, seq)
-
-
-def chi_inverse(word: Sequence[int], seq: RectSequence) -> tuple[int, ...]:
-    """Inverse cyclage: the first letter moves to the end, conjugated."""
-    word = tuple(word)
-    if not word:
-        return ()
-    if not is_r_lr(word, seq):
-        raise NonLRError("chi_inverse requires an R-LR word")
-    y, w = word[0], word[1:]
-    return young_w0(w, seq) + young_w0((y,), seq)
 
 
 def cocyclage_witness(q: Tableau, seq: RectSequence, cell: tuple[int, int]) -> CrystalElement:

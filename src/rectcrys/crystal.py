@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .tableaux import Tableau, SkewShape, _Frozen, key, tensor_shape
+from .tableaux import Tableau, _Frozen, key
 
 
 class RectSequence(_Frozen):
@@ -93,13 +93,6 @@ class RectSequence(_Frozen):
         """Y_j: the key tableau of R_j filled from its own subalphabet A_j."""
         eta, mu = self.rects[j - 1]
         return key((mu,) * eta, n=self.n, offset=self._bounds[j - 1][0] - 1)
-
-    def skew_shape(self) -> SkewShape:
-        """The shape R_m (x) ... (x) R_1."""
-        shape = SkewShape(self.rect_shape(1))
-        for j in range(2, self.m + 1):
-            shape = tensor_shape(SkewShape(self.rect_shape(j)), shape)
-        return shape
 
     def swapped(self, pos: int) -> "RectSequence":
         """Rectangles at positions pos, pos+1 exchanged."""
@@ -318,30 +311,30 @@ def _rows_like(word: Sequence[int], rows: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _tableau_stats(rows: tuple, inner: tuple, i: int) -> tuple[int, int]:
+def _tableau_stats(rows: tuple, i: int) -> tuple[int, int]:
     return _bracket(_word_pairs(_row_word(rows), i))[:2]
 
 
 def tableau_phi_eps(t: Tableau, i: int) -> tuple[int, int]:
-    return _tableau_stats(t.rows, t.inner, i)
+    return _tableau_stats(t.rows, i)
 
 
 @lru_cache(maxsize=None)
-def _tableau_apply(rows: tuple, inner: tuple, i: int, op: str) -> tuple | None:
+def _tableau_apply(rows: tuple, i: int, op: str) -> tuple | None:
     """Apply e_i or f_i to a tableau given by its rows; None when undefined."""
     word = (word_f if op == "f" else word_e)(_row_word(rows), i)
     return None if word is None else _rows_like(word, rows)
 
 
 def tableau_f(t: Tableau, i: int) -> Tableau | None:
-    rows = _tableau_apply(t.rows, t.inner, i, "f")
+    rows = _tableau_apply(t.rows, i, "f")
     if rows is None:
         return None
     return Tableau._raw(rows, t.inner, t.n)
 
 
 def tableau_e(t: Tableau, i: int) -> Tableau | None:
-    rows = _tableau_apply(t.rows, t.inner, i, "e")
+    rows = _tableau_apply(t.rows, i, "e")
     if rows is None:
         return None
     return Tableau._raw(rows, t.inner, t.n)
@@ -349,7 +342,7 @@ def tableau_e(t: Tableau, i: int) -> Tableau | None:
 
 def _element_pairs(b: CrystalElement, i: int) -> list[tuple[int, int]]:
     """One (phi, eps) pair per factor, b_m first."""
-    return [_tableau_stats(t.rows, t.inner, i) for t in reversed(b.factors)]
+    return [_tableau_stats(t.rows, i) for t in reversed(b.factors)]
 
 
 def signature(b: "CrystalElement | Sequence[int]", i: int) -> Signature:
@@ -373,14 +366,6 @@ def f(b: CrystalElement, i: int) -> CrystalElement | None:
     if f_pos is None:
         return None
     return b.replace_factor(f_pos, tableau_f(b.factors[f_pos - 1], i))
-
-
-def phi(b: CrystalElement, i: int) -> int:
-    return _bracket(_element_pairs(b, i))[0]
-
-
-def eps(b: CrystalElement, i: int) -> int:
-    return _bracket(_element_pairs(b, i))[1]
 
 
 def reflection(b: CrystalElement, i: int) -> CrystalElement:
@@ -421,12 +406,12 @@ def word_reflection(w: Sequence[int], i: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _tableau_reflect_rows(rows: tuple, inner: tuple, i: int) -> tuple:
+def _tableau_reflect_rows(rows: tuple, i: int) -> tuple:
     return _rows_like(word_reflection(_row_word(rows), i), rows)
 
 
 def tableau_reflection(t: Tableau, i: int) -> Tableau:
-    return Tableau._raw(_tableau_reflect_rows(t.rows, t.inner, i), t.inner, t.n)
+    return Tableau._raw(_tableau_reflect_rows(t.rows, i), t.inner, t.n)
 
 
 def _longest_element_word(colors: Sequence[int]) -> list[int]:
@@ -461,21 +446,3 @@ def pairing(i: int, content: Sequence[int]) -> int:
     if i == 0:
         return content[n - 1] - content[0]
     return content[i - 1] - content[i]
-
-
-def highest_weight_element(seq: RectSequence) -> CrystalElement:
-    """Y_m (x) ... (x) Y_1, the unique sl_n highest weight vector of weight
-    gamma(R) when the widths weakly decrease."""
-    return CrystalElement(seq, [seq.key_tableau(j) for j in range(1, seq.m + 1)])
-
-
-def enumerate_crystal(seq: RectSequence):
-    """All elements of B^R, factors varying rightmost-first."""
-    from itertools import product
-    from .tableaux import enumerate_cst
-
-    factor_sets = [
-        list(enumerate_cst(seq.rect_shape(j), seq.n)) for j in range(1, seq.m + 1)
-    ]
-    for combo in product(*factor_sets):
-        yield CrystalElement._raw(seq, combo)

@@ -25,14 +25,6 @@ def _east_count(shape: Sequence[int], col: int) -> int:
     return sum(max(0, part - col) for part in shape)
 
 
-def d_stat(q: LRTableau) -> int:
-    """Cells of shape(q) strictly east of the max(mu_1, mu_2)-th column, for a
-    two-rectangle LR tableau of partition shape."""
-    if q.seq.m != 2:
-        raise ValueError("d_stat expects exactly two rectangles")
-    return _east_count(q.tableau.outer, max(q.seq.mu(1), q.seq.mu(2)))
-
-
 def _local_d(b: CrystalElement, pos: int) -> int:
     """Local energy between tensor positions pos and pos+1 of b."""
     word = b.factors[pos].word() + b.factors[pos - 1].word()

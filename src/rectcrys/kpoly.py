@@ -17,7 +17,7 @@ from .crystal import RectSequence
 from .energy import tableau_energy
 from .laurent import LaurentPolynomial
 from .rsk import LRTableau, lrt_tableaux
-from .tableaux import Tableau, _Frozen, _Record, column_insert, conjugate, key, partition, partitions_of
+from .tableaux import Tableau, _Frozen, _Record, column_insert, key, partition, partitions_of
 
 
 class GradedCharacter(_Frozen):
@@ -70,8 +70,9 @@ def kostka_sequence(mu: Sequence[int]) -> RectSequence:
 def kostka_foulkes(lam: Sequence[int], mu: Sequence[int]) -> LaurentPolynomial:
     """The charge generating polynomial over CST(lambda, mu), mu a partition.
 
-    This is the cocharge-normalized Kostka-Foulkes polynomial; see
-    :func:`transposed_kostka` for the renormalized classical indexing.
+    This is the cocharge-normalized Kostka-Foulkes polynomial; the classical
+    tilde-indexing (lambda transposed, mu) is
+    kostka_foulkes(conjugate(lambda), mu).
     """
     lam, mu = partition(lam), partition(mu)
     if sum(lam) != sum(mu):
@@ -80,12 +81,6 @@ def kostka_foulkes(lam: Sequence[int], mu: Sequence[int]) -> LaurentPolynomial:
     if len(lam) > seq.n:
         return LaurentPolynomial.zero()
     return k_polynomial(lam, seq)
-
-
-def transposed_kostka(lam: Sequence[int], mu: Sequence[int]) -> LaurentPolynomial:
-    """The polynomial with classical tilde-indexing (lam transposed, mu):
-    identical to kostka_foulkes(conjugate(lam), mu)."""
-    return kostka_foulkes(conjugate(lam), mu)
 
 
 def graded_character(seq: RectSequence) -> GradedCharacter:
@@ -151,19 +146,6 @@ class MonotonicityReport(_Record):
             "injection": self.injection,
             "failure": self.failure,
         }
-
-
-def dominant_insertion_position(seq: RectSequence, width: int) -> int:
-    """First position where a rectangle of the given width keeps the widths
-    weakly decreasing; requires the widths of ``seq`` to be weakly decreasing."""
-    widths = [m for _, m in seq.rects]
-    if any(widths[i] < widths[i + 1] for i in range(len(widths) - 1)):
-        raise ValueError(f"sequence widths not weakly decreasing: {widths}")
-    for pos in range(len(widths) + 1):
-        cand = widths[:pos] + [width] + widths[pos:]
-        if all(cand[i] >= cand[i + 1] for i in range(len(cand) - 1)):
-            return pos
-    raise AssertionError("unreachable")
 
 
 def add_rows(lam: Sequence[int], k: int, m: int) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Shapes, column-strict tableaux, reading words, insertion, and jeu de taquin.
+"""Partitions, column-strict tableaux, reading words, and insertion.
 
 Conventions used throughout the package:
 
@@ -114,117 +114,6 @@ class _Record(_Frozen):
     __hash__ = None
 
 
-class SkewShape(_Frozen):
-    """A skew shape outer/inner, stored as a pair of partitions."""
-
-    __slots__ = _fields = ("outer", "inner")
-
-    def __init__(self, outer: Iterable[int], inner: Iterable[int] = ()):
-        outer_p = partition(outer)
-        inner_p = partition(inner)
-        if len(inner_p) > len(outer_p) or any(
-            i > o for i, o in zip(inner_p, outer_p)
-        ):
-            raise ValueError(f"inner {inner_p} not contained in outer {outer_p}")
-        object.__setattr__(self, "outer", outer_p)
-        object.__setattr__(self, "inner", inner_p)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.outer)
-
-    @property
-    def ncells(self) -> int:
-        return sum(self.outer) - sum(self.inner)
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        inner = _pad(self.inner, self.nrows)
-        for r in range(1, self.nrows + 1):
-            for c in range(inner[r - 1] + 1, self.outer[r - 1] + 1):
-                yield (r, c)
-
-    def normalized(self) -> "SkewShape":
-        """Translation normal form: boundary empty rows dropped, shifted left."""
-        inner = list(_pad(self.inner, self.nrows))
-        outer = list(self.outer)
-        while outer and outer[0] == inner[0]:
-            outer.pop(0)
-            inner.pop(0)
-        while outer and outer[-1] == inner[-1]:
-            outer.pop()
-            inner.pop()
-        if not outer:
-            return SkewShape(())
-        shift = min(inner)
-        return SkewShape(
-            tuple(o - shift for o in outer), tuple(i - shift for i in inner)
-        )
-
-    def is_normal(self) -> bool:
-        """Translate of a partition diagram."""
-        return self.ncells > 0 and self.normalized().inner == ()
-
-    def is_antinormal(self) -> bool:
-        """Unique southeast corner cell: a rotated partition diagram."""
-        cells = set(self.cells())
-        return bool(cells) and _is_antinormal_cells(cells)
-
-    def __repr__(self) -> str:
-        return f"SkewShape({list(self.outer)}/{list(self.inner)})"
-
-
-def shape_from_cells(cells: Iterable[tuple[int, int]]) -> SkewShape:
-    """The skew shape with exactly the given cells (positions kept).
-
-    Empty rows above occupied ones are retained; trailing empty rows are not
-    representable and are dropped.
-    """
-    cells = set(cells)
-    if not cells:
-        return SkewShape(())
-    if min(r for r, _ in cells) < 1 or min(c for _, c in cells) < 1:
-        raise ValueError("cells must have positive coordinates")
-    rmax = max(r for r, _ in cells)
-    spans: dict[int, tuple[int, int]] = {}
-    for r in range(1, rmax + 1):
-        cols = sorted(c for rr, c in cells if rr == r)
-        if cols:
-            if cols != list(range(cols[0], cols[-1] + 1)):
-                raise ValueError(f"row {r} not contiguous: {cols}")
-            spans[r] = (cols[0] - 1, cols[-1])
-    outer = [0] * (rmax + 1)
-    inner = [0] * (rmax + 1)
-    below = 0
-    for r in range(rmax, 0, -1):
-        if r in spans:
-            inner[r], outer[r] = spans[r]
-        else:
-            inner[r] = outer[r] = below
-        below = max(below, outer[r])
-    shape = SkewShape(outer[1:], inner[1:])
-    if set(shape.cells()) != cells:
-        raise ValueError(f"cells {sorted(cells)} do not form a skew shape")
-    return shape
-
-
-def tensor_shape(d: SkewShape, e: SkewShape) -> SkewShape:
-    """The shape placing a translate of ``d`` southwest of a translate of ``e``.
-
-    Rows of ``e`` sit on top, shifted right by the number of columns of ``d``.
-    The result is translation-normalized.
-    """
-    d = d.normalized()
-    e = e.normalized()
-    if not d.outer:
-        return e
-    if not e.outer:
-        return d
-    cols = d.outer[0]
-    outer = tuple(o + cols for o in e.outer) + d.outer
-    inner = tuple(i + cols for i in _pad(e.inner, e.nrows)) + d.inner
-    return SkewShape(outer, inner).normalized()
-
-
 class Tableau:
     """A column-strict filling of a skew shape with letters in 1..n."""
 
@@ -289,10 +178,6 @@ class Tableau:
         return self.inner[r - 1] if r - 1 < len(self.inner) else 0
 
     @property
-    def shape(self) -> SkewShape:
-        return SkewShape(self.outer, self.inner)
-
-    @property
     def ncells(self) -> int:
         return sum(len(row) for row in self.rows)
 
@@ -310,9 +195,6 @@ class Tableau:
             for c in range(1, len(row) + 1):
                 yield (r, base + c)
 
-    def cell_map(self) -> dict[tuple[int, int], int]:
-        return {cell: self.entry(*cell) for cell in self.cells()}
-
     def content(self, n: int | None = None) -> tuple[int, ...]:
         """Occurrence counts (m_1, ..., m_n) of each letter."""
         size = self.n if n is None else n
@@ -328,26 +210,6 @@ class Tableau:
         for row in reversed(self.rows):
             out.extend(row)
         return tuple(out)
-
-    def restrict(self, lo: int, hi: int) -> "Tableau":
-        """Subtableau of cells whose entries lie in [lo, hi], positions kept."""
-        kept = {cell: v for cell, v in self.cell_map().items() if lo <= v <= hi}
-        return tableau_from_cells(kept, n=self.n)
-
-    def translate_normal(self) -> "Tableau":
-        """Translation-normalized copy."""
-        rows = list(self.rows)
-        inner = list(_pad(self.inner, len(rows)))
-        while rows and not rows[0]:
-            rows.pop(0)
-            inner.pop(0)
-        while rows and not rows[-1]:
-            rows.pop()
-            inner.pop()
-        if not rows:
-            return Tableau._raw((), (), self.n)
-        shift = min(inner)
-        return Tableau._raw(tuple(rows), partition(i - shift for i in inner), self.n)
 
     def add_one(self, p: int = 1) -> "Tableau":
         """Entrywise addition of ``p``."""
@@ -390,21 +252,6 @@ class Tableau:
             pad = ". " * self.inner_at(r)
             lines.append(pad + " ".join(str(x) for x in row))
         return "\n".join(lines)
-
-
-def tableau_from_cells(
-    cells: dict[tuple[int, int], int], n: int | None = None
-) -> Tableau:
-    """Assemble a tableau from a cell-to-letter map (positions kept)."""
-    if not cells:
-        return Tableau._raw((), (), n)
-    shape = shape_from_cells(cells.keys())
-    inner = _pad(shape.inner, shape.nrows)
-    rows = tuple(
-        tuple(cells[(r, c)] for c in range(inner[r - 1] + 1, shape.outer[r - 1] + 1))
-        for r in range(1, shape.nrows + 1)
-    )
-    return Tableau._raw(rows, shape.inner, n)
 
 
 # ---------------------------------------------------------------------------
@@ -557,28 +404,6 @@ def unrecord(p: Tableau, q: Tableau, ngroups: int) -> list[tuple[int, ...]]:
     return groups[::-1]
 
 
-def row_insert(t: Tableau, x: int) -> tuple[Tableau, tuple[int, int]]:
-    """Schensted row insertion; appends ``x`` to the reading word of ``t``."""
-    if t.inner != ():
-        raise ValueError("row insertion requires a normal-shape tableau")
-    rows = [list(row) for row in t.rows]
-    r = 0
-    while True:
-        if r == len(rows):
-            rows.append([x])
-            cell = (r + 1, 1)
-            break
-        row = rows[r]
-        i = bisect_right(row, x)
-        if i == len(row):
-            row.append(x)
-            cell = (r + 1, len(row))
-            break
-        row[i], x = x, row[i]
-        r += 1
-    return Tableau._raw(tuple(map(tuple, rows)), (), t.n), cell
-
-
 def reverse_row_insert(t: Tableau, cell: tuple[int, int]) -> tuple[Tableau, int]:
     """Reverse one row insertion at a corner ``cell``; returns the ejected letter."""
     r, c = cell
@@ -599,62 +424,6 @@ def reverse_row_insert(t: Tableau, cell: tuple[int, int]) -> tuple[Tableau, int]
             raise ValueError(f"reverse row insertion stuck at row {i + 1}")
         row[j], y = y, row[j]
     return Tableau._raw(tuple(map(tuple, rows)), (), t.n), y
-
-
-# ---------------------------------------------------------------------------
-# Jeu de taquin.
-
-def slide_into(
-    cells: dict[tuple[int, int], int], hole: tuple[int, int]
-) -> tuple[int, int]:
-    """Inward slide: entries move into ``hole`` from the north or west until
-    the hole reaches the northwest boundary.  Mutates ``cells`` and returns
-    the vacated cell."""
-    r, c = hole
-    while True:
-        north = cells.get((r - 1, c))
-        west = cells.get((r, c - 1))
-        if north is None and west is None:
-            return (r, c)
-        if west is None or (north is not None and north >= west):
-            cells[(r, c)] = north
-            del cells[(r - 1, c)]
-            r -= 1
-        else:
-            cells[(r, c)] = west
-            del cells[(r, c - 1)]
-            c -= 1
-
-
-def slide_out_of(
-    cells: dict[tuple[int, int], int], hole: tuple[int, int]
-) -> tuple[int, int]:
-    """Outward slide, inverse to :func:`slide_into`: entries move into ``hole``
-    from the south or east until the hole reaches the southeast boundary."""
-    r, c = hole
-    while True:
-        south = cells.get((r + 1, c))
-        east = cells.get((r, c + 1))
-        if south is None and east is None:
-            return (r, c)
-        if south is None or (east is not None and east < south):
-            cells[(r, c)] = east
-            del cells[(r, c + 1)]
-            c += 1
-        else:
-            cells[(r, c)] = south
-            del cells[(r + 1, c)]
-            r += 1
-
-
-def _is_antinormal_cells(cells: Iterable[tuple[int, int]]) -> bool:
-    occupied = set(cells)
-    corners = sum(
-        1
-        for r, c in occupied
-        if (r + 1, c) not in occupied and (r, c + 1) not in occupied
-    )
-    return corners == 1
 
 
 def antinormal(word: Sequence[int], n: int | None = None) -> Tableau:

@@ -1,0 +1,149 @@
+"""Reference routes that the package no longer uses, kept as test oracles.
+
+Jeu-de-taquin slides on a dict from cells to letters, the way from such a
+dict back to a Tableau, promotion and its inverse the cell-map way, the
+crystal enumeration, the inverse cyclage, and the string lengths of
+elements at every color, 0 included.
+Cells are (row, col) pairs, 1-based, row 1 on top.
+"""
+
+from itertools import chain, product
+
+from rectcrys.affine import promote
+from rectcrys.crystal import CrystalElement, signature, young_w0
+from rectcrys.errors import NonLRError
+from rectcrys.rsk import is_r_lr
+from rectcrys.tableaux import Tableau, enumerate_cst
+
+
+def cell_map(t):
+    """The cells of ``t`` with their letters."""
+    return dict(zip(t.cells(), chain.from_iterable(t.rows)))
+
+
+def tableau_from_cells(cells, n=None):
+    """The tableau filling ``cells``, moved up and left until its top row is
+    row 1 and its leftmost cell lies in column 1.  Every row from the top
+    one to the bottom one must be a nonempty run of cells."""
+    if not cells:
+        return Tableau((), n=n)
+    top = min(r for r, _ in cells)
+    left = min(c for _, c in cells)
+    rows, inner = [], []
+    for r in range(top, max(r for r, _ in cells) + 1):
+        cols = sorted(c for rr, c in cells if rr == r)
+        if not cols or cols[-1] - cols[0] + 1 != len(cols):
+            raise ValueError(f"row {r} is empty or not contiguous: {cols}")
+        rows.append([cells[(r, c)] for c in cols])
+        inner.append(cols[0] - left)
+    return Tableau(rows, inner, n=n)
+
+
+def slide_into(cells, hole):
+    """Inward slide: entries move into ``hole`` from the north or west until
+    the hole reaches the northwest boundary.  Mutates ``cells`` and returns
+    the vacated cell."""
+    r, c = hole
+    while True:
+        north = cells.get((r - 1, c))
+        west = cells.get((r, c - 1))
+        if north is None and west is None:
+            return (r, c)
+        if west is None or (north is not None and north >= west):
+            cells[(r, c)] = north
+            del cells[(r - 1, c)]
+            r -= 1
+        else:
+            cells[(r, c)] = west
+            del cells[(r, c - 1)]
+            c -= 1
+
+
+def slide_out_of(cells, hole):
+    """Outward slide, inverse to :func:`slide_into`: entries move into ``hole``
+    from the south or east until the hole reaches the southeast boundary."""
+    r, c = hole
+    while True:
+        south = cells.get((r + 1, c))
+        east = cells.get((r, c + 1))
+        if south is None and east is None:
+            return (r, c)
+        if south is None or (east is not None and east < south):
+            cells[(r, c)] = east
+            del cells[(r, c + 1)]
+            c += 1
+        else:
+            cells[(r, c)] = south
+            del cells[(r + 1, c)]
+            r += 1
+
+
+def cell_promote(t, n):
+    """Promotion on the cell map: the letters n leave a horizontal strip,
+    its cells slide inward left to right, the vacated cells take 0, and
+    every entry goes up by one."""
+    cells = cell_map(t)
+    strip = sorted((c for c, v in cells.items() if v == n), key=lambda rc: rc[1])
+    for c in strip:
+        del cells[c]
+    for c in [slide_into(cells, hole) for hole in strip]:
+        cells[c] = 0
+    return tableau_from_cells({c: v + 1 for c, v in cells.items()}, n=n)
+
+
+def cell_promote_inverse(t, n):
+    """Inverse promotion on the cell map: every entry goes down by one, the
+    zeros leave a horizontal strip, its cells slide outward right to left,
+    and each vacated cell takes n."""
+    cells = {c: v - 1 for c, v in cell_map(t).items()}
+    strip = sorted((c for c, v in cells.items() if v == 0), key=lambda rc: -rc[1])
+    for c in strip:
+        del cells[c]
+    for hole in strip:
+        cells[slide_out_of(cells, hole)] = n
+    return tableau_from_cells(cells, n=n)
+
+
+def enumerate_crystal(seq):
+    """All elements of B^R, factors varying rightmost-first."""
+    factor_sets = [
+        list(enumerate_cst(seq.rect_shape(j), seq.n)) for j in range(1, seq.m + 1)
+    ]
+    for combo in product(*factor_sets):
+        yield CrystalElement._raw(seq, combo)
+
+
+def chi_inverse(word, seq):
+    """Inverse cyclage: the first letter moves to the end, conjugated."""
+    word = tuple(word)
+    if not word:
+        return ()
+    if not is_r_lr(word, seq):
+        raise NonLRError("chi_inverse requires an R-LR word")
+    y, w = word[0], word[1:]
+    return young_w0(w, seq) + young_w0((y,), seq)
+
+
+def phi(b, i):
+    return signature(b, i).phi
+
+
+def eps(b, i):
+    return signature(b, i).eps
+
+
+def phi0(b):
+    return phi(promote(b), 1)
+
+
+def eps0(b):
+    return eps(promote(b), 1)
+
+
+def string_lengths(b, i):
+    """(phi_i, eps_i) for any color 0..n-1."""
+    if i == 0:
+        sig = signature(promote(b), 1)
+    else:
+        sig = signature(b, i)
+    return sig.phi, sig.eps

@@ -2,21 +2,28 @@ import pytest
 
 from rectcrys.affine import (
     chi,
-    chi_inverse,
     cocyclage_witness,
     e0,
-    eps0,
     f0,
     pair_promote,
     promote,
     promote_inverse,
-    string_lengths,
+    promote_inverse_tableau,
+    promote_tableau,
 )
-from rectcrys.crystal import CrystalElement, RectSequence, enumerate_crystal, young_w0
+from rectcrys.crystal import CrystalElement, RectSequence, young_w0
 from rectcrys.errors import NonLRError, RowNError
 from rectcrys.rsk import LRTableau, lrt_tableaux, rsk_pair
-from rectcrys.tableaux import Tableau, column_insert, partitions_of, reverse_row_insert
+from rectcrys.tableaux import Tableau, column_insert, enumerate_cst, partitions_of, reverse_row_insert
 from conftest import element_from
+from oracles import (
+    cell_promote,
+    cell_promote_inverse,
+    chi_inverse,
+    enumerate_crystal,
+    eps0,
+    string_lengths,
+)
 
 
 class TestPromote:
@@ -54,6 +61,31 @@ class TestPromote:
             before = b.content()
             after = promote(b).content()
             assert after == (before[-1],) + before[:-1]
+
+    def test_matches_cell_map_route(self):
+        # every normal shape with at most 7 cells over at most 5 letters
+        count = rectangles = 0
+        for size in range(1, 8):
+            for n in range(1, 6):
+                for lam in partitions_of(size, n):
+                    for t in enumerate_cst(lam, n):
+                        count += 1
+                        p = promote_tableau(t, n)
+                        assert p == cell_promote(t, n)
+                        if len(set(lam)) == 1:
+                            rectangles += 1
+                            inv = promote_inverse_tableau(t, n)
+                            assert inv == cell_promote_inverse(t, n)
+                            assert promote_inverse_tableau(p, n) == t
+        assert (count, rectangles) == (10334, 1697)
+
+    def test_shape_errors(self):
+        skew = Tableau([[1], [2]], inner=[1], n=2)
+        with pytest.raises(ValueError, match="normal shape"):
+            promote_tableau(skew)
+        for t in (skew, Tableau([[1, 1], [2]], n=2)):
+            with pytest.raises(ValueError, match="rectangle"):
+                promote_inverse_tableau(t)
 
 
 class TestZeroOperators:
@@ -168,8 +200,8 @@ class TestChi:
                     for cell in corners:
                         u, x = reverse_row_insert(t, cell)
                         moved = column_insert(chi(u.word() + (x,), seq), n=seq.n)
-                        before = set(Tableau.from_json(t.to_json()).shape.cells())
-                        after = set(moved.shape.cells())
+                        before = set(Tableau.from_json(t.to_json()).cells())
+                        after = set(moved.cells())
                         # the corner is re-inserted somewhere, possibly back
                         assert before - after <= {cell}
                         assert len(before - after) == len(after - before)

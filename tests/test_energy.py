@@ -1,10 +1,9 @@
 import pytest
 
-from rectcrys.crystal import CrystalElement, RectSequence, enumerate_crystal, f
+from rectcrys.crystal import CrystalElement, RectSequence, f
 from rectcrys.energy import (
     charge_word,
     classical_charge,
-    d_stat,
     energy_terms,
     local_H,
     restricted_d,
@@ -17,6 +16,7 @@ from rectcrys.rsk import LRTableau, TableauPair, lrt_tableaux, rsk_inverse, rsk_
 from rectcrys.tableaux import Tableau, column_insert, key, partitions_of
 
 from conftest import lr_family
+from oracles import enumerate_crystal
 
 
 def tau_chain_energy_terms(q: LRTableau) -> list[tuple[int, int, int]]:
@@ -40,18 +40,13 @@ class TestDStat:
     def test_stacked_shape_is_zero(self):
         seq = RectSequence([(1, 3), (2, 2)])
         q = lrt_tableaux(seq.gamma(), seq)[0]
-        assert d_stat(LRTableau(q, seq)) == 0
+        assert restricted_d(LRTableau(q, seq), 1) == 0
 
     def test_golden_pair_shapes(self, golden_b, golden_seq):
         # local shapes of the three pairwise insertions in the worked example
         b1, b2, b3 = golden_b.factors
         assert column_insert(b2.word() + b1.word()).outer == (4, 3, 3, 2, 1)
         assert column_insert(b3.word() + b2.word()).outer == (4, 4, 3, 2, 2)
-
-    def test_rejects_more_rectangles(self, golden, golden_seq):
-        q = LRTableau(Tableau.from_json(golden["q"], n=7), golden_seq)
-        with pytest.raises(ValueError):
-            d_stat(q)
 
 
 class TestLocalH:
@@ -167,8 +162,10 @@ class TestCharge:
 
 class TestRestrictedD:
     def test_reduces_to_d_stat_for_pairs(self):
+        # for two rectangles, d counts the cells of shape(q) strictly east
+        # of column max(mu_1, mu_2)
         seq = RectSequence([(1, 2), (2, 1)])
         for lam in partitions_of(4, 3):
             for t in lrt_tableaux(lam, seq):
-                q = LRTableau(t, seq)
-                assert restricted_d(q, 1) == d_stat(q)
+                east = sum(max(0, part - 2) for part in t.outer)
+                assert restricted_d(LRTableau(t, seq), 1) == east

@@ -11,35 +11,35 @@ from rectcrys.affine import PromotionTrace, pair_promote
 from rectcrys.crystal import CrystalElement, RectSequence, Signature, word_signature
 from rectcrys.errors import NonLRError, ShapeMismatchError
 from rectcrys.rsk import LRTableau, TableauPair, rsk_pair
-from rectcrys.tableaux import SkewShape, Tableau
+from rectcrys.tableaux import Tableau
 
 # The names the package exported when its __init__ imported every module,
 # by the module that defines (or re-exports) each, less the test-only
-# helpers since moved next to their tests.
+# helpers since moved next to their tests and the skew-shape toolkit, which
+# nothing used.
 EXPORTS = {
-    "affine": "PromotionTrace chi chi_inverse cocyclage_witness e0 eps0 f0 pair_promote "
-    "phi0 promote promote_inverse promote_tableau",
-    "crystal": "CrystalElement RectSequence Signature e enumerate_crystal eps f "
-    "highest_weight_element phi reflection signature young_w0",
+    "affine": "PromotionTrace chi cocyclage_witness e0 f0 pair_promote promote "
+    "promote_inverse promote_tableau",
+    "crystal": "CrystalElement RectSequence Signature e f reflection signature young_w0",
     "demazure": "AffineWeight FormalCharacter crystal_side_character demazure_character "
     "translation_reduced_word",
-    "energy": "classical_charge charge_word d_stat energy_terms local_H tableau_energy "
+    "energy": "classical_charge charge_word energy_terms local_H tableau_energy "
     "total_energy",
     "errors": "InconsistentPairError NonLRError NotPartitionOfNError RectcrysError "
     "RowNError ShapeMismatchError",
     "kpoly": "GradedCharacter LaurentPolynomial graded_character k_polynomial "
-    "kostka_foulkes monotonicity_check transposed_kostka",
+    "kostka_foulkes monotonicity_check",
     "rmatrix": "sigma_compose sigma_swap tau_swap",
     "rsk": "LRTableau TableauPair enumerate_lrt is_r_lr rsk_inverse rsk_pair",
-    "tableaux": "SkewShape Tableau antinormal column_insert conjugate enumerate_cst key "
-    "partition partitions_of tensor_shape",
+    "tableaux": "Tableau antinormal column_insert conjugate enumerate_cst key partition "
+    "partitions_of",
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names.split()]
 
 
 class TestLazyNamespace:
     def test_every_old_name_is_exported(self):
-        assert len(NAMES) == 68
+        assert len(NAMES) == 57
         names = {name for _, name in NAMES}
         assert names <= set(rectcrys.__all__)
         assert names <= set(dir(rectcrys))
@@ -66,7 +66,6 @@ ELEMENT = CrystalElement(SEQ, [Tableau([[1, 1], [2, 3]], n=3), Tableau([[2]], n=
 PAIR = rsk_pair(ELEMENT)
 # Each value type once, with its repr as a frozen dataclass printed it.
 VALUES = [
-    (SkewShape([3, 2], [1]), "SkewShape([3, 2]/[1])"),
     (SEQ, "RectSequence([(2, 2), (1, 1)])"),
     (
         word_signature((1, 2, 2, 1, 1), 1),
@@ -84,7 +83,6 @@ VALUES = [
     ),
 ]
 FIELDS = {
-    SkewShape: ("outer", "inner"),
     RectSequence: ("rects",),
     Signature: ("phi", "eps", "f_pos", "e_pos", "reduced"),
     TableauPair: ("p", "q"),
@@ -126,17 +124,10 @@ class TestValueTypes:
         assert repr(back) == text
 
 
-def test_skew_shape_unequal_fields():
-    assert SkewShape([3, 2], [1]) != SkewShape([3, 2])
-    assert len({SkewShape([3, 2], [1]), SkewShape([3, 2], (1, 0))}) == 1
-
-
 def test_constructor_checks():
     with pytest.raises(ShapeMismatchError):
         TableauPair(PAIR.p, Tableau([[1, 2]], n=3))
     with pytest.raises(NonLRError):
         LRTableau(Tableau([[1, 1]], n=2), RectSequence([(1, 1), (1, 1)]))
-    with pytest.raises(ValueError):
-        SkewShape([1], [2])
     with pytest.raises(ValueError):
         RectSequence([(0, 1)])

@@ -2,7 +2,7 @@ from typing import Sequence
 
 import pytest
 
-from rectcrys.crystal import RectSequence, enumerate_crystal
+from rectcrys.crystal import RectSequence
 from rectcrys.errors import NonLRError
 from rectcrys.rmatrix import _sigma_pair, _two_factor_tau, lex_reduced_word, sigma_compose, sigma_swap, tau_swap
 from rectcrys.rsk import LRTableau, is_r_lr, lrt_tableaux, rsk_pair
@@ -12,13 +12,12 @@ from rectcrys.tableaux import (
     enumerate_cst,
     partitions_of,
     record,
-    slide_into,
-    slide_out_of,
     unrecord,
 )
 from rectcrys.verify import rect_sequences
 
 from conftest import element_from
+from oracles import enumerate_crystal, slide_into, slide_out_of
 
 
 def all_lr_words(seq, length):

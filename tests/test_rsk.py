@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectcrys.crystal import CrystalElement, RectSequence, enumerate_crystal, signature
+from rectcrys.crystal import CrystalElement, RectSequence, signature
 from rectcrys.errors import InconsistentPairError, NonLRError, ShapeMismatchError
 from rectcrys.rsk import (
     TableauPair,
@@ -23,6 +23,8 @@ from rectcrys.tableaux import (
     unrecord,
 )
 from rectcrys.verify import rect_sequences
+
+from oracles import enumerate_crystal
 
 
 def highest_weight_recording(b: CrystalElement) -> Tableau:

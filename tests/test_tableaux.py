@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectcrys.tableaux import (
-    SkewShape,
     Tableau,
     antinormal,
     column_insert,
@@ -20,14 +19,10 @@ from rectcrys.tableaux import (
     record,
     reverse_column_insert,
     reverse_row_insert,
-    row_insert,
-    shape_from_cells,
-    slide_into,
-    tableau_from_cells,
-    tensor_shape,
     unrecord,
-    _is_antinormal_cells,
 )
+
+from oracles import cell_map, slide_into, tableau_from_cells
 
 words = st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=7).map(tuple)
 
@@ -66,13 +61,31 @@ def antinormal_oracle(word, n=7):
     k, width = len(p.rows), p.outer[0]
     rows = [tuple(n + 1 - x for x in reversed(p.rows[k - 1 - i])) for i in range(k)]
     inner = [width - p.outer[k - 1 - i] for i in range(k)]
-    return Tableau(rows, inner).translate_normal()
+    return Tableau(rows, inner)
 
 
 def word_staircase(word):
     """The word laid out anti-diagonally, one letter per row, bottom row first."""
     m = len(word)
     return {(m - i, i + 1): word[i] for i in range(m)}
+
+
+def is_skew(cells):
+    """Whether ``cells`` is some lambda/mu: every cell between two of its
+    cells (weakly southeast of one, weakly northwest of the other) is in it."""
+    return all(
+        (r, c) in cells
+        for (r1, c1), (r2, c2) in itertools.product(cells, repeat=2)
+        if r1 <= r2 and c1 <= c2
+        for r in range(r1, r2 + 1)
+        for c in range(c1, c2 + 1)
+    )
+
+
+def is_antinormal(cells):
+    """Exactly one southeast corner: a rotated partition diagram."""
+    corners = [(r, c) for r, c in cells if (r + 1, c) not in cells and (r, c + 1) not in cells]
+    return len(corners) == 1
 
 
 def antinormal_targets(cells):
@@ -90,11 +103,8 @@ def antinormal_targets(cells):
                 continue
             if (r - 1, c) not in occupied and (r, c - 1) not in occupied:
                 continue
-            try:
-                shape_from_cells(occupied | {cand})
-            except ValueError:
-                continue
-            out.append(cand)
+            if is_skew(occupied | {cand}):
+                out.append(cand)
     return out
 
 
@@ -112,27 +122,6 @@ class TestPartitions:
     def test_partitions_of(self):
         assert list(partitions_of(4, 2)) == [(4,), (3, 1), (2, 2)]
         assert list(partitions_of(0, 3)) == [()]
-
-
-class TestTensorShape:
-    def test_two_boxes(self):
-        s = tensor_shape(SkewShape((1,)), SkewShape((1,)))
-        assert (s.outer, s.inner) == ((2, 1), (1,))
-
-    def test_two_rectangles(self):
-        s = tensor_shape(SkewShape((2, 2)), SkewShape((3, 3)))
-        assert (s.outer, s.inner) == ((5, 5, 2, 2), (2, 2))
-
-    def test_seven_row_example(self, golden_seq):
-        s = golden_seq.skew_shape()
-        assert (s.outer, s.inner) == ((8, 8, 6, 6, 6, 3, 3), (6, 6, 3, 3, 3))
-
-    def test_associative_up_to_translation(self):
-        shapes = [SkewShape((2, 1)), SkewShape((3,)), SkewShape((1, 1))]
-        a, b, c = shapes
-        left = tensor_shape(tensor_shape(a, b), c)
-        right = tensor_shape(a, tensor_shape(b, c))
-        assert left == right
 
 
 class TestReadingWords:
@@ -172,7 +161,7 @@ class TestColumnInsert:
     @given(words)
     def test_insertion_cells_are_reversible(self, w):
         t, q = record([(x,) for x in reversed(w)])
-        cells = {v: cell for cell, v in q.cell_map().items()}
+        cells = dict(zip(itertools.chain.from_iterable(q.rows), q.cells()))
         out = []
         for k in range(len(w), 0, -1):
             t, y = reverse_column_insert(t, cells[k])
@@ -194,18 +183,24 @@ class TestRecord:
 
 class TestRowInsert:
     @settings(max_examples=40, deadline=None)
-    @given(words, st.integers(min_value=1, max_value=4))
-    def test_roundtrip(self, w, x):
+    @given(words)
+    def test_roundtrip(self, w):
+        # at every corner, the rest's word followed by the ejected letter
+        # inserts back to t
         t = column_insert(w)
-        t2, cell = row_insert(t, x)
-        back, y = reverse_row_insert(t2, cell)
-        assert (back, y) == (t, x)
+        rows = t.rows
+        for r, row in enumerate(rows, start=1):
+            if r == len(rows) or len(rows[r]) < len(row):
+                u, x = reverse_row_insert(t, (r, len(row)))
+                assert column_insert(u.word() + (x,)) == t
 
     @settings(max_examples=40, deadline=None)
     @given(words, st.integers(min_value=1, max_value=4))
     def test_appends_to_word(self, w, x):
-        t2, _ = row_insert(column_insert(w), x)
-        assert t2 == column_insert(w + (x,))
+        # appending x to the word adds one cell; reversing there returns x
+        t, longer = column_insert(w), column_insert(w + (x,))
+        (cell,) = set(longer.cells()) - set(t.cells())
+        assert reverse_row_insert(longer, cell) == (t, x)
 
 
 class TestAntinormal:
@@ -240,9 +235,9 @@ class TestAntinormal:
         # inward jeu-de-taquin slides from the staircase, in a random order
         rng = random.Random(seed)
         cells = word_staircase(w)
-        while not _is_antinormal_cells(cells):
+        while not is_antinormal(cells):
             slide_into(cells, rng.choice(antinormal_targets(cells)))
-        got = tableau_from_cells(cells).translate_normal()
+        got = tableau_from_cells(cells)
         assert got == antinormal(w)
 
 
@@ -263,80 +258,19 @@ class TestKey:
             key((1, 1, 1), n=2)
 
 
-class TestRestrict:
-    def test_identity(self):
-        t = Tableau([[1, 1, 2], [2, 3]])
-        assert t.restrict(1, 3) == t
-
-    def test_two_twos(self):
-        r = Tableau([[1, 1], [2, 2]]).restrict(2, 2)
-        assert (r.outer, r.inner, r.rows) == ((2, 2), (2,), ((), (2, 2)))
-
-    def test_golden_strip(self, golden):
-        p = Tableau.from_json(golden["p"])
-        r = p.restrict(1, 6)
-        assert set(p.cells()) - set(r.cells()) == {(7, 1)}
-
-    def test_column_strictness_exhaustive(self):
-        n = 3
-        for outer in partitions_of(6, 3):
-            inners = {()}
-            for inner in itertools.chain.from_iterable(
-                partitions_of(k, len(outer)) for k in range(1, sum(outer))
-            ):
-                if len(inner) <= len(outer) and all(
-                    i <= o for i, o in zip(inner, outer)
-                ):
-                    inners.add(inner)
-            for inner in inners:
-                for t in _skew_fillings(outer, inner, n):
-                    for lo in range(1, n + 1):
-                        for hi in range(lo, n + 1):
-                            t.restrict(lo, hi)._validate()
-
-
-def _skew_fillings(outer, inner, n):
-    shape = SkewShape(outer, inner)
-    cells = sorted(shape.cells())
-    if not cells:
-        return
-    assignment = {}
-
-    def bt(k):
-        if k == len(cells):
-            yield tableau_from_cells(dict(assignment), n=n)
-            return
-        r, c = cells[k]
-        lo = assignment.get((r, c - 1), 1)
-        above = assignment.get((r - 1, c))
-        if above is not None:
-            lo = max(lo, above + 1)
-        for x in range(lo, n + 1):
-            assignment[(r, c)] = x
-            yield from bt(k + 1)
-            del assignment[(r, c)]
-
-    yield from bt(0)
-
-
-class TestShapeKinds:
-    def test_normal_and_antinormal(self):
-        assert SkewShape((3, 2)).is_normal()
-        assert not SkewShape((3, 2)).is_antinormal()
-        assert SkewShape((3, 3, 3), (1,)).is_antinormal()
-        assert not SkewShape((3, 1), (1,)).is_normal()
-        rect = SkewShape((2, 2))
-        assert rect.is_normal() and rect.is_antinormal()
-
-
 class TestShapeFromCells:
+    # tableau_from_cells of the test oracles
     def test_roundtrip(self):
-        shape = SkewShape((4, 3, 1), (2, 1))
-        assert shape_from_cells(shape.cells()) == shape
+        skew = Tableau([[2, 3], [1, 4], [2]], inner=[2, 1])
+        for t in [skew, *enumerate_cst((3, 1), 3)]:
+            cells = cell_map(t)
+            assert tableau_from_cells(cells) == t
+            moved = {(r + 2, c + 3): v for (r, c), v in cells.items()}
+            assert tableau_from_cells(moved) == t
 
     def test_rejects_non_skew(self):
         with pytest.raises(ValueError):
-            shape_from_cells({(1, 1), (1, 3)})
+            tableau_from_cells({(1, 1): 1, (1, 3): 2})
 
     def test_insertion_shape_matches(self):
         for w in [(), (1,), (3, 1, 2, 2), (2, 2, 1, 1, 3)]:

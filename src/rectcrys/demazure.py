@@ -48,10 +48,6 @@ class AffineWeight(_Frozen):
         for name, value in zip(self._fields, (n, lam0, finite, delta)):
             object.__setattr__(self, name, value)
 
-    def coeff(self, i: int) -> int:
-        """Coefficient of the i-th fundamental weight; equals <h_i, self>."""
-        return self.lam0 if i == 0 else self.finite[i - 1]
-
     def level(self) -> int:
         return self.lam0 + sum(self.finite)
 

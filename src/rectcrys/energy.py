@@ -16,9 +16,9 @@ from functools import lru_cache
 from typing import Sequence
 
 from .crystal import CrystalElement, RectSequence
-from .rsk import LRTableau, _lift, rsk_pair
-from .rmatrix import sigma_swap
-from .tableaux import Tableau, insertion_shape, partition
+from .rsk import LRTableau, peel_recording
+from .rmatrix import _sigma_pair, sigma_swap
+from .tableaux import Tableau, _record_onto, insertion_shape, key, partition
 
 
 def _east_count(shape: Sequence[int], col: int) -> int:
@@ -62,40 +62,68 @@ def total_energy(b: CrystalElement) -> int:
     return sum(v for _, _, v in energy_terms(b))
 
 
+def _restricted_east(qrows: Sequence[Sequence[int]], lo: int, hi: int, col: int) -> int:
+    """East count past ``col`` of the insertion shape of the reading word of
+    the recording rows ``qrows`` restricted to the labels lo..hi."""
+    word = tuple(x for row in reversed(qrows) for x in row if lo <= x <= hi)
+    return _east_count(insertion_shape(word), col)
+
+
 def restricted_d(q: LRTableau, pos: int) -> int:
     """d at adjacent positions pos, pos+1 of an LR tableau with any number of
     rectangles: the east-count of the insertion shape of the restriction to
     the two subalphabets."""
     lo, _ = q.seq.subalphabet(pos)
     _, hi = q.seq.subalphabet(pos + 1)
-    word = tuple(x for x in q.tableau.word() if lo <= x <= hi)
-    col = max(q.seq.mu(pos), q.seq.mu(pos + 1))
-    return _east_count(insertion_shape(word), col)
+    return _restricted_east(q.tableau.rows, lo, hi, max(q.seq.mu(pos), q.seq.mu(pos + 1)))
 
 
 def tableau_energy_terms(q: LRTableau) -> list[tuple[int, int, int]]:
-    """Summands (i, j, value) of the tableau-side energy.
+    """Summands (i, j, value) of the tableau-side energy, ordered by j and
+    then by decreasing i.
 
     The (i, j) term is restricted_d at positions i, i+1 of q after the
     switches tau at positions j-1, ..., i+1.  sigma keeps the insertion
-    tableau and acts as tau on the recording tableau, so q is lifted once to
-    the element with key insertion tableau, the switches are walked on that
-    element, and each term reads the element's recording tableau.  A switch
-    of two equal rectangles is the identity and is skipped; the walk
-    exchanges R_i and R_j only for 1 < i < j, so q is lifted only when those
-    rectangles differ.
+    tableau and acts as tau on the recording tableau, so the switches are
+    walked on the factor rows of the element with key insertion tableau and
+    recording tableau q.  A switch of two equal rectangles is the identity
+    and is skipped: until the first real switch the term is restricted_d of
+    q, and q is lifted only when rectangles 2..m differ.  Switches above i
+    leave rectangles 1..i alone, and the term reads labels up to the end of
+    position i+1 only, so it records the factor now at position i+1 onto
+    the insertion state of rectangles 1..i, which the one peel of q gives.
     """
     seq = q.seq
-    lifted = _lift(q.tableau, seq) if len(set(seq.rects[1:])) > 1 else None
+    base = [restricted_d(q, i) for i in range(1, seq.m)]
+    if len(set(seq.rects[1:])) <= 1:
+        return [(i, j, base[i - 1]) for j in range(2, seq.m + 1) for i in range(j - 1, 0, -1)]
+    states: dict[int, list[list[int]]] = {}
+    factors = peel_recording(key(q.tableau.outer, n=seq.n), q.tableau, seq, states=states)
+    lifted = [t.rows for t in factors]
+    # the labels of position i in q, row by row, which every term at i keeps;
+    # a term follows a real switch only at i <= m-2
+    kept = {}
+    for i in range(1, seq.m - 1):
+        lo, hi = seq.subalphabet(i)
+        kept[i] = [[x for x in row if lo <= x <= hi] for row in q.tableau.rows]
     out = []
     for j in range(2, seq.m + 1):
-        cur, el = q, lifted
+        rows, rects, moved = list(lifted), list(seq.rects), False
         for i in range(j - 1, 0, -1):
-            out.append((i, j, restricted_d(cur, i)))
-            if i > 1 and cur.seq.rects[i - 1] != cur.seq.rects[i]:
-                el = sigma_swap(el, i)
-                cur = LRTableau._raw(rsk_pair(el).q, el.seq)
-    out.sort(key=lambda t: (t[1], -t[0]))
+            if moved:
+                lo, hi = seq.subalphabet(i)
+                cols = [col[:] for col in states[i]]
+                qrows = [row[:] for row in kept[i]]
+                _record_onto(cols, qrows, rows[i], hi + 1)
+                top = hi + rects[i][0]
+                value = _restricted_east(qrows, lo, top, max(rects[i - 1][1], rects[i][1]))
+            else:
+                value = base[i - 1]
+            out.append((i, j, value))
+            if i > 1 and rects[i - 1] != rects[i]:
+                rows[i - 1], rows[i] = _sigma_pair(rects[i - 1], rects[i], rows[i - 1], rows[i], seq.n)
+                rects[i - 1], rects[i] = rects[i], rects[i - 1]
+                moved = True
     return out
 
 

@@ -69,9 +69,6 @@ class LaurentPolynomial:
         """Every coefficient at most the matching coefficient of ``other``."""
         return all(c <= other.coeffs.get(e, 0) for e, c in self.coeffs.items())
 
-    def is_polynomial(self) -> bool:
-        return all(e >= 0 for e in self.coeffs)
-
     def to_json(self) -> dict:
         return {"coeffs": {str(e): c for e, c in sorted(self.coeffs.items())}}
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .crystal import CrystalElement, RectSequence, _bracket, _word_pairs
 from .errors import InconsistentPairError, NonLRError, ShapeMismatchError
-from .tableaux import Tableau, _Frozen, conjugate, key, partition, record, unrecord
+from .tableaux import Tableau, _Frozen, _unrecord_steps, conjugate, key, partition, record
 
 
 class TableauPair(_Frozen):
@@ -50,26 +50,43 @@ def rsk_pair(b: CrystalElement) -> TableauPair:
     return TableauPair(*record([b.row(r) for r in range(1, n + 1)], n))
 
 
-def peel_recording(p: Tableau, q: Tableau, seq: RectSequence, alphabet: int | None = None) -> list[Tableau]:
+def peel_recording(
+    p: Tableau, q: Tableau, seq: RectSequence, alphabet: int | None = None, states: dict | None = None
+) -> list[Tableau]:
     """Factor tableaux of the element recorded by (p, q).
 
     Peels the cells of q labeled r (rightmost first) off p by reverse column
     insertions; the ejected letters must come out weakly increasing and
     rebuild the r-th row of the element.  ``alphabet`` bounds the letters of
     the factors (defaults to the recording alphabet size n of ``seq``).
+    ``states``, when given, receives under each k < m a copy of the columns
+    left once rectangles k+1..m are peeled: the insertion state of the rows
+    of rectangles 1..k.
     """
+    starts = {seq.subalphabet(k + 1)[0]: k for k in range(1, seq.m)}
+    rows: list[tuple[int, ...]] = [()] * seq.n
     try:
-        rows = unrecord(p, q, seq.n)
+        for label, group, cols in _unrecord_steps(p, q, seq.n):
+            rows[label - 1] = group
+            if states is not None and label in starts:
+                states[starts[label]] = [col[:] for col in cols]
     except ValueError as exc:
         raise InconsistentPairError(str(exc)) from exc
     bound = seq.n if alphabet is None else alphabet
     factors = []
-    for j in range(1, seq.m + 1):
+    for j, (eta, mu) in enumerate(seq.rects, start=1):
         lo, hi = seq.subalphabet(j)
-        try:
-            factors.append(Tableau(rows[lo - 1 : hi], (), n=bound))
-        except ValueError as exc:
-            raise InconsistentPairError(f"factor {j}: {exc}") from exc
+        block = tuple(rows[lo - 1 : hi])
+        # the peel ejects every row weakly increasing; the rest is checked here
+        if (
+            any(len(row) != mu for row in block)
+            or any(a >= b for up, down in zip(block, block[1:]) for a, b in zip(up, down))
+            or not 1 <= block[0][0] <= block[-1][-1] <= bound
+        ):
+            raise InconsistentPairError(
+                f"factor {j}: {block} is not a column-strict {eta}x{mu} rectangle over 1..{bound}"
+            )
+        factors.append(Tableau._raw(block, (), bound))
     return factors
 
 

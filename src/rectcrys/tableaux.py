@@ -335,15 +335,24 @@ def record(
     tableau Q, which labels each new cell with the 1-based index of its group.
     """
     cols: list[list[int]] = []
-    qcols: list[list[int]] = []
-    for k, group in enumerate(groups, start=1):
+    qrows: list[list[int]] = []
+    _record_onto(cols, qrows, groups, 1)
+    return _tableau_of_cols(cols, n), Tableau._raw(tuple(map(tuple, qrows)), (), len(groups))
+
+
+def _record_onto(
+    cols: list[list[int]], qrows: list[list[int]], groups: Iterable[Sequence[int]], first: int
+) -> None:
+    """Go on recording from an insertion state: column-insert the groups into
+    ``cols`` and label their new cells in the recording rows ``qrows`` from
+    ``first`` upward."""
+    for k, group in enumerate(groups, start=first):
         for x in reversed(group):
-            # the new cell is the bottom of its column, so q grows the same way
-            c = _col_insert(cols, x)[1]
-            if c > len(qcols):
-                qcols.append([])
-            qcols[c - 1].append(k)
-    return _tableau_of_cols(cols, n), _tableau_of_cols(qcols, len(groups))
+            # the new cell ends its row, so q grows by appending to that row
+            r = _col_insert(cols, x)[0]
+            if r > len(qrows):
+                qrows.append([])
+            qrows[r - 1].append(k)
 
 
 def _peel(cols: list[list[int]], cells: Iterable[tuple[int, int]]) -> tuple[int, ...]:
@@ -388,20 +397,27 @@ def reverse_column_insert(t: Tableau, cell: tuple[int, int]) -> tuple[Tableau, i
     return rest, y
 
 
-def unrecord(p: Tableau, q: Tableau, ngroups: int) -> list[tuple[int, ...]]:
-    """Inverse of :func:`record`: the groups recorded by (p, q).
-
-    Label by label from ``ngroups`` down to 1, the cells of q with that
-    label are peeled off p; q must cover p exactly.
+def _unrecord_steps(
+    p: Tableau, q: Tableau, ngroups: int
+) -> Iterator[tuple[int, tuple[int, ...], list[list[int]]]]:
+    """Label by label from ``ngroups`` down to 1, peel the cells of q with
+    that label off p.  Yields (label, group, cols): the peeled group and the
+    columns left, which are the insertion state of groups 1..label-1.  When
+    the walk ends, q must have covered p exactly.
     """
     by_label: dict[int, list[tuple[int, int]]] = {}
     for cell, v in zip(q.cells(), (v for row in q.rows for v in row)):
         by_label.setdefault(v, []).append(cell)
     cols = _cols_of(p)
-    groups = [_peel(cols, by_label.get(k, ())) for k in range(ngroups, 0, -1)]
+    for k in range(ngroups, 0, -1):
+        yield k, _peel(cols, by_label.get(k, ())), cols
     if cols:
         raise ValueError("recording tableau does not cover p")
-    return groups[::-1]
+
+
+def unrecord(p: Tableau, q: Tableau, ngroups: int) -> list[tuple[int, ...]]:
+    """Inverse of :func:`record`: the groups recorded by (p, q)."""
+    return [group for _, group, _ in _unrecord_steps(p, q, ngroups)][::-1]
 
 
 def reverse_row_insert(t: Tableau, cell: tuple[int, int]) -> tuple[Tableau, int]:

@@ -21,9 +21,14 @@ from rectcrys.laurent import LaurentPolynomial
 from rectcrys.tableaux import enumerate_cst, partitions_of
 
 
+def coeff(w, i):
+    """Coefficient of the i-th fundamental weight in w; equals <h_i, w>."""
+    return w.lam0 if i == 0 else w.finite[i - 1]
+
+
 def simple_reflection_weight(w, i):
     """r_i(w) = w - <h_i, w> alpha_i."""
-    return w.add(simple_root(w.n, i), -w.coeff(i))
+    return w.add(simple_root(w.n, i), -coeff(w, i))
 
 
 def reflect_vector(v, i):
@@ -90,7 +95,7 @@ def oracle_demazure_op(terms, n, i):
     alpha = simple_root(n, i)
     acc = {}
     for w, c in terms.items():
-        k = w.coeff(i)
+        k = coeff(w, i)
         if k >= 0:
             for t in range(k + 1):
                 v = w.add(alpha, -t)
@@ -112,7 +117,7 @@ class TestWeights:
         for n in (2, 3, 4):
             for i in range(n):
                 for j in range(n):
-                    assert fundamental(n, j).coeff(i) == (1 if i == j else 0)
+                    assert coeff(fundamental(n, j), i) == (1 if i == j else 0)
 
     def test_reflection_involutive(self):
         rng = random.Random(7)
@@ -253,7 +258,7 @@ class TestDemazureCharacter:
         for n, level, mu in [(2, 2, (1, 1)), (3, 2, (2, 1)), (3, 1, (1, 1, 1))]:
             gc = demazure_character(level, mu, n)
             for _, poly in gc.terms:
-                assert poly.is_polynomial()
+                assert all(e >= 0 for e in poly.coeffs)
                 assert all(c > 0 for c in poly.coeffs.values())
 
     def test_dimension_specialization(self):

@@ -1,5 +1,8 @@
+from itertools import permutations
+
 import pytest
 
+from rectcrys import energy
 from rectcrys.crystal import CrystalElement, RectSequence, f
 from rectcrys.energy import (
     charge_word,
@@ -12,8 +15,9 @@ from rectcrys.energy import (
     total_energy,
 )
 from rectcrys.rmatrix import sigma_swap, tau_swap
-from rectcrys.rsk import LRTableau, TableauPair, lrt_tableaux, rsk_inverse, rsk_pair
-from rectcrys.tableaux import Tableau, column_insert, key, partitions_of
+from rectcrys.errors import InconsistentPairError
+from rectcrys.rsk import LRTableau, TableauPair, is_r_lr, lrt_tableaux, rsk_inverse, rsk_pair
+from rectcrys.tableaux import Tableau, column_insert, enumerate_cst, key, partitions_of
 
 from conftest import lr_family
 from oracles import enumerate_crystal
@@ -34,6 +38,22 @@ def tau_chain_energy_terms(q: LRTableau) -> list[tuple[int, int, int]]:
                 cur = LRTableau(rsk_pair(b).q, b.seq)
     out.sort(key=lambda t: (t[1], -t[0]))
     return out
+
+
+def ordering_mismatches() -> tuple[int, list[LRTableau]]:
+    """Every LR tableau of every ordering of 1x1, 1x1, 1x2, 2x1, with the
+    ones whose walked terms differ from the tau chain's.  The orderings put
+    equal rectangles next to each other before and after a real switch."""
+    count, bad = 0, []
+    for rects in sorted(set(permutations([(1, 1), (1, 1), (1, 2), (2, 1)]))):
+        seq = RectSequence(rects)
+        for lam in partitions_of(seq.ncells, seq.n):
+            for t in lrt_tableaux(lam, seq):
+                q = LRTableau(t, seq)
+                count += 1
+                if tableau_energy_terms(q) != tau_chain_energy_terms(q):
+                    bad.append(q)
+    return count, bad
 
 
 class TestDStat:
@@ -114,6 +134,39 @@ class TestTableauEnergy:
             assert tableau_energy_terms(q) == tau_chain_energy_terms(q)
             count += 1
         assert count == 1241
+
+    def test_walk_matches_tau_chain_on_orderings(self):
+        count, bad = ordering_mismatches()
+        assert count == 216 and bad == []
+
+    def test_corrupted_snapshot_fails_oracle(self, monkeypatch):
+        # the insertion states are read by the walk alone; losing one cell
+        # of each must show up against the tau chain
+        peel = energy.peel_recording
+
+        def corrupted(*args, states, **kwargs):
+            factors = peel(*args, states=states, **kwargs)
+            for cols in states.values():
+                cols[-1].pop()
+                if not cols[-1]:
+                    cols.pop()
+            return factors
+
+        monkeypatch.setattr(energy, "peel_recording", corrupted)
+        assert ordering_mismatches()[1]
+
+    def test_non_lr_tableau_rejected(self):
+        seq = RectSequence([(1, 1), (2, 1), (1, 2)])
+        bad = [
+            t
+            for lam in partitions_of(seq.ncells, seq.n)
+            for t in enumerate_cst(lam, seq.n)
+            if t.content(seq.n) == seq.gamma() and not is_r_lr(t.word(), seq)
+        ]
+        assert len(bad) == 7
+        for t in bad:
+            with pytest.raises(InconsistentPairError):
+                tableau_energy(LRTableau._raw(t, seq))
 
     def test_reorder_invariance(self):
         seq = RectSequence([(1, 2), (2, 1), (1, 1)])

@@ -147,28 +147,37 @@ def pair_promote(pair: TableauPair, seq: RectSequence) -> tuple[TableauPair, Pro
     followed by the conjugated v; the new insertion tableau is the promotion
     of p with its n-letters moved to the freshly added strip.
     """
-    n = seq.n
-    p, q = pair.p, pair.q
-    if p.inner != ():
+    if pair.p.inner != ():
         raise InconsistentPairError("pair promotion needs normal shapes")
-    strip: list[tuple[int, int]] = []
-    kept_rows: list[list[int]] = []
-    for r, row in enumerate(p.rows, start=1):
-        cut = len(row)
-        while cut and row[cut - 1] == n:
-            cut -= 1
-        strip.extend((r, c) for c in range(cut + 1, len(row) + 1))
-        kept_rows.append(list(row[:cut]))
+    strip = _n_strip(pair.p, seq.n)
+    q_new, qhat, v, added = _promote_recording(pair.q, strip, seq)
+    p_new = _promote_insertion(pair.p, added, seq.n)
+    return TableauPair(p_new, q_new), PromotionTrace(strip, v, qhat, added)
+
+
+def _n_strip(p: Tableau, n: int) -> tuple[tuple[int, int], ...]:
+    """Cells of the letters n of p, which end their rows, left to right."""
+    cells = [
+        (r, c)
+        for r, row in enumerate(p.rows, start=1)
+        for c in range(len(row) - row.count(n) + 1, len(row) + 1)
+    ]
+    return tuple(sorted(cells, key=lambda rc: rc[1]))
+
+
+def _promote_recording(
+    q: Tableau, strip: tuple[tuple[int, int], ...], seq: RectSequence
+) -> tuple[Tableau, Tableau, tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The recording half of pair promotion, which reads only q and the
+    strip of letters n in p: (new q, q with the strip peeled off, the
+    ejected word, the cells the new q adds, left to right)."""
     if not is_horizontal_strip(strip):
         raise InconsistentPairError("letters n of p do not form a horizontal strip")
-    strip.sort(key=lambda rc: rc[1])
     try:
         qhat, v = peel_strip(q, strip)
     except ValueError as exc:
         raise InconsistentPairError(str(exc)) from exc
-    w0_qhat = young_w0(qhat, seq)
-    w0_v = young_w0(v, seq)
-    q_new = column_insert(w0_qhat.word() + tuple(w0_v), n=n)
+    q_new = column_insert(young_w0(qhat, seq).word() + young_w0(v, seq), n=seq.n)
     added = [
         (r + 1, c)
         for r in range(len(q_new.outer))
@@ -179,23 +188,22 @@ def pair_promote(pair: TableauPair, seq: RectSequence) -> tuple[TableauPair, Pro
     added.sort(key=lambda rc: rc[1])
     if not is_horizontal_strip(added):
         raise InconsistentPairError("new recording cells do not form a strip")
+    return q_new, qhat, v, tuple(added)
+
+
+def _promote_insertion(p: Tableau, added: tuple[tuple[int, int], ...], n: int) -> Tableau:
+    """The insertion half of pair promotion: the letters n of p move onto
+    the added cells, then p is promoted."""
+    rows = [list(row[: len(row) - row.count(n)]) for row in p.rows]
     for r, c in added:
-        while len(kept_rows) < r:
-            kept_rows.append([])
-        if len(kept_rows[r - 1]) + 1 != c:
+        while len(rows) < r:
+            rows.append([])
+        if len(rows[r - 1]) + 1 != c:
             raise InconsistentPairError(f"added cell {(r, c)} is not a row end")
-        kept_rows[r - 1].append(n)
-    while kept_rows and not kept_rows[-1]:
-        kept_rows.pop()
-    p1 = Tableau._raw(tuple(tuple(row) for row in kept_rows), (), n)
-    p_new = promote_tableau(p1, n)
-    trace = PromotionTrace(
-        removed_strip=tuple(strip),
-        ejected=v,
-        intermediate=qhat,
-        added_strip=tuple(added),
-    )
-    return TableauPair(p_new, q_new), trace
+        rows[r - 1].append(n)
+    while rows and not rows[-1]:
+        rows.pop()
+    return Tableau._raw(_promote_rows(tuple(map(tuple, rows)), n), (), n)
 
 
 # ---------------------------------------------------------------------------

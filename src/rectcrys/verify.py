@@ -4,8 +4,9 @@ Every suite is a list of (instances, check) parts: rectangle sequences
 bounded by the alphabet size and the total cell count, or the main theorem's
 (n, level, mu).  One runner checks them all and returns a report whose
 failure list is empty exactly when the suite passes.  Every scan of a crystal
-walks FastCrystal index tuples: per-factor data (string lengths, operator
-images, promotion) is tabulated once per rectangle, and sigma and the local
+walks FastCrystal element codes: per-factor data (string lengths, operator
+images, promotion) is tabulated once per rectangle, the signatures and
+operator images of each color once per instance, and sigma and the local
 energy once per pair of rectangles.
 """
 
@@ -16,13 +17,15 @@ import os
 import time
 from functools import cached_property, lru_cache
 from itertools import islice, product
-from operator import getitem
+from math import prod
+from operator import add, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .affine import chi, cocyclage_witness, e0, pair_promote, promote_tableau
+from .affine import _n_strip, _promote_insertion, _promote_recording, chi, cocyclage_witness, e0, promote_tableau
 from .crystal import CrystalElement, RectSequence, _bracket, pairing, tableau_e, tableau_f, tableau_phi_eps, tableau_reflection
 from .demazure import crystal_side_character, demazure_character
 from .energy import _local_d, classical_charge, restricted_d, tableau_energy
+from .errors import InconsistentPairError
 from .kpoly import character_weights, graded_character, monotonicity_check
 from .laurent import LaurentPolynomial
 from .rmatrix import _sigma_pair, tau_swap
@@ -98,17 +101,27 @@ def rect_sequences(
                 yield RectSequence(tuple(zip(comp, ws)))
 
 
-# A pool starts only when each worker gets this many instances.  Starting
-# two workers costs 30-80 ms on a 2-core box, more than they save on the
-# seven main-theorem instances at n = 5, level 2 (about 100 ms in process).
-MIN_INSTANCES_PER_WORKER = 4
+# A pool starts only when each worker gets this many elements of B^R to
+# walk.  Starting two workers costs 30-80 ms on a 2-core box; the cheapest
+# scan, the crystal axioms, walks 10,000 elements in about 120 ms there.
+MIN_WORK_PER_WORKER = 10_000
 
 
-def worker_count(jobs: int, instances: int) -> int:
+def _work(instance) -> int:
+    """Estimated work of one instance: the elements of B^R, from the
+    factor-table sizes.  A main-theorem instance walks no B^R here and
+    counts as a quarter of a worker's share, so a pool needs four of them
+    per worker."""
+    if isinstance(instance, RectSequence):
+        return prod(len(factor_table(eta, mu, instance.n).tableaux) for eta, mu in instance.rects)
+    return MIN_WORK_PER_WORKER // 4
+
+
+def worker_count(jobs: int, work: int) -> int:
     """Worker processes for ``jobs`` requested: never more than the cpus, and
-    never fewer than MIN_INSTANCES_PER_WORKER instances each; 1 means run in
-    process."""
-    return max(1, min(jobs, os.cpu_count() or 1, instances // MIN_INSTANCES_PER_WORKER))
+    never less than MIN_WORK_PER_WORKER of the estimated ``work`` each; 1
+    means run in process."""
+    return max(1, min(jobs, os.cpu_count() or 1, work // MIN_WORK_PER_WORKER))
 
 
 def _capped(task: tuple[Callable[..., Iterator[dict]], object]) -> list:
@@ -126,7 +139,8 @@ def _run_instances(
     contributes at most MAX_FAILURES + 1 failures."""
     start = time.monotonic()
     tasks = [(check, instance) for instances, check in parts for instance in instances]
-    workers = worker_count(jobs, len(tasks))
+    # the estimate builds factor tables, so it is made only when a pool may start
+    workers = worker_count(jobs, sum(_work(instance) for _, instance in tasks) if jobs > 1 else 0)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -219,54 +233,88 @@ def _switch(rects: tuple, el: tuple[int, ...], pos: int, n: int) -> tuple[tuple,
 
 
 class FastCrystal:
-    """Elements of B^R as tuples of per-factor indices.
+    """Elements of B^R as tuples of per-factor indices, and as codes.
 
-    An index view over the signature rule of :mod:`rectcrys.crystal`: the
-    factor tables supply the (phi, eps) pairs, for color 0 through
-    promotion, and the pair tables sigma and the local energy.  Signatures
-    are memoized per instance (one dict per color), so the memo lives
-    exactly as long as the walk over one B^R.
+    An element's code is its position in :meth:`elements`, the mixed-radix
+    number of its index tuple over the factor-table sizes.  An index view
+    over the signature rule of :mod:`rectcrys.crystal`: per color, one sweep
+    of that rule over the tabulated string lengths fills code-indexed lists
+    of the signatures and of the f_i and e_i images (:meth:`color`, built on
+    first use and kept as long as the instance, that is, the walk over one
+    B^R).  Promotion is a permutation of the codes, and the pair tables give
+    sigma and the local energy.
     """
 
     def __init__(self, seq: RectSequence):
         self.seq = seq
         self.n = seq.n
         self.tables = [factor_table(e_, m_, seq.n) for e_, m_ in seq.rects]
-        # per color, the string lengths of each factor, b_m first as the rule reads them
-        self._stats = [[t.stats[i] for t in reversed(self.tables)] for i in range(seq.n)]
-        self._signatures: list[dict] = [{} for _ in range(seq.n)]
+        # a factor index k adds k * stride to the code
+        self._strides = [1] * len(self.tables)
+        for j in range(len(self.tables) - 1, 0, -1):
+            self._strides[j - 1] = self._strides[j] * len(self.tables[j].tableaux)
+        self._colors: list[tuple[list, list, list] | None] = [None] * seq.n
 
     def elements(self) -> Iterator[tuple[int, ...]]:
+        """Index tuples in code order."""
         return product(*(range(len(t.tableaux)) for t in self.tables))
 
-    def content(self, el: tuple[int, ...]) -> tuple[int, ...]:
-        acc = [0] * self.n
-        for tab, k in zip(self.tables, el):
-            for idx, c in enumerate(tab.content[k]):
-                acc[idx] += c
-        return tuple(acc)
+    def code(self, el: tuple[int, ...]) -> int:
+        return sum(map(mul, el, self._strides))
 
     def signature(self, el: tuple[int, ...], i: int):
-        """(phi_i, eps_i, f_pos, e_pos) of el for a color i in 0..n-1."""
-        memo = self._signatures[i]
-        sig = memo.get(el)
-        if sig is None:
-            sig = memo[el] = _bracket(list(map(getitem, self._stats[i], reversed(el))))
-        return sig
+        """(phi_i, eps_i, f_pos, e_pos) of el for a color i in 0..n-1: the
+        signature rule on the factors' string lengths, b_m first as the rule
+        reads them."""
+        return _bracket([t.stats[i][k] for t, k in zip(self.tables, el)][::-1])
 
-    def apply(self, el: tuple[int, ...], i: int, op: str) -> tuple[int, ...] | None:
-        phi_, eps_, f_pos, e_pos = self.signature(el, i)
-        pos = f_pos if op == "f" else e_pos
-        if pos is None:
-            return None
-        table = self.tables[pos - 1]
-        img = (table.f_map if op == "f" else table.e_map)[i][el[pos - 1]]
-        out = list(el)
-        out[pos - 1] = img
-        return tuple(out)
+    def color(self, i: int) -> tuple[list, list, list]:
+        """(signatures, f_i images, e_i images) by code for a color i in
+        0..n-1; an image is a code, or None where the operator is undefined."""
+        arrays = self._colors[i]
+        if arrays is None:
+            # elements whose factors have the same string lengths share a signature
+            memo, sigs = {}, []
+            for pairs in product(*(t.stats[i] for t in self.tables)):
+                sig = memo.get(pairs)
+                if sig is None:
+                    sig = memo[pairs] = _bracket(pairs[::-1])
+                sigs.append(sig)
+            arrays = self._colors[i] = (
+                sigs,
+                self._images(sigs, 2, [t.f_map[i] for t in self.tables]),
+                self._images(sigs, 3, [t.e_map[i] for t in self.tables]),
+            )
+        return arrays
 
-    def promote_el(self, el: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(t.promote[k] for t, k in zip(self.tables, el))
+    def _images(self, sigs: list, slot: int, maps: list[list]) -> list:
+        """Images by code of an operator that acts on the factor at tensor
+        position sigs[code][slot] by that factor's index map in ``maps``."""
+        # the code change when the operator acts on factor j, by its index there
+        steps = [
+            [None if img is None else (img - k) * stride for k, img in enumerate(m)]
+            for m, stride in zip(maps, self._strides)
+        ]
+        out = []
+        for code, (el, sig) in enumerate(zip(self.elements(), sigs)):
+            pos = sig[slot]
+            step = None if pos is None else steps[pos - 1][el[pos - 1]]
+            out.append(None if step is None else code + step)
+        return out
+
+    @cached_property
+    def promotion(self) -> list[int]:
+        """Promotion as a permutation of the codes."""
+        scaled = [[k * stride for k in t.promote] for t, stride in zip(self.tables, self._strides)]
+        return list(map(sum, product(*scaled)))
+
+    @cached_property
+    def weights(self) -> list[tuple[int, ...]]:
+        """The content of each element, by code."""
+        acc = [(0,) * self.n]
+        for t in self.tables:
+            acc = [tuple(map(add, wt, c)) for wt in acc for c in t.content]
+        return acc
 
     @cached_property
     def _pairs(self) -> list[list[PairTable]]:
@@ -307,39 +355,39 @@ class FastCrystal:
 def _check_crystal_axioms(seq: RectSequence) -> Iterator[dict]:
     fc = FastCrystal(seq)
     n = fc.n
-    for el in fc.elements():
-        content = fc.content(el)
-        pr_el = fc.promote_el(el)
-        for i in range(n):
-            phi_, eps_, _, _ = fc.signature(el, i)
-            expect = pairing(i, content)
+    colors = [fc.color(i) for i in range(n)]
+    promotion, weights = fc.promotion, fc.weights
+    alphas = []
+    for i in range(n):
+        # alpha_i = e_i - e_{i+1} with letters mod n: index -1 is n
+        alpha = [0] * n
+        alpha[i - 1] += 1
+        alpha[i] -= 1
+        alphas.append(alpha)
+    for code, el in enumerate(fc.elements()):
+        wt = weights[code]
+        pr_code = promotion[code]
+        for i, (sigs, f_img, e_img) in enumerate(colors):
+            phi_, eps_, _, _ = sigs[code]
+            expect = pairing(i, wt)
             if phi_ - eps_ != expect:
                 yield _fail(
                     fc.instance_json(el), f"<h_{i}, wt> = {expect}", phi_ - eps_
                 )
-            fb = fc.apply(el, i, "f")
+            fb = f_img[code]
             if fb is not None:
-                # factors that f left alone add nothing to the weight drop
-                delta = [0] * n
-                for tab, k, k2 in zip(fc.tables, el, fb):
-                    if k != k2:
-                        for idx, c in enumerate(tab.content[k]):
-                            delta[idx] += c - tab.content[k2][idx]
-                want = [0] * n
-                # alpha_i = e_i - e_{i+1} with letters mod n: index -1 is n
-                want[i - 1] += 1
-                want[i] -= 1
-                if delta != want:
+                delta = list(map(sub, wt, weights[fb]))
+                if delta != alphas[i]:
                     yield _fail(fc.instance_json(el), f"wt drop alpha_{i}", delta)
-                if fc.apply(fb, i, "e") != el:
+                if e_img[fb] != code:
                     yield _fail(fc.instance_json(el), f"e_{i} f_{i} = id", "mismatch")
-            eb = fc.apply(el, i, "e")
-            if eb is not None and fc.apply(eb, i, "f") != el:
+            eb = e_img[code]
+            if eb is not None and f_img[eb] != code:
                 yield _fail(fc.instance_json(el), f"f_{i} e_{i} = id", "mismatch")
             # promotion conjugation pr f_i = f_{i+1} pr, colors mod n
             nxt = (i + 1) % n
-            lhs = fc.promote_el(fb) if fb is not None else None
-            if lhs != fc.apply(pr_el, nxt, "f"):
+            lhs = promotion[fb] if fb is not None else None
+            if lhs != colors[nxt][1][pr_code]:
                 yield _fail(fc.instance_json(el), f"pr f_{i} = f_{nxt} pr", "mismatch")
 
 
@@ -355,12 +403,12 @@ def _check_rsk(seq: RectSequence) -> Iterator[dict]:
     n = seq.n
     fc = FastCrystal(seq)
     elements = list(fc.elements())
-    pairs = {el: rsk_pair(fc.to_element(el)) for el in elements}
+    pairs = [rsk_pair(fc.to_element(el)) for el in elements]
     spans = [seq.subalphabet(j) for j in range(1, seq.m + 1)]
     # bijection: round trip and cardinality of the image.  A factor index
     # holds exactly the valid factors of its rectangle, so a row group that
     # is none of them looks up None and fails the comparison.
-    for el, pair in pairs.items():
+    for el, pair in zip(elements, pairs):
         try:
             rows = unrecord(pair.p, pair.q, n)
             back = tuple(t.index.get(tuple(rows[lo - 1 : hi])) for t, (lo, hi) in zip(fc.tables, spans))
@@ -375,26 +423,39 @@ def _check_rsk(seq: RectSequence) -> Iterator[dict]:
     )
     if count != len(elements):
         yield _fail({"rects": seq.to_json()}, f"image size {len(elements)}", count)
-    for el in elements:
-        pb = pairs[el]
+    colors = [fc.color(i) for i in range(1, n)]
+    promotion = fc.promotion
+    # the recording half of pair promotion reads only q and the strip of
+    # letters n in p, so it is computed once per (q, strip)
+    recorded: dict = {}
+    for code, (el, pb) in enumerate(zip(elements, pairs)):
         # equivariance under e_i, f_i, r_i for classical colors
-        for i in range(1, n):
-            fel = fc.apply(el, i, "f")
+        for i, (sigs, f_img, e_img) in enumerate(colors, start=1):
+            fel = f_img[code]
             if fel is not None:
                 pf = pairs[fel]
                 if pf.q != pb.q or pf.p != tableau_f(pb.p, i):
                     yield _fail(fc.instance_json(el), f"equivariance f_{i}", "mismatch")
-            phi_, eps_, _, _ = fc.signature(el, i)
-            rel = el
+            phi_, eps_, _, _ = sigs[code]
+            rel = code
             for _ in range(phi_ - eps_):
-                rel = fc.apply(rel, i, "f")
+                rel = f_img[rel]
             for _ in range(eps_ - phi_):
-                rel = fc.apply(rel, i, "e")
+                rel = e_img[rel]
             prb = pairs[rel]
             if prb.q != pb.q or prb.p != tableau_reflection(pb.p, i):
                 yield _fail(fc.instance_json(el), f"equivariance r_{i}", "mismatch")
         # promotion computed on the pair alone agrees with the element route
-        if pair_promote(pb, seq)[0] != pairs[fc.promote_el(el)]:
+        strip = _n_strip(pb.p, n)
+        try:
+            half = recorded.get((pb.q.rows, strip))
+            if half is None:
+                half = recorded[pb.q.rows, strip] = _promote_recording(pb.q, strip, seq)
+            promoted = (_promote_insertion(pb.p, half[3], n), half[0])
+        except InconsistentPairError:
+            promoted = None
+        want = pairs[promotion[code]]
+        if promoted != (want.p, want.q):
             yield _fail(fc.instance_json(el), "pair promotion", "mismatch")
 
 
@@ -415,7 +476,10 @@ def _check_rmatrix_pairs(seq: RectSequence) -> Iterator[dict]:
     n = seq.n
     fc, fs = FastCrystal(seq), FastCrystal(seq.swapped(1))
     table, back = pair_table(*seq.rects, n), pair_table(*reversed(seq.rects), n)
-    for el in fc.elements():
+    elements = list(fc.elements())
+    sigma = [fs.code(table.sigma[a][b]) for a, b in elements]  # by code
+    images = [(fc.color(i), fs.color(i)) for i in range(n)]
+    for code, el in enumerate(elements):
         sel = table.sigma[el[0]][el[1]]
         pb, psb = rsk_pair(fc.to_element(el)), rsk_pair(fs.to_element(sel))
         if psb.p != pb.p:
@@ -426,11 +490,11 @@ def _check_rmatrix_pairs(seq: RectSequence) -> Iterator[dict]:
             yield _fail(fc.instance_json(el), "sigma involution", "mismatch")
         if back.energy[sel[0]][sel[1]] != table.energy[el[0]][el[1]]:
             yield _fail(fc.instance_json(el), "H' . sigma = H", "mismatch")
-        for i in range(n):
-            for op in ("e", "f"):
-                img = fc.apply(el, i, op)
-                lhs = table.sigma[img[0]][img[1]] if img is not None else None
-                if lhs != fs.apply(sel, i, op):
+        for i, (fc_arrays, fs_arrays) in enumerate(images):
+            for op, slot in (("e", 2), ("f", 1)):
+                img = fc_arrays[slot][code]
+                lhs = None if img is None else sigma[img]
+                if lhs != fs_arrays[slot][sigma[code]]:
                     yield _fail(fc.instance_json(el), f"sigma {op}_{i} = {op}_{i} sigma", "mismatch")
 
 
@@ -465,47 +529,50 @@ def _check_energy_two_factor(seq: RectSequence) -> Iterator[dict]:
     n = seq.n
     fc = FastCrystal(seq)
     table = pair_table(*seq.rects, n)
-    H = {el: table.energy[el[0]][el[1]] for el in fc.elements()}
+    elements = list(fc.elements())
+    H = [table.energy[a][b] for a, b in elements]  # by code
     # normalization at the stacked key element and the pair of keys
     y = tuple(t.index[seq.key_tableau(j).rows] for j, t in enumerate(fc.tables, start=1))
-    if H[y] != 0:
-        yield _fail(fc.instance_json(y), "H(v_R) = 0", H[y])
+    root = fc.code(y)
+    if H[root] != 0:
+        yield _fail(fc.instance_json(y), "H(v_R) = 0", H[root])
     keys = tuple(t.index[key((mu,) * eta, n=n).rows] for t, (eta, mu) in zip(fc.tables, seq.rects))
     expected = min(seq.eta(1), seq.eta(2)) * min(seq.mu(1), seq.mu(2))
-    if H[keys] != expected:
-        yield _fail(fc.instance_json(keys), f"H(keys) = {expected}", H[keys])
+    if H[fc.code(keys)] != expected:
+        yield _fail(fc.instance_json(keys), f"H(keys) = {expected}", H[fc.code(keys)])
     # axioms as a consistent propagation: classical edges keep H, zero edges
     # follow the three-way branch
-    assigned = {y: 0}
-    frontier = [y]
+    colors = [fc.color(i) for i in range(n)]
+    assigned = {root: 0}
+    frontier = [root]
     while frontier:
         nxt = []
-        for el in frontier:
-            for i in range(n):
-                for op in ("e", "f"):
-                    img = fc.apply(el, i, op)
+        for code in frontier:
+            for i, (_, f_img, e_img) in enumerate(colors):
+                for op, images in (("e", e_img), ("f", f_img)):
+                    img = images[code]
                     if img is None:
                         continue
                     if i == 0:
                         # (H2) pins the jump across the raising direction
                         if op == "e":
-                            val = assigned[el] + _h2_jump(fc, table, el)
+                            val = assigned[code] + _h2_jump(fc, table, elements[code])
                         else:
-                            val = assigned[el] - _h2_jump(fc, table, img)
+                            val = assigned[code] - _h2_jump(fc, table, elements[img])
                     else:
-                        val = assigned[el]
+                        val = assigned[code]
                     if img in assigned:
                         if assigned[img] != val:
-                            yield _fail(fc.instance_json(el), "axiom propagation consistent", i)
+                            yield _fail(fc.instance_json(elements[code]), "axiom propagation consistent", i)
                     else:
                         assigned[img] = val
                         nxt.append(img)
         frontier = nxt
     if len(assigned) != len(H):
         yield _fail({"rects": seq.to_json()}, "connected", f"{len(assigned)}/{len(H)}")
-    for el, h in H.items():
-        if assigned.get(el) != h:
-            yield _fail(fc.instance_json(el), f"H = d(q) = {h}", assigned.get(el))
+    for code, h in enumerate(H):
+        if assigned.get(code) != h:
+            yield _fail(fc.instance_json(elements[code]), f"H = d(q) = {h}", assigned.get(code))
             break
 
 
@@ -526,13 +593,14 @@ def _check_energy_general(seq: RectSequence) -> Iterator[dict]:
     B^R since recording tableaux are constant on components."""
     n = seq.n
     fc = FastCrystal(seq)
-    energies = {el: fc.energy(el) for el in fc.elements()}
-    for el, en in energies.items():
+    elements = list(fc.elements())
+    energies = [fc.energy(el) for el in elements]  # by code
+    colors = [fc.color(i) for i in range(1, n)]
+    for code, (el, en) in enumerate(zip(elements, energies)):
         hw = True
-        for i in range(1, n):
-            _, eps_, f_pos, _ = fc.signature(el, i)
-            hw = hw and eps_ == 0
-            if f_pos is not None and energies[fc.apply(el, i, "f")] != en:
+        for i, (sigs, f_img, _) in enumerate(colors, start=1):
+            hw = hw and sigs[code][1] == 0
+            if f_img[code] is not None and energies[f_img[code]] != en:
                 yield _fail(fc.instance_json(el), f"(H1) under f_{i}", "changed")
         if hw:
             q = rsk_pair(fc.to_element(el)).q
@@ -545,15 +613,17 @@ def _check_energy_drop(seq: RectSequence) -> Iterator[dict]:
     width is exceeded by eps_0."""
     widest = max(mu for _, mu in seq.rects)
     fc = FastCrystal(seq)
-    for el in fc.elements():
-        _, eps_, _, k = fc.signature(el, 0)
+    elements = list(fc.elements())
+    sigs, _, e_img = fc.color(0)
+    for code, el in enumerate(elements):
+        _, eps_, _, k = sigs[code]
         if eps_ <= widest:
             continue
         # eps_0 > widest >= 1, so e_0 acts, at position k
         if k == 1:
             yield _fail(fc.instance_json(el), "acting position > 1", k)
             continue
-        want, got = _level_sums(fc, el), _level_sums(fc, fc.apply(el, 0, "e"))
+        want, got = _level_sums(fc, el), _level_sums(fc, elements[e_img[code]])
         want[k] -= 1
         for j in range(2, seq.m + 1):
             if got[j] != want[j]:
@@ -678,15 +748,16 @@ def _check_stuck_component() -> Iterator[dict]:
     src = Tableau([[1, 1], [2, 3]], n=3)
     dst = Tableau([[1, 1, 3], [2]], n=3)
     energies = (tableau_energy(LRTableau(src, seq)), tableau_energy(LRTableau(dst, seq)))
+    elements = list(fc.elements())
+    e_img = fc.color(0)[2]
     hits = 0
-    for el in fc.elements():
+    for code, el in enumerate(elements):
         if rsk_pair(fc.to_element(el)).q != src:
             continue
-        eb = fc.apply(el, 0, "e")
-        if eb is None:
+        if e_img[code] is None:
             continue
         hits += 1
-        if rsk_pair(fc.to_element(eb)).q != dst:
+        if rsk_pair(fc.to_element(elements[e_img[code]])).q != dst:
             yield _fail(fc.instance_json(el), "lands in the wider component", "no")
         if energies[0] != energies[1]:
             yield _fail(fc.instance_json(el), "equal energy", energies)
@@ -709,11 +780,11 @@ def _check_characters(seq: RectSequence) -> Iterator[dict]:
     by_hw: dict[tuple[int, ...], dict[int, int]] = {}
     weight_sum: dict[tuple[tuple[int, ...], int], int] = {}
     fc = FastCrystal(seq)
-    for el in fc.elements():
+    signatures = [fc.color(i)[0] for i in range(1, n)]
+    for code, (el, wt) in enumerate(zip(fc.elements(), fc.weights)):
         en = fc.energy(el)
-        wt = fc.content(el)
         weight_sum[(wt, en)] = weight_sum.get((wt, en), 0) + 1
-        if all(fc.signature(el, i)[1] == 0 for i in range(1, n)):
+        if all(sigs[code][1] == 0 for sigs in signatures):
             counts = by_hw.setdefault(partition(wt), {})
             counts[en] = counts.get(en, 0) + 1
     hw_route = {lam: LaurentPolynomial(d) for lam, d in by_hw.items()}

@@ -2,9 +2,9 @@
 
 Precomputed RectSequence data against the sums it replaces, tableaux built
 by the trusted constructor against the checked public constructor, the
-memoized FastCrystal signatures against the element signatures of
-crystal.py and, at color 0, against the promotion route of affine.py, and
-the one-lift energy path against the checked rsk_inverse.
+code-indexed FastCrystal arrays (signatures, operator images, weights and
+promotion) against the element routes of crystal.py and, at color 0,
+affine.py, and the one-lift energy path against the checked rsk_inverse.
 """
 
 import pickle
@@ -104,22 +104,44 @@ class TestFastCrystalSignature:
     @pytest.mark.parametrize("rects", CRYSTALS + [[(3, 1), (1, 2)]])
     def test_matches_signature_rule(self, rects):
         fc = FastCrystal(RectSequence(rects))
-        for el, i in product(list(fc.elements()), range(1, fc.n)):
+        for (code, el), i in product(list(enumerate(fc.elements())), range(1, fc.n)):
             sig = signature(fc.to_element(el), i)
             want = (sig.phi, sig.eps, sig.f_pos, sig.e_pos)
             assert fc.signature(el, i) == want
-            assert fc.signature(el, i) == want  # served by the memo
+            assert fc.color(i)[0][code] == want
 
     @pytest.mark.parametrize("rects", CRYSTALS)
     def test_color_zero_matches_affine(self, rects):
         fc = FastCrystal(RectSequence(rects))
-        for el in fc.elements():
+        elements = list(fc.elements())
+        sigs, f_img, e_img = fc.color(0)
+        for code, el in enumerate(elements):
             b = fc.to_element(el)
             phi_, eps_, _, _ = fc.signature(el, 0)
-            assert (phi_, eps_) == (phi0(b), eps0(b))
-            for op, want in (("e", affine.e0(b)), ("f", affine.f0(b))):
-                got = fc.apply(el, 0, op)
-                assert (None if got is None else fc.to_element(got)) == want
+            assert (phi_, eps_) == sigs[code][:2] == (phi0(b), eps0(b))
+            for got, want in ((e_img[code], affine.e0(b)), (f_img[code], affine.f0(b))):
+                assert (None if got is None else fc.to_element(elements[got])) == want
+
+
+class TestFastCrystalArrays:
+    def test_match_element_routes(self):
+        """Every array of every color, the weights and the promotion
+        permutation, on every element, against crystal.py and affine.py."""
+        for seq in rect_sequences(3, 5):
+            fc = FastCrystal(seq)
+            elements = [fc.to_element(el) for el in fc.elements()]
+            assert [elements[c] for c in fc.promotion] == [affine.promote(b) for b in elements]
+            assert fc.weights == [b.content() for b in elements]
+            for i in range(seq.n):
+                sigs, f_img, e_img = fc.color(i)
+                for code, b in enumerate(elements):
+                    if i:
+                        sig = signature(b, i)
+                        want = ((sig.phi, sig.eps), crystal.f(b, i), crystal.e(b, i))
+                    else:
+                        want = ((phi0(b), eps0(b)), affine.f0(b), affine.e0(b))
+                    images = (None if c is None else elements[c] for c in (f_img[code], e_img[code]))
+                    assert (sigs[code][:2], *images) == want
 
 
 class TestLift:

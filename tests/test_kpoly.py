@@ -182,7 +182,7 @@ class TestCharacterRoutesCheck:
         real = verify.FastCrystal.energy
 
         def shifted(fc, el):
-            return real(fc, el) + (1 if fc.content(el)[0] == 0 else 0)
+            return real(fc, el) + (1 if fc.weights[fc.code(el)][0] == 0 else 0)
 
         monkeypatch.setattr(verify.FastCrystal, "energy", shifted)
         rep = verify.verify_characters(2, 3)

@@ -34,8 +34,23 @@ class TestWorkerCount:
         ],
     )
     def test_clamp(self, monkeypatch, jobs, cpus, instances, want):
+        # each instance here is a main-theorem instance, a quarter of a worker's share
         monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-        assert verify.worker_count(jobs, instances) == want
+        work = instances * verify._work((4, 1, (1,) * 4))
+        assert verify.worker_count(jobs, work) == want
+
+    def test_work_is_crystal_size(self):
+        for seq in verify.rect_sequences(3, 5):
+            assert verify._work(seq) == sum(1 for _ in verify.FastCrystal(seq).elements())
+
+    def test_small_families_stay_in_process(self, monkeypatch):
+        # the n <= 3, <= 5 cells family of the CI step holds 1,021 elements
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
+        work = sum(map(verify._work, verify.rect_sequences(3, 5)))
+        assert work == 1021
+        assert verify.worker_count(2, work) == 1
+        big = sum(map(verify._work, verify.rect_sequences(4, 7)))
+        assert verify.worker_count(2, big) == 2
 
     @pytest.mark.parametrize(
         "cpus, rects",
@@ -124,18 +139,27 @@ class TestFailureCap:
         assert len(rep.failures) == 2 * (verify.MAX_FAILURES + 1)
 
 
+def patched_factor_table(monkeypatch, rect, n, perturb):
+    """Serve a perturbed copy of the factor table of one rectangle over 1..n."""
+    real = verify.factor_table
+    table = verify.FactorTable(*rect, n)
+    perturb(table)
+    monkeypatch.setattr(
+        verify,
+        "factor_table",
+        lambda eta, mu, n_: table if (eta, mu, n_) == (*rect, n) else real(eta, mu, n_),
+    )
+
+
 class TestWeightDrop:
     def test_perturbed_f_map_fails(self, monkeypatch):
         seq = RectSequence([(1, 2), (2, 1)])
-        real = verify.factor_table
-        table = verify.FactorTable(1, 2, seq.n)
-        k = next(k for k, img in enumerate(table.f_map[1]) if img is not None)
-        table.f_map[1][k] = k  # f_1 now leaves this factor unchanged
-        monkeypatch.setattr(
-            verify,
-            "factor_table",
-            lambda eta, mu, n: table if (eta, mu) == (1, 2) else real(eta, mu, n),
-        )
+
+        def perturb(table):
+            k = next(k for k, img in enumerate(table.f_map[1]) if img is not None)
+            table.f_map[1][k] = k  # f_1 now leaves this factor unchanged
+
+        patched_factor_table(monkeypatch, (1, 2), seq.n, perturb)
         failures = list(verify._check_crystal_axioms(seq))
         drops = [f for f in failures if f["expected"] == "wt drop alpha_1"]
         assert drops
@@ -146,9 +170,32 @@ class TestWeightDrop:
                 fc.tables[j].index[tuple(map(tuple, t["rows"]))]
                 for j, t in enumerate(f["instance"]["element"])
             )
-            fb = fc.apply(el, 1, "f")
-            whole = [a - b for a, b in zip(fc.content(el), fc.content(fb))]
+            code = fc.code(el)
+            fb = fc.color(1)[1][code]
+            whole = [a - b for a, b in zip(fc.weights[code], fc.weights[fb])]
             assert f["actual"] == whole
+
+
+class TestPerturbedFactorTable:
+    SEQ = RectSequence([(1, 2), (2, 1)])
+
+    def test_swapped_promote_entry_fails(self, monkeypatch):
+        def perturb(table):
+            table.promote[0], table.promote[1] = table.promote[1], table.promote[0]
+
+        patched_factor_table(monkeypatch, (1, 2), self.SEQ.n, perturb)
+        failures = list(verify._check_crystal_axioms(self.SEQ))
+        assert failures
+        assert all(f["expected"].startswith("pr f_") for f in failures)
+
+    def test_perturbed_stats_entry_fails(self, monkeypatch):
+        def perturb(table):
+            phi_, eps_ = table.stats[1][0]
+            table.stats[1][0] = (phi_ + 1, eps_)
+
+        patched_factor_table(monkeypatch, (1, 2), self.SEQ.n, perturb)
+        failures = list(verify._check_crystal_axioms(self.SEQ))
+        assert any(f["expected"].startswith("<h_1, wt>") for f in failures)
 
 
 class TestTauResultsChecked:
@@ -246,3 +293,61 @@ class TestRoundTripByIndex:
 
     def test_intact_round_trip_passes(self):
         assert list(verify._check_rsk(self.SEQ)) == []
+
+
+class TestPairPromotionHalves:
+    """The RSK suite composes pair promotion from its two halves and computes
+    the recording half once per (q, strip); a corrupted recording half must
+    fail the suite."""
+
+    SEQ = RectSequence([(1, 2), (1, 1)])
+
+    def corrupt_one(self, monkeypatch, corrupt):
+        """Serve the recording half with the first output that ``corrupt``
+        changes corrupted; returns the keys it was called with."""
+        real = verify._promote_recording
+        calls, done = [], []
+
+        def patched(q, strip, seq):
+            calls.append((q.rows, strip))
+            out = real(q, strip, seq)
+            bad = None if done else corrupt(*out)
+            if bad is None:
+                return out
+            done.append(bad)
+            return bad
+
+        monkeypatch.setattr(verify, "_promote_recording", patched)
+        return calls, done
+
+    def test_once_per_q_and_strip(self, monkeypatch):
+        seq = RectSequence([(1, 2), (1, 1), (1, 1)])
+        calls, _ = self.corrupt_one(monkeypatch, lambda *out: None)
+        assert list(verify._check_rsk(seq)) == []
+        size = sum(1 for _ in verify.FastCrystal(seq).elements())
+        assert len(set(calls)) == len(calls) < size
+
+    def test_swapped_letter_fails(self, monkeypatch):
+        def swap(q_new, qhat, v, added):
+            rows = [list(row) for row in q_new.rows]
+            if rows[0][0] == rows[-1][-1]:
+                return None
+            rows[0][0], rows[-1][-1] = rows[-1][-1], rows[0][0]
+            return Tableau._raw(tuple(map(tuple, rows)), (), q_new.n), qhat, v, added
+
+        _, done = self.corrupt_one(monkeypatch, swap)
+        failures = list(verify._check_rsk(self.SEQ))
+        assert done and failures
+        assert {f["expected"] for f in failures} == {"pair promotion"}
+
+    def test_wrong_added_cell_fails(self, monkeypatch):
+        def move(q_new, qhat, v, added):
+            if not added:
+                return None
+            r, c = added[-1]
+            return q_new, qhat, v, added[:-1] + ((r + 1, 1),)
+
+        _, done = self.corrupt_one(monkeypatch, move)
+        failures = list(verify._check_rsk(self.SEQ))
+        assert done and failures
+        assert {f["expected"] for f in failures} == {"pair promotion"}

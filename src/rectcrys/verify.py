@@ -101,27 +101,39 @@ def rect_sequences(
                 yield RectSequence(tuple(zip(comp, ws)))
 
 
-# A pool starts only when each worker gets this many elements of B^R to
-# walk.  Starting two workers costs 30-80 ms on a 2-core box; the cheapest
-# scan, the crystal axioms, walks 10,000 elements in about 120 ms there.
-MIN_WORK_PER_WORKER = 10_000
+# A pool starts only when each worker gets this much estimated in-process
+# time, in microseconds.  Starting two workers, each rebuilding the tables
+# and memos an in-process run shares, costs about as much on a 2-core box.
+MIN_US_PER_WORKER = 150_000
 
 
-def _work(instance) -> int:
-    """Estimated work of one instance: the elements of B^R, from the
-    factor-table sizes.  A main-theorem instance walks no B^R here and
-    counts as a quarter of a worker's share, so a pool needs four of them
-    per worker."""
+def _count_cst(eta: int, mu: int, n: int) -> int:
+    """Semistandard tableaux of the eta x mu rectangle over 1..n, by the
+    hook-content formula (0 when eta > n)."""
+    num = den = 1
+    for r in range(eta):
+        for c in range(mu):
+            num *= n + c - r
+            den *= eta - r + mu - c - 1
+    return num // den
+
+
+def _work(check: Callable[..., Iterator[dict]], instance) -> float:
+    """Estimated in-process time of one instance, in microseconds: |B^R|,
+    counted without building a table, times the check's measured cost per
+    element of B^R (US_PER_ELEMENT).  A main-theorem instance counts as a
+    quarter of a worker's share, so a pool needs four of them per worker."""
     if isinstance(instance, RectSequence):
-        return prod(len(factor_table(eta, mu, instance.n).tableaux) for eta, mu in instance.rects)
-    return MIN_WORK_PER_WORKER // 4
+        size = prod(_count_cst(eta, mu, instance.n) for eta, mu in instance.rects)
+        return US_PER_ELEMENT[check] * size
+    return MIN_US_PER_WORKER / 4
 
 
-def worker_count(jobs: int, work: int) -> int:
+def worker_count(jobs: int, work: float) -> int:
     """Worker processes for ``jobs`` requested: never more than the cpus, and
-    never less than MIN_WORK_PER_WORKER of the estimated ``work`` each; 1
+    never less than MIN_US_PER_WORKER of the estimated ``work`` each; 1
     means run in process."""
-    return max(1, min(jobs, os.cpu_count() or 1, work // MIN_WORK_PER_WORKER))
+    return max(1, min(jobs, os.cpu_count() or 1, int(work // MIN_US_PER_WORKER)))
 
 
 def _capped(task: tuple[Callable[..., Iterator[dict]], object]) -> list:
@@ -139,8 +151,7 @@ def _run_instances(
     contributes at most MAX_FAILURES + 1 failures."""
     start = time.monotonic()
     tasks = [(check, instance) for instances, check in parts for instance in instances]
-    # the estimate builds factor tables, so it is made only when a pool may start
-    workers = worker_count(jobs, sum(_work(instance) for _, instance in tasks) if jobs > 1 else 0)
+    workers = worker_count(jobs, sum(_work(*task) for task in tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -235,7 +246,7 @@ def _switch(rects: tuple, el: tuple[int, ...], pos: int, n: int) -> tuple[tuple,
 class FastCrystal:
     """Elements of B^R as tuples of per-factor indices, and as codes.
 
-    An element's code is its position in :meth:`elements`, the mixed-radix
+    An element's code is its position in :attr:`elements`, the mixed-radix
     number of its index tuple over the factor-table sizes.  An index view
     over the signature rule of :mod:`rectcrys.crystal`: per color, one sweep
     of that rule over the tabulated string lengths fills code-indexed lists
@@ -255,9 +266,10 @@ class FastCrystal:
             self._strides[j - 1] = self._strides[j] * len(self.tables[j].tableaux)
         self._colors: list[tuple[list, list, list] | None] = [None] * seq.n
 
-    def elements(self) -> Iterator[tuple[int, ...]]:
-        """Index tuples in code order."""
-        return product(*(range(len(t.tableaux)) for t in self.tables))
+    @cached_property
+    def elements(self) -> list[tuple[int, ...]]:
+        """Index tuples by code."""
+        return list(product(*(range(len(t.tableaux)) for t in self.tables)))
 
     def code(self, el: tuple[int, ...]) -> int:
         return sum(map(mul, el, self._strides))
@@ -296,7 +308,7 @@ class FastCrystal:
             for m, stride in zip(maps, self._strides)
         ]
         out = []
-        for code, (el, sig) in enumerate(zip(self.elements(), sigs)):
+        for code, (el, sig) in enumerate(zip(self.elements, sigs)):
             pos = sig[slot]
             step = None if pos is None else steps[pos - 1][el[pos - 1]]
             out.append(None if step is None else code + step)
@@ -364,7 +376,7 @@ def _check_crystal_axioms(seq: RectSequence) -> Iterator[dict]:
         alpha[i - 1] += 1
         alpha[i] -= 1
         alphas.append(alpha)
-    for code, el in enumerate(fc.elements()):
+    for code, el in enumerate(fc.elements):
         wt = weights[code]
         pr_code = promotion[code]
         for i, (sigs, f_img, e_img) in enumerate(colors):
@@ -402,13 +414,12 @@ def verify_crystal_axioms(n_max: int, max_cells: int, jobs: int = 1) -> VerifyRe
 def _check_rsk(seq: RectSequence) -> Iterator[dict]:
     n = seq.n
     fc = FastCrystal(seq)
-    elements = list(fc.elements())
-    pairs = [rsk_pair(fc.to_element(el)) for el in elements]
+    pairs = [rsk_pair(fc.to_element(el)) for el in fc.elements]
     spans = [seq.subalphabet(j) for j in range(1, seq.m + 1)]
     # bijection: round trip and cardinality of the image.  A factor index
     # holds exactly the valid factors of its rectangle, so a row group that
     # is none of them looks up None and fails the comparison.
-    for el, pair in zip(elements, pairs):
+    for el, pair in zip(fc.elements, pairs):
         try:
             rows = unrecord(pair.p, pair.q, n)
             back = tuple(t.index.get(tuple(rows[lo - 1 : hi])) for t, (lo, hi) in zip(fc.tables, spans))
@@ -421,14 +432,14 @@ def _check_rsk(seq: RectSequence) -> Iterator[dict]:
         sum(character_weights(lam, n).values()) * len(lrt_tableaux(lam, seq))
         for lam in partitions_of(seq.ncells, n)
     )
-    if count != len(elements):
-        yield _fail({"rects": seq.to_json()}, f"image size {len(elements)}", count)
+    if count != len(fc.elements):
+        yield _fail({"rects": seq.to_json()}, f"image size {len(fc.elements)}", count)
     colors = [fc.color(i) for i in range(1, n)]
     promotion = fc.promotion
     # the recording half of pair promotion reads only q and the strip of
     # letters n in p, so it is computed once per (q, strip)
     recorded: dict = {}
-    for code, (el, pb) in enumerate(zip(elements, pairs)):
+    for code, (el, pb) in enumerate(zip(fc.elements, pairs)):
         # equivariance under e_i, f_i, r_i for classical colors
         for i, (sigs, f_img, e_img) in enumerate(colors, start=1):
             fel = f_img[code]
@@ -476,10 +487,9 @@ def _check_rmatrix_pairs(seq: RectSequence) -> Iterator[dict]:
     n = seq.n
     fc, fs = FastCrystal(seq), FastCrystal(seq.swapped(1))
     table, back = pair_table(*seq.rects, n), pair_table(*reversed(seq.rects), n)
-    elements = list(fc.elements())
-    sigma = [fs.code(table.sigma[a][b]) for a, b in elements]  # by code
+    sigma = [fs.code(table.sigma[a][b]) for a, b in fc.elements]  # by code
     images = [(fc.color(i), fs.color(i)) for i in range(n)]
-    for code, el in enumerate(elements):
+    for code, el in enumerate(fc.elements):
         sel = table.sigma[el[0]][el[1]]
         pb, psb = rsk_pair(fc.to_element(el)), rsk_pair(fs.to_element(sel))
         if psb.p != pb.p:
@@ -500,7 +510,7 @@ def _check_rmatrix_pairs(seq: RectSequence) -> Iterator[dict]:
 
 def _check_yang_baxter(seq: RectSequence) -> Iterator[dict]:
     fc = FastCrystal(seq)
-    for el in fc.elements():
+    for el in fc.elements:
         lhs = rhs = (seq.rects, el)
         for pos in (1, 2, 1):
             lhs = _switch(*lhs, pos, fc.n)
@@ -529,8 +539,7 @@ def _check_energy_two_factor(seq: RectSequence) -> Iterator[dict]:
     n = seq.n
     fc = FastCrystal(seq)
     table = pair_table(*seq.rects, n)
-    elements = list(fc.elements())
-    H = [table.energy[a][b] for a, b in elements]  # by code
+    H = [table.energy[a][b] for a, b in fc.elements]  # by code
     # normalization at the stacked key element and the pair of keys
     y = tuple(t.index[seq.key_tableau(j).rows] for j, t in enumerate(fc.tables, start=1))
     root = fc.code(y)
@@ -556,14 +565,14 @@ def _check_energy_two_factor(seq: RectSequence) -> Iterator[dict]:
                     if i == 0:
                         # (H2) pins the jump across the raising direction
                         if op == "e":
-                            val = assigned[code] + _h2_jump(fc, table, elements[code])
+                            val = assigned[code] + _h2_jump(fc, table, fc.elements[code])
                         else:
-                            val = assigned[code] - _h2_jump(fc, table, elements[img])
+                            val = assigned[code] - _h2_jump(fc, table, fc.elements[img])
                     else:
                         val = assigned[code]
                     if img in assigned:
                         if assigned[img] != val:
-                            yield _fail(fc.instance_json(elements[code]), "axiom propagation consistent", i)
+                            yield _fail(fc.instance_json(fc.elements[code]), "axiom propagation consistent", i)
                     else:
                         assigned[img] = val
                         nxt.append(img)
@@ -572,7 +581,7 @@ def _check_energy_two_factor(seq: RectSequence) -> Iterator[dict]:
         yield _fail({"rects": seq.to_json()}, "connected", f"{len(assigned)}/{len(H)}")
     for code, h in enumerate(H):
         if assigned.get(code) != h:
-            yield _fail(fc.instance_json(elements[code]), f"H = d(q) = {h}", assigned.get(code))
+            yield _fail(fc.instance_json(fc.elements[code]), f"H = d(q) = {h}", assigned.get(code))
             break
 
 
@@ -593,10 +602,9 @@ def _check_energy_general(seq: RectSequence) -> Iterator[dict]:
     B^R since recording tableaux are constant on components."""
     n = seq.n
     fc = FastCrystal(seq)
-    elements = list(fc.elements())
-    energies = [fc.energy(el) for el in elements]  # by code
+    energies = [fc.energy(el) for el in fc.elements]  # by code
     colors = [fc.color(i) for i in range(1, n)]
-    for code, (el, en) in enumerate(zip(elements, energies)):
+    for code, (el, en) in enumerate(zip(fc.elements, energies)):
         hw = True
         for i, (sigs, f_img, _) in enumerate(colors, start=1):
             hw = hw and sigs[code][1] == 0
@@ -613,9 +621,8 @@ def _check_energy_drop(seq: RectSequence) -> Iterator[dict]:
     width is exceeded by eps_0."""
     widest = max(mu for _, mu in seq.rects)
     fc = FastCrystal(seq)
-    elements = list(fc.elements())
     sigs, _, e_img = fc.color(0)
-    for code, el in enumerate(elements):
+    for code, el in enumerate(fc.elements):
         _, eps_, _, k = sigs[code]
         if eps_ <= widest:
             continue
@@ -623,7 +630,7 @@ def _check_energy_drop(seq: RectSequence) -> Iterator[dict]:
         if k == 1:
             yield _fail(fc.instance_json(el), "acting position > 1", k)
             continue
-        want, got = _level_sums(fc, el), _level_sums(fc, elements[e_img[code]])
+        want, got = _level_sums(fc, el), _level_sums(fc, fc.elements[e_img[code]])
         want[k] -= 1
         for j in range(2, seq.m + 1):
             if got[j] != want[j]:
@@ -748,16 +755,15 @@ def _check_stuck_component() -> Iterator[dict]:
     src = Tableau([[1, 1], [2, 3]], n=3)
     dst = Tableau([[1, 1, 3], [2]], n=3)
     energies = (tableau_energy(LRTableau(src, seq)), tableau_energy(LRTableau(dst, seq)))
-    elements = list(fc.elements())
     e_img = fc.color(0)[2]
     hits = 0
-    for code, el in enumerate(elements):
+    for code, el in enumerate(fc.elements):
         if rsk_pair(fc.to_element(el)).q != src:
             continue
         if e_img[code] is None:
             continue
         hits += 1
-        if rsk_pair(fc.to_element(elements[e_img[code]])).q != dst:
+        if rsk_pair(fc.to_element(fc.elements[e_img[code]])).q != dst:
             yield _fail(fc.instance_json(el), "lands in the wider component", "no")
         if energies[0] != energies[1]:
             yield _fail(fc.instance_json(el), "equal energy", energies)
@@ -781,7 +787,7 @@ def _check_characters(seq: RectSequence) -> Iterator[dict]:
     weight_sum: dict[tuple[tuple[int, ...], int], int] = {}
     fc = FastCrystal(seq)
     signatures = [fc.color(i)[0] for i in range(1, n)]
-    for code, (el, wt) in enumerate(zip(fc.elements(), fc.weights)):
+    for code, (el, wt) in enumerate(zip(fc.elements, fc.weights)):
         en = fc.energy(el)
         weight_sum[(wt, en)] = weight_sum.get((wt, en), 0) + 1
         if all(sigs[code][1] == 0 for sigs in signatures):
@@ -864,6 +870,27 @@ SUITES = {
     "cocyclage": verify_cocyclage,
     "characters": verify_characters,
     "monotonicity": verify_monotonicity,
+}
+
+
+# In-process cost of each check per element of B^R, in microseconds, once
+# its tables and memos are built (a worker rebuilds them, which
+# MIN_US_PER_WORKER pays for).  Measured on a 2-core box at the bounds
+# (4, 6), (3, 7) and (5, 5), between which it varies by up to a factor of
+# two.  The LR-walking checks walk no B^R, but their work grows with it.
+US_PER_ELEMENT = {
+    _check_crystal_axioms: 8,
+    _check_rsk: 60,
+    _check_rmatrix_pairs: 70,
+    _check_yang_baxter: 8,
+    _check_energy_two_factor: 10,
+    _check_energy_general: 8,
+    _check_energy_drop: 3,
+    _check_three_rectangles: 0.5,
+    _check_charge: 0.4,
+    _check_cocyclage: 7,
+    _check_characters: 8,
+    _check_monotonicity_seq: 8,
 }
 
 

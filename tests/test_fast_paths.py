@@ -104,7 +104,7 @@ class TestFastCrystalSignature:
     @pytest.mark.parametrize("rects", CRYSTALS + [[(3, 1), (1, 2)]])
     def test_matches_signature_rule(self, rects):
         fc = FastCrystal(RectSequence(rects))
-        for (code, el), i in product(list(enumerate(fc.elements())), range(1, fc.n)):
+        for (code, el), i in product(enumerate(fc.elements), range(1, fc.n)):
             sig = signature(fc.to_element(el), i)
             want = (sig.phi, sig.eps, sig.f_pos, sig.e_pos)
             assert fc.signature(el, i) == want
@@ -113,7 +113,7 @@ class TestFastCrystalSignature:
     @pytest.mark.parametrize("rects", CRYSTALS)
     def test_color_zero_matches_affine(self, rects):
         fc = FastCrystal(RectSequence(rects))
-        elements = list(fc.elements())
+        elements = fc.elements
         sigs, f_img, e_img = fc.color(0)
         for code, el in enumerate(elements):
             b = fc.to_element(el)
@@ -129,7 +129,7 @@ class TestFastCrystalArrays:
         permutation, on every element, against crystal.py and affine.py."""
         for seq in rect_sequences(3, 5):
             fc = FastCrystal(seq)
-            elements = [fc.to_element(el) for el in fc.elements()]
+            elements = [fc.to_element(el) for el in fc.elements]
             assert [elements[c] for c in fc.promotion] == [affine.promote(b) for b in elements]
             assert fc.weights == [b.content() for b in elements]
             for i in range(seq.n):

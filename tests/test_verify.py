@@ -3,6 +3,7 @@ and the index tables the suites walk, tied to the library routes and shown
 to fail when perturbed."""
 
 import concurrent.futures
+from itertools import product
 
 import pytest
 
@@ -12,7 +13,7 @@ from rectcrys.energy import energy_terms, total_energy
 from rectcrys.errors import NonLRError
 from rectcrys.rmatrix import sigma_swap
 from rectcrys.rsk import LRTableau, is_r_lr
-from rectcrys.tableaux import Tableau
+from rectcrys.tableaux import Tableau, enumerate_cst
 
 
 class TestWorkerCount:
@@ -36,21 +37,60 @@ class TestWorkerCount:
     def test_clamp(self, monkeypatch, jobs, cpus, instances, want):
         # each instance here is a main-theorem instance, a quarter of a worker's share
         monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-        work = instances * verify._work((4, 1, (1,) * 4))
+        work = instances * verify._work(verify._check_main_theorem, (4, 1, (1,) * 4))
         assert verify.worker_count(jobs, work) == want
 
     def test_work_is_crystal_size(self):
         for seq in verify.rect_sequences(3, 5):
-            assert verify._work(seq) == sum(1 for _ in verify.FastCrystal(seq).elements())
+            size = len(verify.FastCrystal(seq).elements)
+            for check, cost in verify.US_PER_ELEMENT.items():
+                assert verify._work(check, seq) == cost * size
 
-    def test_small_families_stay_in_process(self, monkeypatch):
-        # the n <= 3, <= 5 cells family of the CI step holds 1,021 elements
+    def test_count_is_hook_content(self):
+        for n, eta, mu in product(range(1, 6), range(1, 7), range(1, 4)):
+            want = sum(1 for _ in enumerate_cst((mu,) * eta, n))
+            assert verify._count_cst(eta, mu, n) == want
+
+    def test_every_suite_check_has_a_cost(self):
+        checks = {name for name in dir(verify) if name.startswith("_check_")}
+        costed = {check.__name__ for check in verify.US_PER_ELEMENT}
+        # the stuck component is one fixed instance, appended after the pool
+        assert checks - costed == {"_check_main_theorem", "_check_stuck_component"}
+
+    def test_pools_by_work(self, monkeypatch):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
-        work = sum(map(verify._work, verify.rect_sequences(3, 5)))
-        assert work == 1021
-        assert verify.worker_count(2, work) == 1
-        big = sum(map(verify._work, verify.rect_sequences(4, 7)))
-        assert verify.worker_count(2, big) == 2
+
+        def family_work(check, n, cells, **kw):
+            return sum(verify._work(check, seq) for seq in verify.rect_sequences(n, cells, **kw))
+
+        # the n <= 3, <= 5 cells family (1,021 elements) stays in process for every check
+        for check in verify.US_PER_ELEMENT:
+            assert verify.worker_count(2, family_work(check, 3, 5)) == 1
+        # at n <= 4, <= 6 cells the RSK scan pools, the charge check does not
+        assert verify.worker_count(2, family_work(verify._check_rsk, 4, 6)) == 2
+        charge = family_work(verify._check_charge, 4, 6, rows_only=True)
+        assert verify.worker_count(2, charge) == 1
+
+    def test_real_pool_matches_in_process(self, monkeypatch):
+        # checks and instances cross into worker processes and reports come back
+        started = []
+
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "MIN_US_PER_WORKER", 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        seqs = list(verify.rect_sequences(2, 3))
+        parts = [(seqs, verify._check_rsk), (seqs, verify._check_crystal_axioms)]
+        pooled = verify._run_instances("pooled", parts, jobs=2)
+        assert started == [2]
+        serial = verify._run_instances("serial", parts, jobs=1)
+        assert started == [2]
+        assert pooled.instances == serial.instances == 2 * len(seqs)
+        assert pooled.failures == serial.failures == []
 
     @pytest.mark.parametrize(
         "cpus, rects",
@@ -221,7 +261,7 @@ class TestPairTables:
     def test_match_library_routes(self):
         for seq in verify.rect_sequences(3, 7):
             fc = verify.FastCrystal(seq)
-            for el in fc.elements():
+            for el in fc.elements:
                 b = fc.to_element(el)
                 assert fc.energy_terms(el) == energy_terms(b)
                 assert fc.energy(el) == total_energy(b)
@@ -324,7 +364,7 @@ class TestPairPromotionHalves:
         seq = RectSequence([(1, 2), (1, 1), (1, 1)])
         calls, _ = self.corrupt_one(monkeypatch, lambda *out: None)
         assert list(verify._check_rsk(seq)) == []
-        size = sum(1 for _ in verify.FastCrystal(seq).elements())
+        size = len(verify.FastCrystal(seq).elements)
         assert len(set(calls)) == len(calls) < size
 
     def test_swapped_letter_fails(self, monkeypatch):

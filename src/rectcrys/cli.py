@@ -98,14 +98,14 @@ def _maybe_element(result: CrystalElement | None) -> None:
 # Subcommand handlers.
 
 def _cmd_tableau(args) -> int:
-    from .tableaux import Tableau, antinormal, column_insert, key
+    from .tableaux import Tableau, antinormal, column_insert, json_ints, key
 
     if args.op == "insert":
         data = _read_json(args.infile)
-        _emit(column_insert(data["word"]).to_json())
+        _emit(column_insert(json_ints(data["word"], "word")).to_json())
     elif args.op == "antinormal":
         data = _read_json(args.infile)
-        _emit(antinormal(data["word"]).to_json())
+        _emit(antinormal(json_ints(data["word"], "word")).to_json())
     elif args.op == "word":
         t = Tableau.from_json(_read_json(args.infile))
         _emit({"word": list(t.word())})
@@ -139,7 +139,7 @@ def _cmd_crystal(args) -> int:
 def _cmd_rsk(args) -> int:
     from .crystal import RectSequence
     from .rsk import TableauPair, lrt_tableaux, rsk_inverse, rsk_pair
-    from .tableaux import Tableau
+    from .tableaux import Tableau, json_ints
 
     if args.op == "pair":
         b = _element_from_stdin(args)
@@ -147,7 +147,7 @@ def _cmd_rsk(args) -> int:
         _emit({"p": pair.p.to_json(), "q": pair.q.to_json()})
     elif args.op == "inverse":
         data = _read_json(args.infile)
-        seq = RectSequence(data["rects"])
+        seq = RectSequence(json_ints(data["rects"], "rects", 2))
         pair = TableauPair(
             Tableau.from_json(data["p"], n=seq.n),
             Tableau.from_json(data["q"], n=seq.n),
@@ -164,12 +164,13 @@ def _cmd_rsk(args) -> int:
 def _cmd_affine(args) -> int:
     from .affine import chi, e0, f0, pair_promote, promote, promote_inverse
     from .rsk import rsk_pair
+    from .tableaux import json_ints
 
     if args.op == "chi":
         _require(args, "rects")
         data = _read_json(args.infile)
         seq = _parse_rects(args.rects)
-        _emit({"word": list(chi(tuple(data["word"]), seq))})
+        _emit({"word": list(chi(tuple(json_ints(data["word"], "word")), seq))})
         return 0
     b = _element_from_stdin(args)
     if args.op == "promote":
@@ -393,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive verification suites")
     p.add_argument("suite", help="a suite name, all, or main-theorem")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-cells", type=int, default=0)
+    p.add_argument("--max-cells", type=int, default=None)
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--mu", default=None)
     p.add_argument("--jobs", type=int, default=1)
@@ -406,8 +407,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
-        if args.suite != "main-theorem" and args.max_cells <= 0:
-            parser.error("--max-cells is required for exhaustive suites")
+        if args.suite != "main-theorem":
+            if args.max_cells is None:
+                parser.error("--max-cells is required for exhaustive suites")
+            if args.max_cells < 1:
+                parser.error(f"--max-cells must be at least 1, got {args.max_cells}")
         if args.jobs < 1:
             parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:

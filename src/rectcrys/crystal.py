@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .tableaux import Tableau, _Frozen, key
+from .tableaux import Tableau, _Frozen, json_ints, key
 
 
 class RectSequence(_Frozen):
@@ -184,7 +184,9 @@ class CrystalElement:
 
     @classmethod
     def from_json(cls, data: dict) -> "CrystalElement":
-        seq = RectSequence(data["rects"])
+        seq = RectSequence(json_ints(data["rects"], "rects", 2))
+        if not isinstance(data["factors"], list):
+            raise ValueError("factors must be a list of tableaux")
         factors = [Tableau.from_json(f, n=seq.n) for f in data["factors"]]
         return cls(seq, factors)
 

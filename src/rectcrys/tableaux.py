@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -57,6 +58,18 @@ def partitions_of(
 
 def _pad(p: Sequence[int], length: int) -> tuple[int, ...]:
     return tuple(p) + (0,) * (length - len(p))
+
+
+def json_ints(value, name: str, depth: int = 1):
+    """``value``, read from JSON, checked to be a list of integers, or at
+    ``depth`` 2 a list of such lists; a ValueError names ``name`` if not."""
+
+    def ok(v, d: int) -> bool:
+        return type(v) is int if d == 0 else isinstance(v, list) and all(ok(x, d - 1) for x in v)
+
+    if not ok(value, depth):
+        raise ValueError(f"{name} must be a list of {'lists of ' * (depth - 1)}integers")
+    return value
 
 
 class _Frozen:
@@ -228,8 +241,10 @@ class Tableau:
 
     @classmethod
     def from_json(cls, data: dict, n: int | None = None) -> "Tableau":
-        t = cls(data["rows"], data.get("inner", ()), n=n)
-        if partition(data.get("outer", t.outer)) != t.outer:
+        if not isinstance(data, dict):
+            raise ValueError(f"a tableau must be a JSON object, got {type(data).__name__}")
+        t = cls(json_ints(data["rows"], "rows", 2), json_ints(data.get("inner", []), "inner"), n=n)
+        if partition(json_ints(data.get("outer", list(t.outer)), "outer")) != t.outer:
             raise ValueError("outer shape inconsistent with rows")
         return t
 
@@ -361,7 +376,7 @@ def _peel(cols: list[list[int]], cells: Iterable[tuple[int, int]]) -> tuple[int,
     Returns the ejected letters, which must come out weakly increasing.
     """
     out: list[int] = []
-    for r, c in sorted(cells, key=lambda rc: -rc[1]):
+    for r, c in sorted(cells, key=itemgetter(1), reverse=True):
         if not (1 <= c <= len(cols)) or len(cols[c - 1]) != r or (
             c < len(cols) and len(cols[c]) >= r
         ):
@@ -397,6 +412,20 @@ def reverse_column_insert(t: Tableau, cell: tuple[int, int]) -> tuple[Tableau, i
     return rest, y
 
 
+def _peel_labels(
+    cols: list[list[int]], labelled: Iterable[tuple[tuple[int, int], int]], top: int, bottom: int
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Label by label from ``top`` down to ``bottom``, peel off ``cols`` the
+    cells that ``labelled``, (cell, label) pairs of a recording tableau,
+    gives that label.  Yields (label, group): the peeled group, after which
+    ``cols`` holds the insertion state of the groups below that label."""
+    by_label: dict[int, list[tuple[int, int]]] = {}
+    for cell, v in labelled:
+        by_label.setdefault(v, []).append(cell)
+    for k in range(top, bottom - 1, -1):
+        yield k, _peel(cols, by_label.get(k, ()))
+
+
 def _unrecord_steps(
     p: Tableau, q: Tableau, ngroups: int
 ) -> Iterator[tuple[int, tuple[int, ...], list[list[int]]]]:
@@ -405,12 +434,10 @@ def _unrecord_steps(
     columns left, which are the insertion state of groups 1..label-1.  When
     the walk ends, q must have covered p exactly.
     """
-    by_label: dict[int, list[tuple[int, int]]] = {}
-    for cell, v in zip(q.cells(), (v for row in q.rows for v in row)):
-        by_label.setdefault(v, []).append(cell)
     cols = _cols_of(p)
-    for k in range(ngroups, 0, -1):
-        yield k, _peel(cols, by_label.get(k, ())), cols
+    labelled = zip(q.cells(), (v for row in q.rows for v in row))
+    for k, group in _peel_labels(cols, labelled, ngroups, 1):
+        yield k, group, cols
     if cols:
         raise ValueError("recording tableau does not cover p")
 

@@ -4,10 +4,11 @@ Every suite is a list of (instances, check) parts: rectangle sequences
 bounded by the alphabet size and the total cell count, or the main theorem's
 (n, level, mu).  One runner checks them all and returns a report whose
 failure list is empty exactly when the suite passes.  Every scan of a crystal
-walks FastCrystal element codes: per-factor data (string lengths, operator
-images, promotion) is tabulated once per rectangle, the signatures and
-operator images of each color once per instance, and sigma and the local
-energy once per pair of rectangles.
+walks FastCrystal element codes: per-shape data (string lengths, operator
+images, and promotion for a rectangle) is tabulated once per shape, the
+signatures and operator images of each color once per instance, and sigma
+and the local energy once per pair of rectangles.  The RSK suite computes
+its pairs by RskWalk, each factor inserted once onto its prefix.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .kpoly import character_weights, graded_character, monotonicity_check
 from .laurent import LaurentPolynomial
 from .rmatrix import _sigma_pair, tau_swap
 from .rsk import LRTableau, lrt_tableaux, rsk_pair
-from .tableaux import Tableau, _Record, column_insert, enumerate_cst, key, partition, partitions_of, reverse_row_insert, unrecord
+from .tableaux import Tableau, _peel_labels, _record_onto, _Record, _tableau_of_cols, column_insert, enumerate_cst, key, partition, partitions_of, reverse_row_insert
 
 
 class VerifyReport(_Record):
@@ -147,14 +148,17 @@ def _run_instances(
     jobs: int = 1,
 ) -> VerifyReport:
     """Run every part's ``check``, a generator of failures, on each of the
-    part's instances, all in one pool; each instance counts once and
-    contributes at most MAX_FAILURES + 1 failures."""
+    part's instances, all in one pool, largest estimated work first; each
+    instance counts once and contributes at most MAX_FAILURES + 1
+    failures."""
     start = time.monotonic()
     tasks = [(check, instance) for instances, check in parts for instance in instances]
     workers = worker_count(jobs, sum(_work(*task) for task in tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # stable, so equal work keeps family order (main theorem: mu = 1^n first)
+        tasks.sort(key=lambda task: _work(*task), reverse=True)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_capped, tasks))
     else:
@@ -166,26 +170,24 @@ def _run_instances(
 
 
 # ---------------------------------------------------------------------------
-# Tabulated per-rectangle and per-pair data for the fast element walks.
+# Tabulated per-shape and per-pair data for the fast element walks.
 
 class FactorTable:
-    """Operator tables for one rectangle shape over a fixed alphabet.
+    """Operator tables for the column-strict tableaux of one normal shape
+    over 1..n, by position in :attr:`tableaux`.
 
-    Color 0 is tabulated by conjugating color 1 with promotion, so every
-    color 0..n-1 reads the same way.
+    For each classical color i the table holds the string lengths and the
+    e_i, f_i and r_i images; for each tableau, the cells of its letters n.
+    A rectangle, the shape of every factor that FastCrystal reads, also
+    gets promotion and color 0, tabulated by conjugating color 1 with
+    promotion, so every color 0..n-1 reads the same way.
     """
 
-    def __init__(self, eta: int, mu: int, n: int):
+    def __init__(self, shape: tuple[int, ...], n: int):
         self.n = n
-        self.tableaux = list(enumerate_cst((mu,) * eta, n))
+        self.tableaux = list(enumerate_cst(shape, n))
         self.index = {t.rows: k for k, t in enumerate(self.tableaux)}
         self.content = [t.content(n) for t in self.tableaux]
-        self.promote = [
-            self.index[promote_tableau(t, n).rows] for t in self.tableaux
-        ]
-        self.promote_inv = [0] * len(self.tableaux)
-        for k, img in enumerate(self.promote):
-            self.promote_inv[img] = k
         self.stats = [None] + [
             [tableau_phi_eps(t, i) for t in self.tableaux] for i in range(1, n)
         ]
@@ -195,6 +197,18 @@ class FactorTable:
         self.f_map = [None] + [
             [self._img(tableau_f(t, i)) for t in self.tableaux] for i in range(1, n)
         ]
+        self.reflect = [None] + [
+            [self._img(tableau_reflection(t, i)) for t in self.tableaux] for i in range(1, n)
+        ]
+        self.strip = [_n_strip(t, n) for t in self.tableaux]
+        if len(set(shape)) != 1:
+            return
+        self.promote = [
+            self.index[promote_tableau(t, n).rows] for t in self.tableaux
+        ]
+        self.promote_inv = [0] * len(self.tableaux)
+        for k, img in enumerate(self.promote):
+            self.promote_inv[img] = k
         self.stats[0] = [self.stats[1][img] for img in self.promote]
         self.e_map[0] = [self._conj(self.e_map[1][img]) for img in self.promote]
         self.f_map[0] = [self._conj(self.f_map[1][img]) for img in self.promote]
@@ -207,8 +221,8 @@ class FactorTable:
 
 
 @lru_cache(maxsize=None)
-def factor_table(eta: int, mu: int, n: int) -> FactorTable:
-    return FactorTable(eta, mu, n)
+def factor_table(shape: tuple[int, ...], n: int) -> FactorTable:
+    return FactorTable(shape, n)
 
 
 class PairTable:
@@ -221,7 +235,8 @@ class PairTable:
     """
 
     def __init__(self, rect_a: tuple[int, int], rect_b: tuple[int, int], n: int):
-        ta, tb = factor_table(*rect_a, n), factor_table(*rect_b, n)
+        (eta_a, mu_a), (eta_b, mu_b) = rect_a, rect_b
+        ta, tb = factor_table((mu_a,) * eta_a, n), factor_table((mu_b,) * eta_b, n)
         seq = RectSequence((rect_a, rect_b))
         self.sigma, self.energy = [], []
         for a in ta.tableaux:
@@ -259,7 +274,7 @@ class FastCrystal:
     def __init__(self, seq: RectSequence):
         self.seq = seq
         self.n = seq.n
-        self.tables = [factor_table(e_, m_, seq.n) for e_, m_ in seq.rects]
+        self.tables = [factor_table((m_,) * e_, seq.n) for e_, m_ in seq.rects]
         # a factor index k adds k * stride to the code
         self._strides = [1] * len(self.tables)
         for j in range(len(self.tables) - 1, 0, -1):
@@ -411,63 +426,150 @@ def verify_crystal_axioms(n_max: int, max_cells: int, jobs: int = 1) -> VerifyRe
 # ---------------------------------------------------------------------------
 # Suite: RSK bijectivity and equivariance.
 
+class RskWalk:
+    """rsk_pair of every element of B^R, by code, each factor inserted once
+    onto its prefix.
+
+    The elements in code order are the leaves of a tree whose nodes at
+    depth j are the prefixes of j factor indices.  A node copies its
+    parent's insertion state (the columns of p and the rows of q) and
+    records only its own factor's rows onto it with tableaux._record_onto,
+    the step that rsk_pair composes.  It then peels those labels back off,
+    top label first, with the loop that unrecord runs: the ejected rows
+    must look up to the factor in its table, and the columns left must be
+    the parent's, none at depth 1.  By induction on the prefix, that is
+    unrecord(rsk_pair(b)) == b for every b.
+
+    ``p[code]`` and ``q[code]`` are ids interned for the instance:
+    ``p_tables[id]`` is (shape table, index), ``q_tableaux[id]`` the
+    recording tableau, and ``p_ids`` and ``q_ids`` map rows to ids.
+    ``failed`` is the first element of the first node whose round trip
+    fails, or None.
+    """
+
+    def __init__(self, fc: FastCrystal):
+        n, tables = fc.n, fc.tables
+        spans = [fc.seq.subalphabet(j) for j in range(1, fc.seq.m + 1)]
+        p, q = self.p, self.q = [], []
+        p_tables = self.p_tables = []
+        q_tableaux = self.q_tableaux = []
+        p_ids, q_ids = self.p_ids, self.q_ids = {}, {}
+        self.failed = None
+        by_cols: dict[tuple, int] = {}  # the columns of p -> its id
+        last = len(tables) - 1
+
+        def peel_back(state, qrows, depth, k, parent, prefix) -> None:
+            # peel the node's labels off its state, in place
+            (lo, hi), table = spans[depth], tables[depth]
+            labelled = [
+                ((r, c), v) for r, row in enumerate(qrows, 1) for c, v in enumerate(row, 1) if v >= lo
+            ]
+            try:
+                groups = [group for _, group in _peel_labels(state, labelled, hi, lo)]
+                ok = table.index.get(tuple(groups[::-1])) == k and state == parent
+            except ValueError:
+                ok = False
+            if not ok:
+                self.failed = prefix + (k,) + (0,) * (last - depth)
+
+        def visit(depth: int, cols: list, qrows: list, prefix: tuple) -> None:
+            lo = spans[depth][0]
+            for k, t in enumerate(tables[depth].tableaux):
+                state, rows = [col[:] for col in cols], [row[:] for row in qrows]
+                _record_onto(state, rows, t.rows, lo)
+                if depth < last:
+                    if self.failed is None:
+                        peel_back([col[:] for col in state], rows, depth, k, cols, prefix)
+                    visit(depth + 1, state, rows, prefix + (k,))
+                    continue
+                key_ = tuple(map(tuple, state))
+                pid = by_cols.get(key_)
+                if pid is None:
+                    pt = _tableau_of_cols(state, n)
+                    table = factor_table(pt.outer, n)
+                    pid = by_cols[key_] = p_ids[pt.rows] = len(p_tables)
+                    p_tables.append((table, table.index[pt.rows]))
+                p.append(pid)
+                key_ = tuple(map(tuple, rows))
+                qid = q_ids.get(key_)
+                if qid is None:
+                    qid = q_ids[key_] = len(q_tableaux)
+                    q_tableaux.append(Tableau._raw(key_, (), n))
+                q.append(qid)
+                if self.failed is None:
+                    peel_back(state, rows, depth, k, cols, prefix)
+
+        visit(0, [], [], ())
+
+
 def _check_rsk(seq: RectSequence) -> Iterator[dict]:
     n = seq.n
     fc = FastCrystal(seq)
-    pairs = [rsk_pair(fc.to_element(el)) for el in fc.elements]
-    spans = [seq.subalphabet(j) for j in range(1, seq.m + 1)]
-    # bijection: round trip and cardinality of the image.  A factor index
-    # holds exactly the valid factors of its rectangle, so a row group that
-    # is none of them looks up None and fails the comparison.
-    for el, pair in zip(fc.elements, pairs):
-        try:
-            rows = unrecord(pair.p, pair.q, n)
-            back = tuple(t.index.get(tuple(rows[lo - 1 : hi])) for t, (lo, hi) in zip(fc.tables, spans))
-        except ValueError:
-            back = None
-        if back != el:
-            yield _fail(fc.instance_json(el), "rsk_inverse . rsk_pair = id", "mismatch")
-            break
+    walk = RskWalk(fc)
+    # bijection: round trip and cardinality of the image
+    if walk.failed is not None:
+        yield _fail(fc.instance_json(walk.failed), "rsk_inverse . rsk_pair = id", "mismatch")
     count = sum(
         sum(character_weights(lam, n).values()) * len(lrt_tableaux(lam, seq))
         for lam in partitions_of(seq.ncells, n)
     )
     if count != len(fc.elements):
         yield _fail({"rects": seq.to_json()}, f"image size {len(fc.elements)}", count)
-    colors = [fc.color(i) for i in range(1, n)]
+    P, Q, p_tables = walk.p, walk.q, walk.p_tables
+    # by p id, the ids of tableau_f(p, i) and tableau_reflection(p, i), read
+    # off p's shape table (None when the image is no p of this instance)
+    p_id = {pt: pid for pid, pt in enumerate(p_tables)}
+    colors = [
+        (
+            fc.color(i),
+            [p_id.get((t, t.f_map[i][k])) for t, k in p_tables],
+            [p_id.get((t, t.reflect[i][k])) for t, k in p_tables],
+        )
+        for i in range(1, n)
+    ]
     promotion = fc.promotion
-    # the recording half of pair promotion reads only q and the strip of
-    # letters n in p, so it is computed once per (q, strip)
+    # pair promotion in two halves: the recording half, which reads only q
+    # and the strip of letters n in p, once per (q, strip); the insertion
+    # half once per (p, added cells).  Each holds ids, or None on an
+    # InconsistentPairError.
     recorded: dict = {}
-    for code, (el, pb) in enumerate(zip(fc.elements, pairs)):
+    inserted: dict = {}
+    for code, (pb, qb) in enumerate(zip(P, Q)):
         # equivariance under e_i, f_i, r_i for classical colors
-        for i, (sigs, f_img, e_img) in enumerate(colors, start=1):
+        for i, ((sigs, f_img, e_img), f_p, r_p) in enumerate(colors, start=1):
             fel = f_img[code]
-            if fel is not None:
-                pf = pairs[fel]
-                if pf.q != pb.q or pf.p != tableau_f(pb.p, i):
-                    yield _fail(fc.instance_json(el), f"equivariance f_{i}", "mismatch")
+            if fel is not None and (Q[fel] != qb or P[fel] != f_p[pb]):
+                yield _fail(fc.instance_json(fc.elements[code]), f"equivariance f_{i}", "mismatch")
             phi_, eps_, _, _ = sigs[code]
             rel = code
             for _ in range(phi_ - eps_):
                 rel = f_img[rel]
             for _ in range(eps_ - phi_):
                 rel = e_img[rel]
-            prb = pairs[rel]
-            if prb.q != pb.q or prb.p != tableau_reflection(pb.p, i):
-                yield _fail(fc.instance_json(el), f"equivariance r_{i}", "mismatch")
+            if Q[rel] != qb or P[rel] != r_p[pb]:
+                yield _fail(fc.instance_json(fc.elements[code]), f"equivariance r_{i}", "mismatch")
         # promotion computed on the pair alone agrees with the element route
-        strip = _n_strip(pb.p, n)
-        try:
-            half = recorded.get((pb.q.rows, strip))
-            if half is None:
-                half = recorded[pb.q.rows, strip] = _promote_recording(pb.q, strip, seq)
-            promoted = (_promote_insertion(pb.p, half[3], n), half[0])
-        except InconsistentPairError:
-            promoted = None
-        want = pairs[promotion[code]]
-        if promoted != (want.p, want.q):
-            yield _fail(fc.instance_json(el), "pair promotion", "mismatch")
+        t, k = p_tables[pb]
+        key_ = (qb, t.strip[k])
+        if key_ not in recorded:
+            try:
+                q_new, _, _, added = _promote_recording(walk.q_tableaux[qb], key_[1], seq)
+                recorded[key_] = (walk.q_ids.get(q_new.rows), added)
+            except InconsistentPairError:
+                recorded[key_] = None
+        half = recorded[key_]
+        promoted = None
+        if half is not None:
+            key_ = (pb, half[1])
+            if key_ not in inserted:
+                try:
+                    inserted[key_] = walk.p_ids.get(_promote_insertion(t.tableaux[k], half[1], n).rows)
+                except InconsistentPairError:
+                    inserted[key_] = None
+            promoted = (inserted[key_], half[0])
+        pc = promotion[code]
+        if promoted != (P[pc], Q[pc]):
+            yield _fail(fc.instance_json(fc.elements[code]), "pair promotion", "mismatch")
 
 
 def verify_rsk(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport:
@@ -880,7 +982,7 @@ SUITES = {
 # two.  The LR-walking checks walk no B^R, but their work grows with it.
 US_PER_ELEMENT = {
     _check_crystal_axioms: 8,
-    _check_rsk: 60,
+    _check_rsk: 35,
     _check_rmatrix_pairs: 70,
     _check_yang_baxter: 8,
     _check_energy_two_factor: 10,

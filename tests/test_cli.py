@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectcrys import cli, verify
 from rectcrys.cache import PolynomialCache
@@ -387,10 +389,11 @@ class TestVerifyCommand:
             loaded = loaded_by(*command)
             assert module in loaded and "dataclasses" not in loaded, (command, loaded)
 
-    def test_missing_bounds_usage_error(self):
+    def test_missing_bounds_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["verify", "charge-energy", "--n", "3"])
         assert err.value.code == 2
+        assert "--max-cells is required for exhaustive suites" in capsys.readouterr().err
 
     def test_bad_json_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -453,6 +456,15 @@ class TestMalformedInput:
         assert err.value.code == 2
         assert "--jobs must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cells", [0, -1])
+    def test_max_cells_not_positive(self, capsys, cells):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["verify", "rsk", "--n", "3", "--max-cells", str(cells)])
+        assert err.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--max-cells must be at least 1, got {cells}" in err
+        assert "required" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -475,3 +487,142 @@ class TestMalformedInput:
         argv = ["kpoly", "monotone", "--shape", "2,1", "--rects", "1x2,1x1"]
         argv += ["--k", "1", "--m", "1", "--position", str(position)]
         assert "position must be in 0..2" in self.run_usage_error(capsys, argv)
+
+
+# ---------------------------------------------------------------------------
+# The JSON boundary, by generated input.
+
+def _element_json(rects, picks):
+    """The JSON of the element of B^rects whose factors are the given
+    positions (mod the count) in enumerate_cst order."""
+    from rectcrys.tableaux import enumerate_cst
+
+    n = sum(eta for eta, _ in rects)
+    factors = []
+    for (eta, mu), pick in zip(rects, picks):
+        tableaux = list(enumerate_cst((mu,) * eta, n))
+        factors.append(tableaux[pick % len(tableaux)].to_json())
+    return {"rects": [list(r) for r in rects], "factors": factors}
+
+
+rect_lists = st.lists(
+    st.tuples(st.integers(1, 2), st.integers(1, 3)), min_size=1, max_size=3
+)
+elements_json = st.builds(
+    _element_json, rect_lists, st.lists(st.integers(0, 50), min_size=3, max_size=3)
+)
+words = st.lists(st.integers(1, 5), max_size=8)
+small_dicts = st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+# JSON values of any type but the key's own
+OTHER_TYPES = {
+    list: st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 9), st.floats(allow_nan=False),
+        st.text(max_size=3), small_dicts,
+    ),
+    int: st.one_of(
+        st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+        st.lists(st.integers(), max_size=2), small_dicts,
+    ),
+    dict: st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 9), st.text(max_size=3),
+        st.lists(st.integers(), max_size=2),
+    ),
+}
+
+
+def _paths(data, path=()):
+    """Paths to every value below the top of a JSON document."""
+    if isinstance(data, dict):
+        items = data.items()
+    else:
+        items = enumerate(data) if isinstance(data, list) else ()
+    for key_, value in items:
+        yield path + (key_,)
+        yield from _paths(value, path + (key_,))
+
+
+def _replaced(data, path, value):
+    data = json.loads(json.dumps(data))
+    node = data
+    for key_ in path[:-1]:
+        node = node[key_]
+    node[path[-1]] = value
+    return data
+
+
+def _main_on_stdin(argv, text):
+    from contextlib import redirect_stderr, redirect_stdout
+    from io import StringIO
+    from unittest import mock
+
+    out, err = StringIO(), StringIO()
+    with mock.patch("sys.stdin", StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+ELEMENT_COMMANDS = [
+    ["affine", "promote"], ["crystal", "f", "--color", "1"], ["rsk", "pair"], ["energy", "total"]
+]
+
+
+class TestJsonBoundary:
+    """Tableaux and elements survive to_json -> from_json, and malformed
+    stdin always ends with exit code 2 and a message, never a traceback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(words, st.booleans())
+    def test_tableau_round_trip(self, word, skew):
+        from rectcrys.tableaux import Tableau, antinormal, column_insert
+
+        t = (antinormal if skew else column_insert)(word, n=5)
+        back = Tableau.from_json(json.loads(json.dumps(t.to_json())), n=5)
+        assert back == t and back.n == t.n
+
+    @settings(max_examples=60, deadline=None)
+    @given(elements_json)
+    def test_element_round_trip(self, data):
+        from rectcrys.crystal import CrystalElement
+
+        b = CrystalElement.from_json(data)
+        assert CrystalElement.from_json(json.loads(json.dumps(b.to_json()))) == b
+
+    def assert_usage_error(self, argv, text):
+        code, err = _main_on_stdin(argv, text)
+        assert code == 2, (argv, text, err)
+        assert err.startswith("usage error:") and "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(elements_json, st.sampled_from(ELEMENT_COMMANDS), st.data())
+    def test_truncated_json(self, data, argv, draw):
+        text = json.dumps(data)
+        self.assert_usage_error(argv, text[: draw.draw(st.integers(0, len(text) - 1))])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(elements_json, st.sampled_from(ELEMENT_COMMANDS)),
+            st.tuples(
+                elements_json.map(lambda d: d["factors"][0]),
+                st.sampled_from([["tableau", "word"], ["energy", "charge"]]),
+            ),
+            st.tuples(words.map(lambda w: {"word": w}), st.just(["tableau", "insert"])),
+        ),
+        st.data(),
+    )
+    def test_wrong_type(self, case, draw):
+        data, argv = case
+        path = draw.draw(st.sampled_from(list(_paths(data))))
+        node = data
+        for key_ in path:
+            node = node[key_]
+        value = draw.draw(OTHER_TYPES[type(node)])
+        self.assert_usage_error(argv, json.dumps(_replaced(data, path, value)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(elements_json, st.sampled_from(ELEMENT_COMMANDS), st.integers(1, 3), st.data())
+    def test_letter_beyond_n(self, data, argv, excess, draw):
+        n = sum(eta for eta, _ in data["rects"])
+        j = draw.draw(st.integers(0, len(data["factors"]) - 1))
+        data["factors"][j]["rows"][-1][-1] = n + excess
+        self.assert_usage_error(argv, json.dumps(data))

@@ -12,7 +12,7 @@ from rectcrys.crystal import RectSequence
 from rectcrys.energy import energy_terms, total_energy
 from rectcrys.errors import NonLRError
 from rectcrys.rmatrix import sigma_swap
-from rectcrys.rsk import LRTableau, is_r_lr
+from rectcrys.rsk import LRTableau, is_r_lr, rsk_pair
 from rectcrys.tableaux import Tableau, enumerate_cst
 
 
@@ -91,6 +91,39 @@ class TestWorkerCount:
         assert started == [2]
         assert pooled.instances == serial.instances == 2 * len(seqs)
         assert pooled.failures == serial.failures == []
+
+    def test_pool_gets_largest_first(self, monkeypatch):
+        received = []
+
+        class CountingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                received.extend(tasks)
+                return [[] for _ in tasks]
+
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "MIN_US_PER_WORKER", 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        seqs = list(verify.rect_sequences(3, 4))
+        parts = [(seqs, verify._check_crystal_axioms), (seqs, verify._check_rsk)]
+        rep = verify._run_instances("ordered", parts, jobs=2)
+        tasks = [(check, seq) for seqs_, check in parts for seq in seqs_]
+        work = [verify._work(*task) for task in received]
+        assert rep.instances == len(received) == len(tasks)
+        assert sorted(received, key=tasks.index) == tasks
+        assert work == sorted(work, reverse=True) and work[0] > work[-1]
+        # equal work keeps family order
+        for a, b in zip(received, received[1:]):
+            if verify._work(*a) == verify._work(*b):
+                assert tasks.index(a) < tasks.index(b)
 
     @pytest.mark.parametrize(
         "cpus, rects",
@@ -179,15 +212,15 @@ class TestFailureCap:
         assert len(rep.failures) == 2 * (verify.MAX_FAILURES + 1)
 
 
-def patched_factor_table(monkeypatch, rect, n, perturb):
-    """Serve a perturbed copy of the factor table of one rectangle over 1..n."""
+def patched_factor_table(monkeypatch, shape, n, perturb):
+    """Serve a perturbed copy of the factor table of one shape over 1..n."""
     real = verify.factor_table
-    table = verify.FactorTable(*rect, n)
+    table = verify.FactorTable(shape, n)
     perturb(table)
     monkeypatch.setattr(
         verify,
         "factor_table",
-        lambda eta, mu, n_: table if (eta, mu, n_) == (*rect, n) else real(eta, mu, n_),
+        lambda shape_, n_: table if (shape_, n_) == (shape, n) else real(shape_, n_),
     )
 
 
@@ -199,7 +232,7 @@ class TestWeightDrop:
             k = next(k for k, img in enumerate(table.f_map[1]) if img is not None)
             table.f_map[1][k] = k  # f_1 now leaves this factor unchanged
 
-        patched_factor_table(monkeypatch, (1, 2), seq.n, perturb)
+        patched_factor_table(monkeypatch, (2,), seq.n, perturb)
         failures = list(verify._check_crystal_axioms(seq))
         drops = [f for f in failures if f["expected"] == "wt drop alpha_1"]
         assert drops
@@ -223,7 +256,7 @@ class TestPerturbedFactorTable:
         def perturb(table):
             table.promote[0], table.promote[1] = table.promote[1], table.promote[0]
 
-        patched_factor_table(monkeypatch, (1, 2), self.SEQ.n, perturb)
+        patched_factor_table(monkeypatch, (2,), self.SEQ.n, perturb)
         failures = list(verify._check_crystal_axioms(self.SEQ))
         assert failures
         assert all(f["expected"].startswith("pr f_") for f in failures)
@@ -233,7 +266,7 @@ class TestPerturbedFactorTable:
             phi_, eps_ = table.stats[1][0]
             table.stats[1][0] = (phi_ + 1, eps_)
 
-        patched_factor_table(monkeypatch, (1, 2), self.SEQ.n, perturb)
+        patched_factor_table(monkeypatch, (2,), self.SEQ.n, perturb)
         failures = list(verify._check_crystal_axioms(self.SEQ))
         assert any(f["expected"].startswith("<h_1, wt>") for f in failures)
 
@@ -303,36 +336,92 @@ class TestPerturbedPairTable:
 
 
 class TestRoundTripByIndex:
-    """The RSK round trip reads each factor from its table's index; a peel
-    that returns no valid factor must fail the suite."""
+    """The RSK round trip peels each node's labels back off its insertion
+    state and reads the factor from its table's index; a peel that returns
+    no valid factor must fail the suite, once."""
 
     SEQ = RectSequence([(1, 2), (1, 1)])
 
     def test_corrupted_rows_fail(self, monkeypatch):
-        real = verify.unrecord
+        real = verify._peel_labels
 
-        def corrupted(p, q, ngroups):
-            rows = real(p, q, ngroups)
-            for r, row in enumerate(rows):
-                if row[0] != row[-1]:
-                    rows[r] = (row[-1],) + row[1:-1] + (row[0],)
-                    break
-            return rows
+        def corrupted(cols, labelled, top, bottom):
+            done = False
+            for k, row in real(cols, labelled, top, bottom):
+                if not done and row[0] != row[-1]:
+                    row, done = (row[-1],) + row[1:-1] + (row[0],), True
+                yield k, row
 
-        monkeypatch.setattr(verify, "unrecord", corrupted)
+        monkeypatch.setattr(verify, "_peel_labels", corrupted)
         failures = list(verify._check_rsk(self.SEQ))
         assert [f["expected"] for f in failures] == ["rsk_inverse . rsk_pair = id"]
 
     def test_failed_peel_fails(self, monkeypatch):
-        def fails(p, q, ngroups):
-            raise ValueError("recording tableau does not cover p")
+        def fails(cols, labelled, top, bottom):
+            raise ValueError("reverse column insertion stuck at column 1")
+            yield
 
-        monkeypatch.setattr(verify, "unrecord", fails)
+        monkeypatch.setattr(verify, "_peel_labels", fails)
         failures = list(verify._check_rsk(self.SEQ))
         assert [f["expected"] for f in failures] == ["rsk_inverse . rsk_pair = id"]
 
     def test_intact_round_trip_passes(self):
         assert list(verify._check_rsk(self.SEQ)) == []
+
+
+class TestRskWalk:
+    """The walk inserts each factor once onto its prefix; its pairs are
+    rsk_pair's, and a wrong inner state or table entry fails the suite."""
+
+    SEQ = RectSequence([(1, 2), (1, 1), (1, 1)])
+
+    def test_pairs_are_rsk_pair(self):
+        count = 0
+        for seq in verify.rect_sequences(3, 6):
+            fc = verify.FastCrystal(seq)
+            walk = verify.RskWalk(fc)
+            assert walk.failed is None
+            for code, el in enumerate(fc.elements):
+                pair = rsk_pair(fc.to_element(el))
+                table, k = walk.p_tables[walk.p[code]]
+                assert table.tableaux[k] == pair.p
+                assert walk.q_tableaux[walk.q[code]] == pair.q
+                count += 1
+        assert count == 2956
+
+    def test_wrong_inner_column_fails(self, monkeypatch):
+        real = verify._record_onto
+        calls = []
+
+        def patched(cols, qrows, groups, first):
+            real(cols, qrows, groups, first)
+            if first == 2:
+                calls.append(groups)
+                if len(calls) == 2:
+                    cols[0][-1] += 1  # the node of prefix (0, 1): [[1, 2], [1]] -> [[1, 3], [1]]
+
+        monkeypatch.setattr(verify, "_record_onto", patched)
+        fc = verify.FastCrystal(self.SEQ)
+        trips = [
+            f for f in verify._check_rsk(self.SEQ) if f["expected"] == "rsk_inverse . rsk_pair = id"
+        ]
+        assert calls[:2] == [((1,),), ((2,),)]
+        assert [f["instance"] for f in trips] == [fc.instance_json((0, 1, 0))]
+
+    @pytest.mark.parametrize(
+        "name, expected", [("f_map", "equivariance f_1"), ("reflect", "equivariance r_1")]
+    )
+    def test_perturbed_p_table_entry_fails(self, monkeypatch, name, expected):
+        # the shape (3, 1) is a p shape of SEQ and none of its factors' shapes
+        def perturb(table):
+            images = getattr(table, name)[1]
+            k = next(k for k, img in enumerate(images) if img is not None)
+            images[k] = (images[k] + 1) % len(table.tableaux)
+
+        patched_factor_table(monkeypatch, (3, 1), self.SEQ.n, perturb)
+        failures = list(verify._check_rsk(self.SEQ))
+        assert failures
+        assert {f["expected"] for f in failures} == {expected}
 
 
 class TestPairPromotionHalves:

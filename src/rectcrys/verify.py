@@ -529,9 +529,9 @@ def _check_rsk(seq: RectSequence) -> Iterator[dict]:
     ]
     promotion = fc.promotion
     # pair promotion in two halves: the recording half, which reads only q
-    # and the strip of letters n in p, once per (q, strip); the insertion
-    # half once per (p, added cells).  Each holds ids, or None on an
-    # InconsistentPairError.
+    # and the strip of letters n in p, once per (q, strip), giving the new
+    # q's id and the added cells; the insertion half once per (p, added
+    # cells), giving the new p's id.  A half that raises holds None.
     recorded: dict = {}
     inserted: dict = {}
     for code, (pb, qb) in enumerate(zip(P, Q)):
@@ -550,23 +550,22 @@ def _check_rsk(seq: RectSequence) -> Iterator[dict]:
                 yield _fail(fc.instance_json(fc.elements[code]), f"equivariance r_{i}", "mismatch")
         # promotion computed on the pair alone agrees with the element route
         t, k = p_tables[pb]
-        key_ = (qb, t.strip[k])
-        if key_ not in recorded:
+        strip = t.strip[k]
+        if (qb, strip) not in recorded:
             try:
-                q_new, _, _, added = _promote_recording(walk.q_tableaux[qb], key_[1], seq)
-                recorded[key_] = (walk.q_ids.get(q_new.rows), added)
+                q_new, _, _, added = _promote_recording(walk.q_tableaux[qb], strip, seq)
+                recorded[qb, strip] = (walk.q_ids.get(q_new.rows), added)
             except InconsistentPairError:
-                recorded[key_] = None
-        half = recorded[key_]
-        promoted = None
-        if half is not None:
-            key_ = (pb, half[1])
-            if key_ not in inserted:
+                recorded[qb, strip] = None
+        promoted = recorded[qb, strip]
+        if promoted is not None:
+            new_q, added = promoted
+            if (pb, added) not in inserted:
                 try:
-                    inserted[key_] = walk.p_ids.get(_promote_insertion(t.tableaux[k], half[1], n).rows)
+                    inserted[pb, added] = walk.p_ids.get(_promote_insertion(t.tableaux[k], added, n).rows)
                 except InconsistentPairError:
-                    inserted[key_] = None
-            promoted = (inserted[key_], half[0])
+                    inserted[pb, added] = None
+            promoted = (inserted[pb, added], new_q)
         pc = promotion[code]
         if promoted != (P[pc], Q[pc]):
             yield _fail(fc.instance_json(fc.elements[code]), "pair promotion", "mismatch")
@@ -982,7 +981,7 @@ SUITES = {
 # two.  The LR-walking checks walk no B^R, but their work grows with it.
 US_PER_ELEMENT = {
     _check_crystal_axioms: 8,
-    _check_rsk: 35,
+    _check_rsk: 40,
     _check_rmatrix_pairs: 70,
     _check_yang_baxter: 8,
     _check_energy_two_factor: 10,

@@ -389,24 +389,35 @@ class TestRskWalk:
                 count += 1
         assert count == 2956
 
-    def test_wrong_inner_column_fails(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "first, call, state, corrupt, element",
+        [
+            # an inner node whose group peels back to a wrong factor
+            (2, 2, [[1, 2], [1]], lambda cols: cols[0].__setitem__(-1, 3), (0, 1, 0)),
+            # a leaf whose group peels back right but leaves more than its
+            # parent's state
+            (3, 3, [[1, 3], [1], [1]], lambda cols: cols.append([3]), (0, 0, 2)),
+        ],
+    )
+    def test_wrong_state_fails(self, monkeypatch, first, call, state, corrupt, element):
         real = verify._record_onto
         calls = []
 
-        def patched(cols, qrows, groups, first):
-            real(cols, qrows, groups, first)
-            if first == 2:
+        def patched(cols, qrows, groups, first_):
+            real(cols, qrows, groups, first_)
+            if first_ == first:
                 calls.append(groups)
-                if len(calls) == 2:
-                    cols[0][-1] += 1  # the node of prefix (0, 1): [[1, 2], [1]] -> [[1, 3], [1]]
+                if len(calls) == call:
+                    assert cols == state
+                    corrupt(cols)
 
         monkeypatch.setattr(verify, "_record_onto", patched)
         fc = verify.FastCrystal(self.SEQ)
         trips = [
             f for f in verify._check_rsk(self.SEQ) if f["expected"] == "rsk_inverse . rsk_pair = id"
         ]
-        assert calls[:2] == [((1,),), ((2,),)]
-        assert [f["instance"] for f in trips] == [fc.instance_json((0, 1, 0))]
+        assert len(calls) >= call
+        assert [f["instance"] for f in trips] == [fc.instance_json(element)]
 
     @pytest.mark.parametrize(
         "name, expected", [("f_map", "equivariance f_1"), ("reflect", "equivariance r_1")]

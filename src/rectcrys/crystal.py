@@ -134,10 +134,8 @@ class CrystalElement:
             raise ValueError(f"expected {seq.m} factors, got {len(self.factors)}")
         for j, t in enumerate(self.factors, start=1):
             if t.outer != seq.rect_shape(j) or t.inner != ():
-                raise ValueError(
-                    f"factor {j} has shape {t.outer}/{t.inner}, "
-                    f"expected rectangle {seq.rect_shape(j)}"
-                )
+                eta, mu = seq.rects[j - 1]
+                raise ValueError(f"factor {j} has shape {t.outer}/{t.inner}, expected rectangle {eta}x{mu}")
             if any(x > seq.n for row in t.rows for x in row):
                 raise ValueError(f"factor {j} uses letters beyond {seq.n}")
 
@@ -184,11 +182,18 @@ class CrystalElement:
 
     @classmethod
     def from_json(cls, data: dict) -> "CrystalElement":
-        seq = RectSequence(json_ints(data["rects"], "rects", 2))
-        if not isinstance(data["factors"], list):
-            raise ValueError("factors must be a list of tableaux")
-        factors = [Tableau.from_json(f, n=seq.n) for f in data["factors"]]
-        return cls(seq, factors)
+        rects, factors = json_ints(data["rects"], "rects", 2), data["factors"]
+        if not isinstance(factors, list) or len(factors) != len(rects):
+            raise ValueError(f"factors must be a list of {len(rects)} tableaux")
+        # shapes first: RectSequence takes memory for every letter of the alphabet
+        for j, (rect, f) in enumerate(zip(rects, factors), start=1):
+            rows = f.get("rows") if isinstance(f, dict) else None
+            if len(rect) != 2 or not isinstance(rows, list) or len(rows) != rect[0] or any(
+                not isinstance(row, list) or len(row) != rect[1] for row in rows
+            ):
+                raise ValueError(f"factor {j} does not fill a {'x'.join(map(str, rect))} rectangle")
+        seq = RectSequence(rects)
+        return cls(seq, [Tableau.from_json(f, n=seq.n) for f in factors])
 
     def __eq__(self, other) -> bool:
         return (

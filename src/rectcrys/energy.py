@@ -12,13 +12,14 @@ oracle.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from typing import Sequence
 
 from .crystal import CrystalElement, RectSequence
-from .rsk import LRTableau, peel_recording
+from .rsk import LRTableau, _lift
 from .rmatrix import _sigma_pair, sigma_swap
-from .tableaux import Tableau, _record_onto, insertion_shape, key, partition
+from .tableaux import Tableau, _record_onto, conjugate, insertion_shape, partition
 
 
 def _east_count(shape: Sequence[int], col: int) -> int:
@@ -85,38 +86,35 @@ def tableau_energy_terms(q: LRTableau) -> list[tuple[int, int, int]]:
     The (i, j) term is restricted_d at positions i, i+1 of q after the
     switches tau at positions j-1, ..., i+1.  sigma keeps the insertion
     tableau and acts as tau on the recording tableau, so the switches are
-    walked on the factor rows of the element with key insertion tableau and
-    recording tableau q.  A switch of two equal rectangles is the identity
-    and is skipped: until the first real switch the term is restricted_d of
-    q, and q is lifted only when rectangles 2..m differ.  Switches above i
-    leave rectangles 1..i alone, and the term reads labels up to the end of
-    position i+1 only, so it records the factor now at position i+1 onto
-    the insertion state of rectangles 1..i, which the one peel of q gives.
+    walked on the factor rows of the highest weight element that
+    ``rsk._lift`` reads off q (it raises when q is not R-LR).  A switch of
+    two equal rectangles is the identity and is skipped: until the first
+    real switch the term is restricted_d of q.  Switches above i leave
+    rectangles 1..i alone, whose insertion state is the key tableau of the
+    shape of q's labels up to hi_i, and the term reads labels up to the end
+    of position i+1 only: ``_switched_term`` records the moved factor onto
+    that key tableau.
     """
-    seq = q.seq
+    seq, qrows = q.seq, q.tableau.rows
+    lifted = [t.rows for t in _lift(q.tableau, seq).factors]
     base = [restricted_d(q, i) for i in range(1, seq.m)]
     if len(set(seq.rects[1:])) <= 1:
         return [(i, j, base[i - 1]) for j in range(2, seq.m + 1) for i in range(j - 1, 0, -1)]
-    states: dict[int, list[list[int]]] = {}
-    factors = peel_recording(key(q.tableau.outer, n=seq.n), q.tableau, seq, states=states)
-    lifted = [t.rows for t in factors]
-    # the labels of position i in q, row by row, which every term at i keeps;
-    # a term follows a real switch only at i <= m-2
-    kept = {}
+    # per position i <= m-2 (a term follows a real switch only there): the
+    # shape of q's labels up to hi_i, and its labels in A_i row by row
+    prefix = {}
     for i in range(1, seq.m - 1):
         lo, hi = seq.subalphabet(i)
-        kept[i] = [[x for x in row if lo <= x <= hi] for row in q.tableau.rows]
+        shape = tuple(k for k in (bisect_right(row, hi) for row in qrows) if k)
+        prefix[i] = shape, tuple(tuple(x for x in row[:k] if x >= lo) for row, k in zip(qrows, shape))
     out = []
     for j in range(2, seq.m + 1):
         rows, rects, moved = list(lifted), list(seq.rects), False
         for i in range(j - 1, 0, -1):
             if moved:
                 lo, hi = seq.subalphabet(i)
-                cols = [col[:] for col in states[i]]
-                qrows = [row[:] for row in kept[i]]
-                _record_onto(cols, qrows, rows[i], hi + 1)
-                top = hi + rects[i][0]
-                value = _restricted_east(qrows, lo, top, max(rects[i - 1][1], rects[i][1]))
+                col = max(rects[i - 1][1], rects[i][1])
+                value = _switched_term(*prefix[i], rows[i], lo, hi, col)
             else:
                 value = base[i - 1]
             out.append((i, j, value))
@@ -125,6 +123,18 @@ def tableau_energy_terms(q: LRTableau) -> list[tuple[int, int, int]]:
                 rects[i - 1], rects[i] = rects[i], rects[i - 1]
                 moved = True
     return out
+
+
+@lru_cache(maxsize=None)
+def _switched_term(shape: tuple, kept: tuple, rows: tuple, lo: int, hi: int, col: int) -> int:
+    """restricted_d at i, i+1 after a real switch: the factor rows ``rows``
+    now at position i+1 are recorded, labels from hi+1, onto the key tableau
+    of ``shape`` (the insertion state of rectangles 1..i) next to ``kept``,
+    q's labels lo..hi row by row; the east count is then past ``col``."""
+    cols = [list(range(1, h + 1)) for h in conjugate(shape)]
+    labels = [list(row) for row in kept]
+    _record_onto(cols, labels, rows, hi + 1)
+    return _restricted_east(labels, lo, hi + len(rows), col)
 
 
 @lru_cache(maxsize=None)

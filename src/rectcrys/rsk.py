@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .crystal import CrystalElement, RectSequence, _bracket, _word_pairs
 from .errors import InconsistentPairError, NonLRError, ShapeMismatchError
-from .tableaux import Tableau, _Frozen, _unrecord_steps, conjugate, key, partition, record
+from .tableaux import Tableau, _Frozen, _unrecord_steps, conjugate, partition, record
 
 
 class TableauPair(_Frozen):
@@ -51,7 +51,7 @@ def rsk_pair(b: CrystalElement) -> TableauPair:
 
 
 def peel_recording(
-    p: Tableau, q: Tableau, seq: RectSequence, alphabet: int | None = None, states: dict | None = None
+    p: Tableau, q: Tableau, seq: RectSequence, alphabet: int | None = None
 ) -> list[Tableau]:
     """Factor tableaux of the element recorded by (p, q).
 
@@ -59,25 +59,24 @@ def peel_recording(
     insertions; the ejected letters must come out weakly increasing and
     rebuild the r-th row of the element.  ``alphabet`` bounds the letters of
     the factors (defaults to the recording alphabet size n of ``seq``).
-    ``states``, when given, receives under each k < m a copy of the columns
-    left once rectangles k+1..m are peeled: the insertion state of the rows
-    of rectangles 1..k.
     """
-    starts = {seq.subalphabet(k + 1)[0]: k for k in range(1, seq.m)}
     rows: list[tuple[int, ...]] = [()] * seq.n
     try:
-        for label, group, cols in _unrecord_steps(p, q, seq.n):
+        for label, group, _ in _unrecord_steps(p, q, seq.n):
             rows[label - 1] = group
-            if states is not None and label in starts:
-                states[starts[label]] = [col[:] for col in cols]
     except ValueError as exc:
         raise InconsistentPairError(str(exc)) from exc
-    bound = seq.n if alphabet is None else alphabet
+    return _factors(rows, seq, seq.n if alphabet is None else alphabet)
+
+
+def _factors(rows: Sequence[tuple[int, ...]], seq: RectSequence, bound: int) -> list[Tableau]:
+    """Rows 1..n of an element cut into its factors, each checked to be a
+    column-strict rectangle over 1..bound (rows weakly increasing are
+    taken as given)."""
     factors = []
     for j, (eta, mu) in enumerate(seq.rects, start=1):
         lo, hi = seq.subalphabet(j)
         block = tuple(rows[lo - 1 : hi])
-        # the peel ejects every row weakly increasing; the rest is checked here
         if (
             any(len(row) != mu for row in block)
             or any(a >= b for up, down in zip(block, block[1:]) for a, b in zip(up, down))
@@ -99,16 +98,25 @@ def rsk_inverse(pair: TableauPair, seq: RectSequence) -> CrystalElement:
         )
     if not is_r_lr(q.word(), seq):
         raise NonLRError(f"recording tableau is not {seq.rects}-LR")
-    return _lift(q, seq, p)
-
-
-def _lift(q: Tableau, seq: RectSequence, p: Tableau | None = None) -> CrystalElement:
-    """The element recorded by (p, q), with p the key tableau of q's shape
-    unless given.  q is trusted to be R-LR; the peel still checks that the
-    pair is consistent."""
-    if p is None:
-        p = key(q.outer, n=seq.n)
     return CrystalElement(seq, peel_recording(p, q, seq))
+
+
+def _lift(q: Tableau, seq: RectSequence) -> CrystalElement:
+    """The classical highest weight element whose recording tableau is q,
+    read off q with no insertion: row s of its factor j lists, in order,
+    the rows of q that hold the label lo_j + s - 1.  Its insertion tableau,
+    and that of each prefix of rectangles 1..i, is a key tableau: of q's
+    shape, and of the shape of q's labels up to hi_i.  q is trusted to be
+    column-strict; each factor is checked to be a column-strict rectangle,
+    which, given content gamma(R), holds exactly when q is R-LR.
+    """
+    rows: list[list[int]] = [[] for _ in range(seq.n)]
+    for r, row in enumerate(q.rows, start=1):
+        for x in row:
+            if x > seq.n:
+                raise InconsistentPairError(f"label {x} of q lies beyond 1..{seq.n}")
+            rows[x - 1].append(r)
+    return CrystalElement._raw(seq, tuple(_factors([tuple(row) for row in rows], seq, seq.n)))
 
 
 def _levi_colors(seq: RectSequence) -> list[int]:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -618,6 +619,18 @@ class TestJsonBoundary:
             node = node[key_]
         value = draw.draw(OTHER_TYPES[type(node)])
         self.assert_usage_error(argv, json.dumps(_replaced(data, path, value)))
+
+    def test_large_rectangle_rejected_before_its_alphabet(self):
+        # 60 bytes claim a 2,000,000-row rectangle but give one row: the
+        # shape check refuses it before the alphabet of 2,000,000 letters is
+        # built, so the message is short and the peak memory hardly grows
+        text = json.dumps({"rects": [[2000000, 1]], "factors": [{"rows": [[1]]}]})
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        code, err = _main_on_stdin(["affine", "promote"], text)
+        growth_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+        assert code == 2 and len(err) < 200, err[:200]
+        assert "2000000x1" in err
+        assert growth_kb < 5 * 1024
 
     @settings(max_examples=60, deadline=None)
     @given(elements_json, st.sampled_from(ELEMENT_COMMANDS), st.integers(1, 3), st.data())

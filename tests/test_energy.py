@@ -16,8 +16,9 @@ from rectcrys.energy import (
 )
 from rectcrys.rmatrix import sigma_swap, tau_swap
 from rectcrys.errors import InconsistentPairError
-from rectcrys.rsk import LRTableau, TableauPair, is_r_lr, lrt_tableaux, rsk_inverse, rsk_pair
-from rectcrys.tableaux import Tableau, column_insert, enumerate_cst, key, partitions_of
+from rectcrys.rsk import LRTableau, TableauPair, _lift, is_r_lr, lrt_tableaux, rsk_inverse, rsk_pair
+from rectcrys.tableaux import Tableau, column_insert, enumerate_cst, key, partition, partitions_of, record
+from rectcrys.verify import rect_sequences
 
 from conftest import lr_family
 from oracles import enumerate_crystal
@@ -140,33 +141,57 @@ class TestTableauEnergy:
         assert count == 216 and bad == []
 
     def test_corrupted_snapshot_fails_oracle(self, monkeypatch):
-        # the insertion states are read by the walk alone; losing one cell
-        # of each must show up against the tau chain
-        peel = energy.peel_recording
+        # the key-tableau prefix states are read by the walk alone; losing
+        # one cell of each must show up against the tau chain.  The memo of
+        # post-switch terms is cleared on both sides of the patch, so that
+        # neither earlier nor corrupted entries outlive it.
+        record_onto = energy._record_onto
 
-        def corrupted(*args, states, **kwargs):
-            factors = peel(*args, states=states, **kwargs)
-            for cols in states.values():
-                cols[-1].pop()
-                if not cols[-1]:
-                    cols.pop()
-            return factors
+        def corrupted(cols, *args):
+            cols[-1].pop()
+            if not cols[-1]:
+                cols.pop()
+            record_onto(cols, *args)
 
-        monkeypatch.setattr(energy, "peel_recording", corrupted)
-        assert ordering_mismatches()[1]
+        monkeypatch.setattr(energy, "_record_onto", corrupted)
+        energy._switched_term.cache_clear()
+        try:
+            assert ordering_mismatches()[1]
+        finally:
+            energy._switched_term.cache_clear()
+
+    def test_prefix_states_are_key_tableaux(self):
+        # the insertion state of rectangles 1..k of the lift is the key
+        # tableau of the shape of q's labels up to hi_k
+        for seq, t in lr_family(4, 7, 3):
+            groups = [b.rows for b in _lift(t, seq).factors]
+            for k in range(1, seq.m):
+                hi = seq.subalphabet(k)[1]
+                shape = partition(sum(1 for x in row if x <= hi) for row in t.rows)
+                p, _ = record([row for rows in groups[:k] for row in rows], seq.n)
+                assert p == key(shape, n=seq.n)
 
     def test_non_lr_tableau_rejected(self):
-        seq = RectSequence([(1, 1), (2, 1), (1, 2)])
-        bad = [
-            t
-            for lam in partitions_of(seq.ncells, seq.n)
-            for t in enumerate_cst(lam, seq.n)
-            if t.content(seq.n) == seq.gamma() and not is_r_lr(t.word(), seq)
-        ]
-        assert len(bad) == 7
-        for t in bad:
-            with pytest.raises(InconsistentPairError):
-                tableau_energy(LRTableau._raw(t, seq))
+        # every column-strict tableau of content gamma(R), for every R of
+        # rect_sequences(4, 6): the lift, and with it the energy, raises
+        # exactly on the ones that are not R-LR
+        count, bad = 0, 0
+        for seq in rect_sequences(4, 6):
+            for lam in partitions_of(seq.ncells, seq.n):
+                for t in enumerate_cst(lam, seq.n):
+                    if t.content(seq.n) != seq.gamma():
+                        continue
+                    count += 1
+                    if is_r_lr(t.word(), seq):
+                        _lift(t, seq)
+                        tableau_energy(LRTableau._raw(t, seq))
+                        continue
+                    bad += 1
+                    with pytest.raises(InconsistentPairError):
+                        _lift(t, seq)
+                    with pytest.raises(InconsistentPairError):
+                        tableau_energy(LRTableau._raw(t, seq))
+        assert (count, bad) == (948, 359)
 
     def test_reorder_invariance(self):
         seq = RectSequence([(1, 2), (2, 1), (1, 1)])

@@ -138,15 +138,15 @@ def _switched_term(shape: tuple, kept: tuple, rows: tuple, lo: int, hi: int, col
 
 
 @lru_cache(maxsize=None)
-def _tableau_energy_cached(rows: tuple, inner: tuple, rects: tuple) -> int:
-    q = LRTableau._raw(Tableau._raw(rows, inner, None), RectSequence(rects))
+def _tableau_energy_cached(rows: tuple, inner: tuple, seq: RectSequence) -> int:
+    q = LRTableau._raw(Tableau._raw(rows, inner, seq.n), seq)
     return sum(v for _, _, v in tableau_energy_terms(q))
 
 
 def tableau_energy(q: LRTableau) -> int:
     """Generalized charge of an LR tableau: the energy of any element whose
     recording tableau is q."""
-    return _tableau_energy_cached(q.tableau.rows, q.tableau.inner, q.seq.rects)
+    return _tableau_energy_cached(q.tableau.rows, q.tableau.inner, q.seq)
 
 
 # ---------------------------------------------------------------------------

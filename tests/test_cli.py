@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -623,14 +624,21 @@ class TestJsonBoundary:
     def test_large_rectangle_rejected_before_its_alphabet(self):
         # 60 bytes claim a 2,000,000-row rectangle but give one row: the
         # shape check refuses it before the alphabet of 2,000,000 letters is
-        # built, so the message is short and the peak memory hardly grows
+        # built, so the message is short and the peak memory hardly grows.
+        # ru_maxrss cannot grow once an earlier test set a higher peak, so
+        # the allocations are also traced.
         text = json.dumps({"rects": [[2000000, 1]], "factors": [{"rows": [[1]]}]})
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        code, err = _main_on_stdin(["affine", "promote"], text)
+        tracemalloc.start()
+        try:
+            code, err = _main_on_stdin(["affine", "promote"], text)
+            traced_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         growth_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
         assert code == 2 and len(err) < 200, err[:200]
         assert "2000000x1" in err
-        assert growth_kb < 5 * 1024
+        assert growth_kb < 5 * 1024 and traced_peak < 5 * 2**20
 
     @settings(max_examples=60, deadline=None)
     @given(elements_json, st.sampled_from(ELEMENT_COMMANDS), st.integers(1, 3), st.data())

@@ -119,15 +119,12 @@ def _cmd_crystal(args) -> int:
     from .affine import e0, f0
     from .crystal import e, f, reflection
 
-    op = args.op_flag if args.op == "op" else args.op
-    if op not in ("e", "f", "r"):
-        raise ValueError("operator must be one of e, f, r (--op for 'crystal op')")
     b = _element_from_stdin(args)
     if not 0 <= args.color <= b.seq.n - 1:
         raise ValueError(f"--color must be in 0..{b.seq.n - 1}, got {args.color}")
-    if op == "e":
+    if args.op == "e":
         _maybe_element(e(b, args.color) if args.color else e0(b))
-    elif op == "f":
+    elif args.op == "f":
         _maybe_element(f(b, args.color) if args.color else f0(b))
     else:
         if args.color == 0:
@@ -342,9 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tableau)
 
     p = sub.add_parser("crystal", help="classical and affine operators")
-    p.add_argument("op", choices=["e", "f", "r", "op"])
+    p.add_argument("op", choices=["e", "f", "r"])
     p.add_argument("--color", type=int, required=True, help="0..n-1")
-    p.add_argument("--op", dest="op_flag", choices=["e", "f", "r"], default=None)
     p.set_defaults(func=_cmd_crystal)
 
     p = sub.add_parser("rsk", help="tableau pairs and LR enumeration")

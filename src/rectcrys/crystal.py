@@ -21,29 +21,26 @@ class RectSequence(_Frozen):
     subalphabets A_1, ..., A_m of sizes eta_1, ..., eta_m.
     """
 
-    __slots__ = ("rects", "n", "_bounds", "_owner", "_gamma")
+    __slots__ = ("rects", "n", "_bounds", "_gamma")
     _fields = ("rects",)
 
     def __init__(self, rects: Iterable[Sequence[int]]):
-        # n, the subalphabet bounds, the owner of each letter and gamma are
-        # worked out here once; equality, hash and pickling use rects alone.
+        # n and the subalphabet bounds are worked out here, gamma (one entry
+        # per letter) when first asked for; equality, hash and pickling use rects.
         n = 0
-        rs, bounds, owner, gamma = [], [], [], []
-        for j, (e, m) in enumerate(rects, start=1):
+        rs, bounds = [], []
+        for e, m in rects:
             e, m = int(e), int(m)
             if e < 1 or m < 1:
                 raise ValueError(f"rectangles need positive dimensions: {(e, m)}")
             rs.append((e, m))
             bounds.append((n + 1, n + e))
-            owner += [j] * e
-            gamma += [m] * e
             n += e
         put = object.__setattr__
         put(self, "rects", tuple(rs))
         put(self, "n", n)
         put(self, "_bounds", tuple(bounds))
-        put(self, "_owner", tuple(owner))
-        put(self, "_gamma", tuple(gamma))
+        put(self, "_gamma", None)
 
     # Written out, not the generic field walk: RectSequence keys many memos.
     def __eq__(self, other) -> bool:
@@ -75,14 +72,10 @@ class RectSequence(_Frozen):
         """Letters of A_j as an inclusive interval (lo, hi)."""
         return self._bounds[j - 1]
 
-    def alphabet_of(self, letter: int) -> int:
-        """Index j with letter in A_j."""
-        if not 1 <= letter <= self.n:
-            raise ValueError(f"letter {letter} outside 1..{self.n}")
-        return self._owner[letter - 1]
-
     def gamma(self) -> tuple[int, ...]:
         """Row lengths of the skew shape: R_1 through R_m juxtaposed."""
+        if self._gamma is None:
+            object.__setattr__(self, "_gamma", tuple(m for e, m in self.rects for _ in range(e)))
         return self._gamma
 
     def rect_shape(self, j: int) -> tuple[int, ...]:
@@ -163,12 +156,6 @@ class CrystalElement:
                     counts[x - 1] += 1
         return tuple(counts)
 
-    def row(self, r: int) -> tuple[int, ...]:
-        """The r-th row of b viewed as a skew tableau (a row of one factor)."""
-        j = self.seq.alphabet_of(r)
-        lo, _ = self.seq.subalphabet(j)
-        return self.factors[j - 1].rows[r - lo]
-
     def replace_factor(self, pos: int, t: Tableau) -> "CrystalElement":
         factors = list(self.factors)
         factors[pos - 1] = t
@@ -185,7 +172,7 @@ class CrystalElement:
         rects, factors = json_ints(data["rects"], "rects", 2), data["factors"]
         if not isinstance(factors, list) or len(factors) != len(rects):
             raise ValueError(f"factors must be a list of {len(rects)} tableaux")
-        # shapes first: RectSequence takes memory for every letter of the alphabet
+        # shapes first: the checks below take memory for every row of each rectangle
         for j, (rect, f) in enumerate(zip(rects, factors), start=1):
             rows = f.get("rows") if isinstance(f, dict) else None
             if len(rect) != 2 or not isinstance(rows, list) or len(rows) != rect[0] or any(

@@ -48,9 +48,6 @@ class AffineWeight(_Frozen):
         for name, value in zip(self._fields, (n, lam0, finite, delta)):
             object.__setattr__(self, name, value)
 
-    def level(self) -> int:
-        return self.lam0 + sum(self.finite)
-
     def add(self, other: "AffineWeight", scale: int = 1) -> "AffineWeight":
         return AffineWeight(
             self.n,
@@ -70,7 +67,6 @@ def fundamental(n: int, i: int) -> AffineWeight:
     return AffineWeight(n, 1 if i == 0 else 0, tuple(fin), 0)
 
 
-@lru_cache(maxsize=None)
 def simple_root(n: int, i: int) -> AffineWeight:
     """alpha_i = delta_{0i} delta + sum_j a_{ij} Lambda_j."""
     fin = tuple(cartan_entry(n, i, j) for j in range(1, n))

@@ -54,7 +54,6 @@ def energy_terms(b: CrystalElement) -> list[tuple[int, int, int]]:
             out.append((i, j, _local_d(cur, i)))
             if i > 1:
                 cur = sigma_swap(cur, i)
-    out.sort(key=lambda t: (t[1], -t[0]))
     return out
 
 
@@ -138,15 +137,15 @@ def _switched_term(shape: tuple, kept: tuple, rows: tuple, lo: int, hi: int, col
 
 
 @lru_cache(maxsize=None)
-def _tableau_energy_cached(rows: tuple, inner: tuple, seq: RectSequence) -> int:
-    q = LRTableau._raw(Tableau._raw(rows, inner, seq.n), seq)
+def _tableau_energy_cached(rows: tuple, seq: RectSequence) -> int:
+    q = LRTableau._raw(Tableau._raw(rows, (), seq.n), seq)
     return sum(v for _, _, v in tableau_energy_terms(q))
 
 
 def tableau_energy(q: LRTableau) -> int:
     """Generalized charge of an LR tableau: the energy of any element whose
     recording tableau is q."""
-    return _tableau_energy_cached(q.tableau.rows, q.tableau.inner, q.seq)
+    return _tableau_energy_cached(q.tableau.rows, q.seq)
 
 
 # ---------------------------------------------------------------------------

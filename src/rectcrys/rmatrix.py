@@ -12,31 +12,33 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .crystal import CrystalElement, RectSequence
+from .crystal import CrystalElement, RectSequence, _row_word
 from .errors import NonLRError
-from .rsk import LRTableau, _lift, lrt_tableaux, peel_recording, rsk_pair
+from .rsk import LRTableau, _lift, _unlift, lrt_tableaux, peel_recording
 from .tableaux import Tableau, column_insert
 
 
 @lru_cache(maxsize=None)
-def _tau_swap_cached(
-    rows: tuple, inner: tuple, rects: tuple[tuple[int, int], ...], pos: int
-) -> Tableau:
-    seq = RectSequence(rects)
-    q = Tableau._raw(rows, inner, seq.n)
-    return rsk_pair(sigma_swap(_lift(q, seq), pos)).q
+def _tau_swap_cached(rows: tuple, seq: RectSequence, pos: int) -> Tableau:
+    lifted = [t.rows for t in _lift(Tableau._raw(rows, (), seq.n), seq).factors]
+    rect1, rect2 = seq.rects[pos - 1], seq.rects[pos]
+    lifted[pos - 1 : pos + 1] = _sigma_pair(rect1, rect2, lifted[pos - 1], lifted[pos], seq.n)
+    return _unlift([row for factor in lifted for row in factor], seq.n)
 
 
 def tau_swap(q: LRTableau, pos: int) -> LRTableau:
     """The LR tableau for the sequence with R_pos, R_pos+1 exchanged that the
     switch isomorphism produces on recording tableaux.
 
-    Computed by lifting q to the crystal element with key insertion tableau,
-    switching, and reading off the new recording tableau; the result agrees
-    with q outside the two subalphabets but is not characterized by that
-    property alone once more than two rectangles are present.
+    sigma keeps the insertion tableau, so the element is never inserted:
+    q's rows are lifted to the highest weight element with key insertion
+    tableau (``rsk._lift``), its factors at pos and pos+1 are switched by
+    ``_sigma_pair``, and the new recording tableau is read back off the
+    switched rows (``rsk._unlift``).  The result agrees with q outside the
+    two subalphabets but is not characterized by that property alone once
+    more than two rectangles are present.
     """
-    t = _tau_swap_cached(q.tableau.rows, q.tableau.inner, q.seq.rects, pos)
+    t = _tau_swap_cached(q.tableau.rows, q.seq, pos)
     return LRTableau._raw(t, q.seq.swapped(pos))
 
 
@@ -58,10 +60,7 @@ def _sigma_pair(
 ) -> tuple[tuple, tuple]:
     """sigma on a two-factor element given by factor rows; returns new rows
     (position 1 gets a rect2-shaped factor, position 2 a rect1-shaped one)."""
-    t1 = Tableau._raw(rows1, (), alphabet)
-    t2 = Tableau._raw(rows2, (), alphabet)
-    word = t2.word() + t1.word()
-    p = column_insert(word, n=alphabet)
+    p = column_insert(_row_word(rows2) + _row_word(rows1), n=alphabet)
     swapped = RectSequence((rect2, rect1))
     q_new = _two_factor_tau(p.outer, (rect2, rect1))
     new1, new2 = peel_recording(p, q_new, swapped, alphabet=alphabet)

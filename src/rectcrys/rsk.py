@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .crystal import CrystalElement, RectSequence, _bracket, _word_pairs
 from .errors import InconsistentPairError, NonLRError, ShapeMismatchError
-from .tableaux import Tableau, _Frozen, _unrecord_steps, conjugate, partition, record
+from .tableaux import Tableau, _Frozen, conjugate, partition, record, unrecord
 
 
 class TableauPair(_Frozen):
@@ -38,16 +38,16 @@ class LRTableau(_Frozen):
     __slots__ = _fields = ("tableau", "seq")
 
     def __init__(self, tableau: Tableau, seq: RectSequence):
-        if not is_r_lr(tableau.word(), seq):
-            raise NonLRError(f"tableau is not {seq.rects}-LR")
+        if tableau.inner or not is_r_lr(tableau.word(), seq):
+            raise NonLRError(f"tableau is not a normal-shape {seq.rects}-LR tableau")
         object.__setattr__(self, "tableau", tableau)
         object.__setattr__(self, "seq", seq)
 
 
 def rsk_pair(b: CrystalElement) -> TableauPair:
-    """The pair (p, q) of b; q has content gamma(R) and is R-LR."""
-    n = b.seq.n
-    return TableauPair(*record([b.row(r) for r in range(1, n + 1)], n))
+    """The pair (p, q) of b; q has content gamma(R) and is R-LR.  The
+    subalphabets are consecutive, so rows 1..n of b are its factors' rows."""
+    return TableauPair(*record([row for t in b.factors for row in t.rows], b.seq.n))
 
 
 def peel_recording(
@@ -60,10 +60,8 @@ def peel_recording(
     rebuild the r-th row of the element.  ``alphabet`` bounds the letters of
     the factors (defaults to the recording alphabet size n of ``seq``).
     """
-    rows: list[tuple[int, ...]] = [()] * seq.n
     try:
-        for label, group, _ in _unrecord_steps(p, q, seq.n):
-            rows[label - 1] = group
+        rows = unrecord(p, q, seq.n)
     except ValueError as exc:
         raise InconsistentPairError(str(exc)) from exc
     return _factors(rows, seq, seq.n if alphabet is None else alphabet)
@@ -119,9 +117,20 @@ def _lift(q: Tableau, seq: RectSequence) -> CrystalElement:
     return CrystalElement._raw(seq, tuple(_factors([tuple(row) for row in rows], seq, seq.n)))
 
 
+def _unlift(rows: Sequence[Sequence[int]], n: int) -> Tableau:
+    """Inverse of :func:`_lift`'s read-off: the recording tableau of the
+    element with rows 1..n ``rows`` (highest weight, key insertion tableau)
+    holds in row r the label s once for each r in row s of the element."""
+    qrows: list[list[int]] = [[] for _ in range(n)]
+    for s, row in enumerate(rows, start=1):
+        for r in row:
+            qrows[r - 1].append(s)
+    return Tableau._raw(tuple(tuple(row) for row in qrows if row), (), n)
+
+
 def _levi_colors(seq: RectSequence) -> list[int]:
     """The colors i with i and i+1 in the same subalphabet."""
-    return [i for i in range(1, seq.n) if seq.alphabet_of(i) == seq.alphabet_of(i + 1)]
+    return [i for j in range(1, seq.m + 1) for i in range(*seq.subalphabet(j))]
 
 
 def is_r_lr(u: Sequence[int], seq: RectSequence) -> bool:

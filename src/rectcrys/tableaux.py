@@ -325,20 +325,9 @@ def column_insert(word: Sequence[int], n: int | None = None) -> Tableau:
 
 
 @lru_cache(maxsize=None)
-def _insertion_shape_cached(word: tuple[int, ...]) -> tuple[int, ...]:
-    cols: list[list[int]] = []
-    for x in reversed(word):
-        _col_insert(cols, x)
-    if not cols:
-        return ()
-    return partition(
-        sum(1 for col in cols if len(col) > r) for r in range(len(cols[0]))
-    )
-
-
-def insertion_shape(word: Sequence[int]) -> tuple[int, ...]:
-    """Shape of the insertion tableau of ``word``."""
-    return _insertion_shape_cached(tuple(word))
+def insertion_shape(word: tuple[int, ...]) -> tuple[int, ...]:
+    """Shape of the insertion tableau of ``word`` (a tuple: it keys the memo)."""
+    return column_insert(word).outer
 
 
 def record(
@@ -426,25 +415,16 @@ def _peel_labels(
         yield k, _peel(cols, by_label.get(k, ()))
 
 
-def _unrecord_steps(
-    p: Tableau, q: Tableau, ngroups: int
-) -> Iterator[tuple[int, tuple[int, ...], list[list[int]]]]:
-    """Label by label from ``ngroups`` down to 1, peel the cells of q with
-    that label off p.  Yields (label, group, cols): the peeled group and the
-    columns left, which are the insertion state of groups 1..label-1.  When
-    the walk ends, q must have covered p exactly.
-    """
+def unrecord(p: Tableau, q: Tableau, ngroups: int) -> list[tuple[int, ...]]:
+    """Inverse of :func:`record`: the groups recorded by (p, q).  The cells
+    of q with each label, from ``ngroups`` down to 1, are peeled off p; q
+    must cover p exactly."""
     cols = _cols_of(p)
     labelled = zip(q.cells(), (v for row in q.rows for v in row))
-    for k, group in _peel_labels(cols, labelled, ngroups, 1):
-        yield k, group, cols
+    groups = [group for _, group in _peel_labels(cols, labelled, ngroups, 1)]
     if cols:
         raise ValueError("recording tableau does not cover p")
-
-
-def unrecord(p: Tableau, q: Tableau, ngroups: int) -> list[tuple[int, ...]]:
-    """Inverse of :func:`record`: the groups recorded by (p, q)."""
-    return [group for _, group, _ in _unrecord_steps(p, q, ngroups)][::-1]
+    return groups[::-1]
 
 
 def reverse_row_insert(t: Tableau, cell: tuple[int, int]) -> tuple[Tableau, int]:

@@ -2,8 +2,8 @@
 
 Jeu-de-taquin slides on a dict from cells to letters, the way from such a
 dict back to a Tableau, promotion and its inverse the cell-map way, the
-crystal enumeration, the inverse cyclage, and the string lengths of
-elements at every color, 0 included.
+crystal enumeration, the inverse cyclage, the string lengths of elements
+at every color, 0 included, and tau by insertion.
 Cells are (row, col) pairs, 1-based, row 1 on top.
 """
 
@@ -12,7 +12,8 @@ from itertools import chain, product
 from rectcrys.affine import promote
 from rectcrys.crystal import CrystalElement, signature, young_w0
 from rectcrys.errors import NonLRError
-from rectcrys.rsk import is_r_lr
+from rectcrys.rmatrix import sigma_swap
+from rectcrys.rsk import _lift, is_r_lr, rsk_pair
 from rectcrys.tableaux import Tableau, enumerate_cst
 
 
@@ -111,6 +112,12 @@ def enumerate_crystal(seq):
     ]
     for combo in product(*factor_sets):
         yield CrystalElement._raw(seq, combo)
+
+
+def tau_by_insertion(q, pos):
+    """tau at pos of an LR tableau by insertion: lift q, switch with sigma,
+    and insert the whole switched element (the route tau_swap avoids)."""
+    return rsk_pair(sigma_swap(_lift(q.tableau, q.seq), pos)).q
 
 
 def chi_inverse(word, seq):

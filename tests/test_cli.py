@@ -222,7 +222,6 @@ EVERY_OP = {
     ("crystal", "e"): ("element", ["--color", "1"]),
     ("crystal", "f"): ("element", ["--color", "0"]),
     ("crystal", "r"): ("element", ["--color", "2"]),
-    ("crystal", "op"): ("element", ["--op", "e", "--color", "0"]),
     ("rsk", "pair"): ("element", []),
     ("rsk", "inverse"): ("pair", []),
     ("rsk", "lrt"): (None, ["--shape", "2,1", "--rects", "1x1,1x1,1x1"]),
@@ -443,6 +442,13 @@ class TestMalformedInput:
         argv = ["--infile", golden_files["element"], "crystal", op, "--color", str(color)]
         assert "--color must be in 0..6" in self.run_usage_error(capsys, argv)
 
+    def test_crystal_op_alias_gone(self, capsys):
+        # `crystal e|f|r` is the one spelling of an operator
+        with pytest.raises(SystemExit) as err:
+            cli.main(["crystal", "op", "--color", "1"])
+        assert err.value.code == 2
+        assert "invalid choice: 'op'" in capsys.readouterr().err
+
     def test_unknown_suite(self, capsys):
         argv = ["verify", "no-such-suite", "--n", "3", "--max-cells", "4"]
         err = self.run_usage_error(capsys, argv)
@@ -638,6 +644,23 @@ class TestJsonBoundary:
         growth_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
         assert code == 2 and len(err) < 200, err[:200]
         assert "2000000x1" in err
+        assert growth_kb < 5 * 1024 and traced_peak < 5 * 2**20
+
+    def test_large_rectangle_on_the_command_line(self):
+        # the same height as a --rects flag: RectSequence keeps per-rectangle
+        # data only, so the size check refuses the request before anything
+        # is built per letter
+        argv = ["kpoly", "compute", "--rects", "2000000x1", "--shape", "1", "--no-cache"]
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        tracemalloc.start()
+        try:
+            code, err = _main_on_stdin(argv, "")
+            traced_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        growth_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+        assert code == 2 and len(err) < 200, err[:200]
+        assert "2000000 cells of R" in err
         assert growth_kb < 5 * 1024 and traced_peak < 5 * 2**20
 
     @settings(max_examples=60, deadline=None)

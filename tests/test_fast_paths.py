@@ -4,7 +4,8 @@ Precomputed RectSequence data against the sums it replaces, tableaux built
 by the trusted constructor against the checked public constructor, the
 code-indexed FastCrystal arrays (signatures, operator images, weights and
 promotion) against the element routes of crystal.py and, at color 0,
-affine.py, and the one-lift energy path against the checked rsk_inverse.
+affine.py, the one-lift energy path against the checked rsk_inverse, and
+tau read back off the switched lift against tau by insertion.
 """
 
 import pickle
@@ -17,13 +18,13 @@ from rectcrys.affine import promote_inverse_tableau, promote_tableau
 from rectcrys.crystal import RectSequence, signature
 from rectcrys.errors import NonLRError
 from rectcrys.kpoly import k_polynomial
-from rectcrys.rmatrix import sigma_swap
-from rectcrys.rsk import LRTableau, TableauPair, _lift, rsk_inverse, rsk_pair
+from rectcrys.rmatrix import sigma_swap, tau_swap
+from rectcrys.rsk import LRTableau, TableauPair, _lift, _unlift, rsk_inverse, rsk_pair
 from rectcrys.tableaux import Tableau, _col_insert, enumerate_cst, key
-from rectcrys.verify import FastCrystal, rect_sequences
+from rectcrys.verify import FastCrystal, rect_sequences, verify_rmatrix
 
 from conftest import lr_family
-from oracles import enumerate_crystal, eps0, phi0, tableau_from_cells
+from oracles import enumerate_crystal, eps0, phi0, tableau_from_cells, tau_by_insertion
 
 # Rectangles (eta, mu) and alphabet sizes n <= 4.
 SHAPES = [(1, 1), (1, 3), (2, 1), (2, 2), (3, 2), (4, 1)]
@@ -48,13 +49,8 @@ class TestRectSequencePrecomputed:
                 lo = 1 + sum(e_ for e_, _ in rects[: j - 1])
                 assert seq.subalphabet(j) == (lo, lo + e - 1)
                 assert seq.key_tableau(j) == key((m,) * e, n=seq.n, offset=lo - 1)
-                for letter in range(lo, lo + e):
-                    assert seq.alphabet_of(letter) == j
                 gamma.extend([m] * e)
             assert seq.gamma() == tuple(gamma)
-            for letter in (0, seq.n + 1):
-                with pytest.raises(ValueError):
-                    seq.alphabet_of(letter)
 
     def test_pickle_round_trip(self):
         for seq in rect_sequences(4, 6):
@@ -93,8 +89,8 @@ class TestTrustedConstruction:
             # the cell-map route the recording tableau used to take
             cols: list[list[int]] = []
             recording = {}
-            for r in range(1, n + 1):
-                for x in reversed(b.row(r)):
+            for r, row in enumerate((row for t in b.factors for row in t.rows), start=1):
+                for x in reversed(row):
                     recording[_col_insert(cols, x)] = r
             old = tableau_from_cells(recording, n=n)
             assert q == old and (q.outer, q.inner, q.n) == (old.outer, old.inner, old.n)
@@ -159,6 +155,43 @@ class TestLift:
                 LRTableau(q, seq)
             with pytest.raises(NonLRError):
                 rsk_inverse(TableauPair(key(q.outer, n=3), q), seq)
+
+    def test_skew_tableau_rejected(self):
+        # its rows read as a normal shape would be the LR tableau [[1], [2]]
+        with pytest.raises(NonLRError):
+            LRTableau(Tableau([[1], [2]], inner=[1]), RectSequence([(1, 1), (1, 1)]))
+
+    def test_unlift_inverts_lift(self):
+        count = 0
+        for seq, t in lr_family(4, 7, 1):
+            rows = [row for factor in _lift(t, seq).factors for row in factor.rows]
+            assert _unlift(rows, seq.n) == t
+            count += 1
+        assert count == 1371
+
+    def test_tau_matches_insertion_route(self):
+        count = 0
+        for seq, t in lr_family(4, 7, 2):
+            q = LRTableau._raw(t, seq)
+            for pos in range(1, seq.m):
+                assert tau_swap(q, pos).tableau == tau_by_insertion(q, pos)
+                count += 1
+        assert count == 3304
+
+    def test_wrong_read_back_fails_rmatrix_suite(self, monkeypatch):
+        # the labels of the first two rows exchanged: the rmatrix suite's
+        # checked tau rejects the result.  The tau memo is cleared on both
+        # sides of the patch, so that no corrupted entry outlives it.
+        def exchanged(rows, n):
+            return _unlift([rows[1], rows[0], *rows[2:]], n)
+
+        monkeypatch.setattr(rmatrix, "_unlift", exchanged)
+        rmatrix._tau_swap_cached.cache_clear()
+        try:
+            with pytest.raises(NonLRError):
+                verify_rmatrix(3, 5)
+        finally:
+            rmatrix._tau_swap_cached.cache_clear()
 
 
 MODULES = (affine, crystal, demazure, energy, kpoly, rmatrix, rsk, tableaux)

@@ -137,7 +137,7 @@ class TestGradedCharacter:
         monkeypatch.setattr(energy, "energy_terms", scan)
         monkeypatch.setattr(energy, "sigma_swap", scan)
         monkeypatch.setattr(rmatrix, "sigma_swap", scan)
-        for module in (rsk, rmatrix, verify):
+        for module in (rsk, verify):
             monkeypatch.setattr(module, "rsk_pair", scan)
         # a cached energy would skip the walk
         energy._tableau_energy_cached.cache_clear()

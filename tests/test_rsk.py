@@ -33,8 +33,8 @@ def highest_weight_recording(b: CrystalElement) -> Tableau:
     of i."""
     n = b.seq.n
     rows: list[list[int]] = [[] for _ in range(n)]
-    for j in range(1, n + 1):
-        for x in b.row(j):
+    for j, row in enumerate((row for t in b.factors for row in t.rows), start=1):
+        for x in row:
             rows[x - 1].append(j)
     return Tableau([tuple(sorted(r)) for r in rows], (), n=n)
 

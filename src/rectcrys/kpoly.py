@@ -16,8 +16,8 @@ from typing import Mapping, Sequence
 from .crystal import RectSequence
 from .energy import tableau_energy
 from .laurent import LaurentPolynomial
-from .rsk import LRTableau, lrt_tableaux
-from .tableaux import Tableau, _Frozen, _Record, column_insert, key, partition, partitions_of
+from .rsk import LRTableau, lrt_by_shape, lrt_tableaux
+from .tableaux import Tableau, _Frozen, _Record, column_insert, key, partition
 
 
 class GradedCharacter(_Frozen):
@@ -88,9 +88,7 @@ def graded_character(seq: RectSequence) -> GradedCharacter:
     irreducible characters, by the LR route: the coefficient of s_lambda is
     K_{lambda;R}(q).  ``verify.verify_characters`` cross-checks it against a
     scan of the crystal."""
-    return GradedCharacter.from_dict(
-        {lam: k_polynomial(lam, seq) for lam in partitions_of(seq.ncells, seq.n)}
-    )
+    return GradedCharacter.from_dict({lam: k_polynomial(lam, seq) for lam in lrt_by_shape(seq)})
 
 
 @lru_cache(maxsize=None)

@@ -12,11 +12,13 @@ subalphabet (a Levi color of R).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from itertools import accumulate
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .crystal import CrystalElement, RectSequence, _bracket, _word_pairs
 from .errors import InconsistentPairError, NonLRError, ShapeMismatchError
-from .tableaux import Tableau, _Frozen, conjugate, partition, record, unrecord
+from .tableaux import Tableau, _Frozen, partition, record, unrecord
 
 
 class TableauPair(_Frozen):
@@ -147,57 +149,61 @@ def is_r_lr(u: Sequence[int], seq: RectSequence) -> bool:
 
 
 def enumerate_lrt(lam: Sequence[int], seq: RectSequence) -> list[LRTableau]:
-    """All R-LR tableaux of shape ``lam``, in row-word lexicographic order.
-
-    Cells are filled in row-major order.  A letter x goes in when it keeps
-    the columns strict and the content within gamma(R), and, for a Levi
-    color x-1, when the x placed so far, this one included, are no more
-    than the x-1 in the rows above.  The reading word lists the rows bottom
-    first, so these are the suffixes that decide whether it is highest
-    weight for color x-1.
-    """
-    lam = partition(lam)
-    if sum(lam) != seq.ncells:
-        raise ValueError(f"|{lam}| != {seq.ncells} cells of R")
-    n = seq.n
-    gamma = (0, *seq.gamma())
-    levi = {i + 1 for i in _levi_colors(seq)}
-    placed = [0] * (n + 1)
-    col_len = conjugate(lam)
-    rows: list[list[int]] = [[] for _ in lam]
-    out: list[LRTableau] = []
-
-    def caps() -> list[int]:
-        # how many of each letter the rows so far and the next row may hold
-        return [min(g, placed[x - 1]) if x in levi else g for x, g in enumerate(gamma)]
-
-    def fill(r: int, c: int, cap: list[int]) -> None:
-        if c > lam[r - 1]:
-            if r == len(lam):
-                out.append(LRTableau._raw(Tableau._raw(tuple(map(tuple, rows)), (), n), seq))
-                return
-            r, c, cap = r + 1, 1, caps()
-        lo = max(r, rows[r - 1][-1] if c > 1 else 1)
-        if r > 1 and lam[r - 2] >= c:
-            lo = max(lo, rows[r - 2][c - 1] + 1)
-        for x in range(lo, n - (col_len[c - 1] - r) + 1):
-            if placed[x] < cap[x]:
-                placed[x] += 1
-                rows[r - 1].append(x)
-                fill(r, c + 1, cap)
-                rows[r - 1].pop()
-                placed[x] -= 1
-
-    fill(1, 1, caps())
-    out.sort(key=lambda lr: lr.tableau.word())
-    return out
-
-
-@lru_cache(maxsize=None)
-def _lrt_cached(lam: tuple[int, ...], rects: tuple[tuple[int, int], ...]) -> tuple[Tableau, ...]:
-    return tuple(lr.tableau for lr in enumerate_lrt(lam, RectSequence(rects)))
+    """All R-LR tableaux of shape ``lam``, in row-word lexicographic order."""
+    return [LRTableau._raw(t, seq) for t in lrt_tableaux(lam, seq)]
 
 
 def lrt_tableaux(lam: Sequence[int], seq: RectSequence) -> tuple[Tableau, ...]:
-    """Cached tuple of the R-LR tableaux of shape ``lam``."""
-    return _lrt_cached(partition(lam), seq.rects)
+    """The R-LR tableaux of shape ``lam``, read off :func:`lrt_by_shape`."""
+    lam = partition(lam)
+    if sum(lam) != seq.ncells:
+        raise ValueError(f"|{lam}| != {seq.ncells} cells of R")
+    return lrt_by_shape(seq).get(lam, ())
+
+
+@lru_cache(maxsize=None)
+def lrt_by_shape(seq: RectSequence) -> Mapping[tuple[int, ...], tuple[Tableau, ...]]:
+    """Every R-LR tableau, by shape: the shapes in reverse lexicographic
+    order, as ``partitions_of`` lists them, and each shape's tableaux in
+    row-word lexicographic order; shapes with none are absent.
+
+    The letters x = 1..n go in one at a time, each as a horizontal strip of
+    gamma_x cells (:func:`_strips`).  Prefixes of one shape share their
+    continuations; before a Levi color, only those whose last strips agree."""
+    levi = set(_levi_colors(seq))
+    states: dict = {((), None): [()]}  # (shape, last strip or None) -> prefixes' rows
+    for x, g in enumerate(seq.gamma(), start=1):
+        grown: dict = {}
+        for (shape, last), prefixes in states.items():
+            shape += (0,)
+            for strip in _strips(shape, g, last):
+                new = tuple(p + c for p, c in zip(shape, strip) if p + c)
+                adds = [(x,) * c for c in strip[: len(new)]]
+                grown.setdefault((new, strip if x in levi else None), []).extend(
+                    tuple(map(tuple.__add__, rows + ((),), adds)) for rows in prefixes
+                )
+        states = grown
+    # color n is never Levi, so each shape is one state; rows of one shape
+    # have equal lengths, so bottom row first is word order
+    return MappingProxyType({
+        shape: tuple(Tableau._raw(rows, (), seq.n) for rows in sorted(group, key=lambda rows: rows[::-1]))
+        for (shape, _), group in sorted(states.items(), reverse=True)
+    })
+
+
+def _strips(shape: tuple[int, ...], g: int, last: tuple[int, ...] | None) -> list[tuple[int, ...]]:
+    """Cells per row of the horizontal strips of g cells on ``shape`` (which
+    ends in a zero part), chosen from the bottom row up.  Given the strip
+    ``last`` of the letter x-1 of a Levi color x-1, rows 1..r take at most
+    the cells ``last`` has in rows 1..r-1: the reading word lists the rows
+    bottom first, so these suffixes decide if it is highest weight for x-1."""
+    bound = [0, *accumulate(last)] if last else [g] * len(shape)
+    strips = [((), g)]  # (cells in the rows below, cells left for the rows above)
+    for s in range(len(shape) - 1, 0, -1):
+        room = shape[s - 1] - shape[s]
+        strips = [
+            ((c, *tail), left - c)
+            for tail, left in strips
+            for c in range(max(0, left - bound[s - 1]), min(room, left) + 1)
+        ]
+    return [(left, *tail) for tail, left in strips]

@@ -30,7 +30,7 @@ from .errors import InconsistentPairError
 from .kpoly import character_weights, graded_character, monotonicity_check
 from .laurent import LaurentPolynomial
 from .rmatrix import _sigma_pair, tau_swap
-from .rsk import LRTableau, lrt_tableaux, rsk_pair
+from .rsk import LRTableau, lrt_by_shape, lrt_tableaux, rsk_pair
 from .tableaux import Tableau, _peel_labels, _record_onto, _Record, _tableau_of_cols, column_insert, enumerate_cst, key, partition, partitions_of, reverse_row_insert
 
 
@@ -509,10 +509,8 @@ def _check_rsk(seq: RectSequence) -> Iterator[dict]:
     # bijection: round trip and cardinality of the image
     if walk.failed is not None:
         yield _fail(fc.instance_json(walk.failed), "rsk_inverse . rsk_pair = id", "mismatch")
-    count = sum(
-        sum(character_weights(lam, n).values()) * len(lrt_tableaux(lam, seq))
-        for lam in partitions_of(seq.ncells, n)
-    )
+    by_shape = lrt_by_shape(seq).items()
+    count = sum(sum(character_weights(lam, n).values()) * len(ts) for lam, ts in by_shape)
     if count != len(fc.elements):
         yield _fail({"rects": seq.to_json()}, f"image size {len(fc.elements)}", count)
     P, Q, p_tables = walk.p, walk.q, walk.p_tables
@@ -780,8 +778,8 @@ def _check_charge(seq: RectSequence) -> Iterator[dict]:
     gamma = seq.gamma()
     if any(gamma[i] < gamma[i + 1] for i in range(len(gamma) - 1)):
         return  # charge needs partition content
-    for lam in partitions_of(seq.ncells, seq.n):
-        for t in lrt_tableaux(lam, seq):
+    for group in lrt_by_shape(seq).values():
+        for t in group:
             en = tableau_energy(LRTableau(t, seq))
             ch = classical_charge(t)
             if en != ch:
@@ -799,8 +797,8 @@ def verify_charge_energy(n_max: int, max_cells: int, jobs: int = 1) -> VerifyRep
 def _check_cocyclage(seq: RectSequence) -> Iterator[dict]:
     n = seq.n
     M = max(seq.mu(j) for j in range(1, seq.m + 1))
-    for lam in partitions_of(seq.ncells, n):
-        for t in lrt_tableaux(lam, seq):
+    for lam, group in lrt_by_shape(seq).items():
+        for t in group:
             corners = [
                 (r, lam[r - 1])
                 for r in range(1, len(lam) + 1)
@@ -919,9 +917,7 @@ def verify_characters(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport
 # Suite: monotonicity under adding a rectangle.
 
 def _check_monotonicity_seq(seq: RectSequence) -> Iterator[dict]:
-    for lam in partitions_of(seq.ncells, seq.n):
-        if not lrt_tableaux(lam, seq):
-            continue
+    for lam in lrt_by_shape(seq):
         for k in (1, 2):
             for m in (1, 2):
                 rep = monotonicity_check(lam, seq, k, m)

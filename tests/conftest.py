@@ -4,8 +4,8 @@ import os
 import pytest
 
 from rectcrys.crystal import CrystalElement, RectSequence
-from rectcrys.rsk import lrt_tableaux
-from rectcrys.tableaux import Tableau, partitions_of
+from rectcrys.rsk import lrt_by_shape
+from rectcrys.tableaux import Tableau
 from rectcrys.verify import rect_sequences
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -51,6 +51,6 @@ def lr_family(n_max: int, max_cells: int, min_rects: int):
     with at least ``min_rects`` rectangles."""
     for seq in rect_sequences(n_max, max_cells):
         if seq.m >= min_rects:
-            for lam in partitions_of(seq.ncells, seq.n):
-                for t in lrt_tableaux(lam, seq):
+            for group in lrt_by_shape(seq).values():
+                for t in group:
                     yield seq, t

@@ -87,6 +87,13 @@ class TestRoundTrips:
         assert code == 0
         assert json.loads(out) == {"coeffs": {"1": 1, "2": 1}}
 
+    def test_wide_rectangles(self, capsys):
+        # one-row rectangles wider than the recursion limit: each letter is
+        # placed as one strip, not one call per cell
+        for shape, rects, coeffs in (("1100", "1x1100", {"0": 1}), ("1400,800", "1x1100,1x1100", {"300": 1})):
+            code, out = run_cli(capsys, ["kpoly", "compute", "--shape", shape, "--rects", rects, "--no-cache"])
+            assert code == 0 and json.loads(out) == {"coeffs": coeffs}, out
+
     def test_affine_e0_golden(self, capsys, golden, golden_files):
         code, out = run_cli(
             capsys, ["--infile", golden_files["element"], "affine", "e0"]

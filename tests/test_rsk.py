@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from rectcrys.rsk import (
     TableauPair,
     enumerate_lrt,
     is_r_lr,
+    lrt_by_shape,
     lrt_tableaux,
     peel_recording,
     rsk_inverse,
@@ -16,6 +19,7 @@ from rectcrys.rsk import (
 from rectcrys.tableaux import (
     Tableau,
     column_insert,
+    conjugate,
     enumerate_cst,
     key,
     partitions_of,
@@ -25,6 +29,18 @@ from rectcrys.tableaux import (
 from rectcrys.verify import rect_sequences
 
 from oracles import enumerate_crystal
+
+
+def hook_content(lam, n: int) -> int:
+    """Column-strict tableaux of shape ``lam`` over 1..n, by the
+    hook-content formula."""
+    cols = conjugate(lam)
+    num = den = 1
+    for r, row in enumerate(lam):
+        for c in range(row):
+            num *= n + c - r
+            den *= row - c + cols[c] - r - 1
+    return num // den
 
 
 def highest_weight_recording(b: CrystalElement) -> Tableau:
@@ -153,8 +169,19 @@ class TestEnumerateLrt:
         assert [t.tableau.rows for t in found] == [((1, 3), (2,)), ((1, 2), (3,))]
 
     def test_wrong_size_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_lrt((2, 2), RectSequence([(1, 1), (1, 1), (1, 1)]))
+        for enumerate_ in (enumerate_lrt, lrt_tableaux):
+            with pytest.raises(ValueError):
+                enumerate_((2, 2), RectSequence([(1, 1), (1, 1), (1, 1)]))
+
+    def test_more_rows_than_letters_is_empty(self):
+        assert lrt_tableaux((1, 1, 1), RectSequence([(1, 2), (1, 1)])) == ()
+
+    def test_shapes_in_partitions_of_order(self):
+        # the suites iterate lrt_by_shape where they iterated partitions_of
+        for seq in rect_sequences(4, 7):
+            by_shape = lrt_by_shape(seq)
+            assert all(by_shape.values())
+            assert list(by_shape) == [lam for lam in partitions_of(seq.ncells, seq.n) if lam in by_shape]
 
     def test_deterministic_order(self):
         seq = RectSequence([(1, 1), (1, 1), (1, 1), (1, 1)])
@@ -220,3 +247,11 @@ class TestImageCount:
                 cst = len(list(enumerate_cst(lam, seq.n)))
                 count += cst * len(lrt_tableaux(lam, seq))
             assert count == total
+
+    def test_hook_content_count(self):
+        # sum over the walk's shapes of |LRT(lam; R)| * dim_n(lam) is |B^R|;
+        # both sides by the hook-content formula, no crystal scanned
+        for seq in rect_sequences(5, 8):
+            n = seq.n
+            count = sum(len(ts) * hook_content(lam, n) for lam, ts in lrt_by_shape(seq).items())
+            assert count == prod(hook_content((mu,) * eta, n) for eta, mu in seq.rects), seq

@@ -13,6 +13,7 @@ Names resolve on first use (PEP 562): ``rectcrys.X`` and
 caller that needs promotion never loads the Kostka or Demazure code.
 """
 
+import sys
 from importlib import import_module
 
 # Submodule -> the names it exports.
@@ -36,7 +37,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
-__all__ = sorted(_MODULE_OF)
+__all__ = sorted([*_MODULE_OF, "clear_caches"])
 __version__ = "0.1.0"
 
 
@@ -51,3 +52,14 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
+
+
+def clear_caches() -> None:
+    """Empty every in-process memo (each ``functools.lru_cache``) of the
+    rectcrys modules imported so far.  It imports none: a module not yet
+    loaded holds nothing to clear."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith(f"{__name__}."):
+            for obj in vars(module).values():
+                if getattr(obj, "__module__", None) == name and hasattr(obj, "cache_clear"):
+                    obj.cache_clear()

@@ -249,20 +249,21 @@ def _cmd_kpoly(args) -> int:
         seq = _parse_rects(args.rects)
 
         def compute():
-            from .kpoly import k_polynomial  # a cache hit never loads kpoly
+            from .kpoly import _one_shape_k_polynomial  # a cache hit never loads kpoly
 
-            return k_polynomial(lam, seq)
+            return _one_shape_k_polynomial(lam, seq)
 
         _emit(_cached(args, seq, lam, compute).to_json())
     elif args.op == "kostka":
-        from .kpoly import kostka_foulkes, kostka_sequence
+        from .kpoly import _one_shape_k_polynomial, kostka_sequence
 
         _require(args, "mu")
         if getattr(args, "lambda") is None:
             raise ValueError("missing required flags: --lambda")
         lam = _parse_partition(getattr(args, "lambda"))
         mu = _parse_partition(args.mu)
-        poly = _cached(args, kostka_sequence(mu), lam, lambda: kostka_foulkes(lam, mu))
+        seq = kostka_sequence(mu)
+        poly = _cached(args, seq, lam, lambda: _one_shape_k_polynomial(lam, seq))
         _emit(poly.to_json())
     elif args.op == "character":
         from .kpoly import graded_character

@@ -12,12 +12,14 @@ oracle.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from typing import Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from .crystal import CrystalElement, RectSequence
-from .rsk import LRTableau, _lift
+from .errors import InconsistentPairError
+from .rsk import LRTableau, _lift, _read_off, lrt_by_shape
 from .rmatrix import _sigma_pair, sigma_swap
 from .tableaux import Tableau, _record_onto, conjugate, insertion_shape, partition
 
@@ -64,7 +66,11 @@ def total_energy(b: CrystalElement) -> int:
 
 def _restricted_east(qrows: Sequence[Sequence[int]], lo: int, hi: int, col: int) -> int:
     """East count past ``col`` of the insertion shape of the reading word of
-    the recording rows ``qrows`` restricted to the labels lo..hi."""
+    the recording rows ``qrows`` restricted to the labels lo..hi.  From label
+    1 the restriction is a normal subtableau, its own insertion tableau, so
+    its shape is read off with no insertion."""
+    if lo == 1:
+        return _east_count([bisect_right(row, hi) for row in qrows], col)
     word = tuple(x for row in reversed(qrows) for x in row if lo <= x <= hi)
     return _east_count(insertion_shape(word), col)
 
@@ -78,50 +84,73 @@ def restricted_d(q: LRTableau, pos: int) -> int:
     return _restricted_east(q.tableau.rows, lo, hi, max(q.seq.mu(pos), q.seq.mu(pos + 1)))
 
 
+def _switches(seq: RectSequence) -> bool:
+    """True when some switch of the energy walk exchanges two different
+    rectangles; the walk never switches at position 1."""
+    return len(set(seq.rects[1:])) > 1
+
+
 def tableau_energy_terms(q: LRTableau) -> list[tuple[int, int, int]]:
     """Summands (i, j, value) of the tableau-side energy, ordered by j and
-    then by decreasing i.
+    then by decreasing i; the terms of each j are :func:`_column_terms`.
 
-    The (i, j) term is restricted_d at positions i, i+1 of q after the
-    switches tau at positions j-1, ..., i+1.  sigma keeps the insertion
-    tableau and acts as tau on the recording tableau, so the switches are
-    walked on the factor rows of the highest weight element that
-    ``rsk._lift`` reads off q (it raises when q is not R-LR).  A switch of
-    two equal rectangles is the identity and is skipped: until the first
-    real switch the term is restricted_d of q.  Switches above i leave
-    rectangles 1..i alone, whose insertion state is the key tableau of the
-    shape of q's labels up to hi_i, and the term reads labels up to the end
-    of position i+1 only: ``_switched_term`` records the moved factor onto
-    that key tableau.
+    The walk runs on the factor rows of the highest weight element that
+    ``rsk._lift`` reads off q (it raises when q is not R-LR).  With no real
+    switch every term (i, j) is restricted_d(q, i), computed once per i.
     """
     seq, qrows = q.seq, q.tableau.rows
     lifted = [t.rows for t in _lift(q.tableau, seq).factors]
-    base = [restricted_d(q, i) for i in range(1, seq.m)]
-    if len(set(seq.rects[1:])) <= 1:
+    if not _switches(seq):
+        base = [restricted_d(q, i) for i in range(1, seq.m)]
         return [(i, j, base[i - 1]) for j in range(2, seq.m + 1) for i in range(j - 1, 0, -1)]
-    # per position i <= m-2 (a term follows a real switch only there): the
-    # shape of q's labels up to hi_i, and its labels in A_i row by row
-    prefix = {}
+    states = _prefix_states(qrows, seq)
+    return [
+        (i, j, value)
+        for j in range(2, seq.m + 1)
+        for i, value in zip(range(j - 1, 0, -1), _column_terms(qrows, seq, lifted, states, j))
+    ]
+
+
+def _prefix_states(qrows: tuple, seq: RectSequence) -> list[tuple[tuple, tuple]]:
+    """Per position i <= m-2 (a term follows a real switch only there): the
+    shape of q's labels up to hi_i, and its labels in A_i row by row."""
+    out = []
     for i in range(1, seq.m - 1):
         lo, hi = seq.subalphabet(i)
         shape = tuple(k for k in (bisect_right(row, hi) for row in qrows) if k)
-        prefix[i] = shape, tuple(tuple(x for x in row[:k] if x >= lo) for row, k in zip(qrows, shape))
-    out = []
-    for j in range(2, seq.m + 1):
-        rows, rects, moved = list(lifted), list(seq.rects), False
-        for i in range(j - 1, 0, -1):
-            if moved:
-                lo, hi = seq.subalphabet(i)
-                col = max(rects[i - 1][1], rects[i][1])
-                value = _switched_term(*prefix[i], rows[i], lo, hi, col)
-            else:
-                value = base[i - 1]
-            out.append((i, j, value))
-            if i > 1 and rects[i - 1] != rects[i]:
-                rows[i - 1], rows[i] = _sigma_pair(rects[i - 1], rects[i], rows[i - 1], rows[i], seq.n)
-                rects[i - 1], rects[i] = rects[i], rects[i - 1]
-                moved = True
+        out.append((shape, tuple(row[bisect_left(row, lo, 0, k) : k] for row, k in zip(qrows, shape))))
     return out
+
+
+def _column_terms(
+    qrows: tuple, seq: RectSequence, lifted: Sequence[tuple], states: Sequence[tuple], j: int
+) -> Iterator[int]:
+    """The terms (i, j) of the energy of the LR tableau with rows ``qrows``,
+    for i = j-1 down to 1; ``lifted`` holds the factor rows of its lift and
+    ``states`` its :func:`_prefix_states`.
+
+    The (i, j) term is restricted_d at positions i, i+1 after the switches
+    tau at positions j-1, ..., i+1.  sigma keeps the insertion tableau and
+    acts as tau on the recording tableau, so the switches are walked on the
+    lifted rows.  A switch of two equal rectangles is the identity and is
+    skipped: until the first real switch the term is restricted_d of q.
+    Switches above i leave rectangles 1..i alone, whose insertion state is
+    the key tableau of the shape of q's labels up to hi_i, and the term
+    reads labels up to the end of position i+1 only: ``_switched_term``
+    records the moved factor onto that key tableau.
+    """
+    rows, rects, moved = list(lifted[:j]), list(seq.rects[:j]), False
+    for i in range(j - 1, 0, -1):
+        lo, hi = seq.subalphabet(i)
+        col = max(rects[i - 1][1], rects[i][1])
+        if moved:
+            yield _switched_term(*states[i - 1], rows[i], lo, hi, col)
+        else:
+            yield _restricted_east(qrows, lo, seq.subalphabet(i + 1)[1], col)
+        if i > 1 and rects[i - 1] != rects[i]:
+            rows[i - 1], rows[i] = _sigma_pair(rects[i - 1], rects[i], rows[i - 1], rows[i], seq.n)
+            rects[i - 1], rects[i] = rects[i], rects[i - 1]
+            moved = True
 
 
 @lru_cache(maxsize=None)
@@ -137,15 +166,46 @@ def _switched_term(shape: tuple, kept: tuple, rows: tuple, lo: int, hi: int, col
 
 
 @lru_cache(maxsize=None)
-def _tableau_energy_cached(rows: tuple, seq: RectSequence) -> int:
-    q = LRTableau._raw(Tableau._raw(rows, (), seq.n), seq)
-    return sum(v for _, _, v in tableau_energy_terms(q))
+def _lrt_energies(seq: RectSequence) -> Mapping[tuple, int]:
+    """The energy of every R-LR tableau of R, keyed by its rows (read-only).
+
+    The terms (i, j) with j < m read only the labels below lo_m: the prefix,
+    an LR tableau of R_1..R_{m-1}, whose energy is this pass on that
+    sequence.  So each energy is its prefix's plus the terms (i, m) of
+    :func:`_column_terms`.  With no real switch every term (i, j) is
+    restricted_d at i, so the energy is the sum over i of m - i times it.
+    """
+    m = seq.m
+    tableaux = [t.rows for group in lrt_by_shape(seq).values() for t in group]
+    if not _switches(seq):
+        weighted = [
+            (m - i, seq.subalphabet(i)[0], seq.subalphabet(i + 1)[1], max(seq.mu(i), seq.mu(i + 1)))
+            for i in range(1, m)
+        ]
+        return MappingProxyType({
+            rows: sum(w * _restricted_east(rows, lo, hi, col) for w, lo, hi, col in weighted)
+            for rows in tableaux
+        })
+    prefix_energy = _lrt_energies(RectSequence(seq.rects[:-1]))
+    bounds = [seq.subalphabet(j) for j in range(1, m + 1)]
+    lo_m = bounds[-1][0]
+    out = {}
+    for rows in tableaux:
+        lift = _read_off(rows, seq.n)  # trusted: the tableaux are R-LR
+        lifted = [tuple(lift[lo - 1 : hi]) for lo, hi in bounds]
+        prefix = tuple(row[:k] for row in rows if (k := bisect_left(row, lo_m)))
+        terms = _column_terms(rows, seq, lifted, _prefix_states(rows, seq), m)
+        out[rows] = prefix_energy[prefix] + sum(terms)
+    return MappingProxyType(out)
 
 
 def tableau_energy(q: LRTableau) -> int:
     """Generalized charge of an LR tableau: the energy of any element whose
-    recording tableau is q."""
-    return _tableau_energy_cached(q.tableau.rows, q.seq)
+    recording tableau is q, read off the pass over every R-LR tableau of R."""
+    energy = _lrt_energies(q.seq).get(q.tableau.rows)
+    if energy is None:
+        raise InconsistentPairError(f"{q.tableau.rows} is not a {q.seq.rects}-LR tableau")
+    return energy
 
 
 # ---------------------------------------------------------------------------

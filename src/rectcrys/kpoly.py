@@ -9,12 +9,13 @@ suites check it against a scan of the crystal.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 from typing import Mapping, Sequence
 
 from .crystal import RectSequence
-from .energy import tableau_energy
+from .energy import _lrt_energies, tableau_energy, tableau_energy_terms
 from .laurent import LaurentPolynomial
 from .rsk import LRTableau, lrt_by_shape, lrt_tableaux
 from .tableaux import Tableau, _Frozen, _Record, column_insert, key, partition
@@ -48,15 +49,19 @@ class GradedCharacter(_Frozen):
 
 
 def k_polynomial(lam: Sequence[int], seq: RectSequence) -> LaurentPolynomial:
-    """K_{lambda;R}(q): charge generating polynomial over LRT(lambda; R)."""
-    lam = partition(lam)
-    if sum(lam) != seq.ncells:
-        raise ValueError(f"|{lam}| != {seq.ncells} cells of R")
-    acc: dict[int, int] = {}
-    for t in lrt_tableaux(lam, seq):
-        e = tableau_energy(LRTableau._raw(t, seq))
-        acc[e] = acc.get(e, 0) + 1
-    return LaurentPolynomial(acc)
+    """K_{lambda;R}(q): charge generating polynomial over LRT(lambda; R), read
+    off the energies of every R-LR tableau of R, one pass per R."""
+    tableaux = lrt_tableaux(lam, seq)
+    energies = _lrt_energies(seq)
+    return LaurentPolynomial(Counter(energies[t.rows] for t in tableaux))
+
+
+def _one_shape_k_polynomial(lam: Sequence[int], seq: RectSequence) -> LaurentPolynomial:
+    """k_polynomial summed tableau by tableau: a one-shot request asks for
+    one shape, which costs far less than the pass over every shape of R."""
+    return LaurentPolynomial(Counter(
+        sum(v for _, _, v in tableau_energy_terms(LRTableau._raw(t, seq))) for t in lrt_tableaux(lam, seq)
+    ))
 
 
 def kostka_sequence(mu: Sequence[int]) -> RectSequence:

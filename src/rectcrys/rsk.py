@@ -103,20 +103,26 @@ def rsk_inverse(pair: TableauPair, seq: RectSequence) -> CrystalElement:
 
 def _lift(q: Tableau, seq: RectSequence) -> CrystalElement:
     """The classical highest weight element whose recording tableau is q,
-    read off q with no insertion: row s of its factor j lists, in order,
-    the rows of q that hold the label lo_j + s - 1.  Its insertion tableau,
-    and that of each prefix of rectangles 1..i, is a key tableau: of q's
-    shape, and of the shape of q's labels up to hi_i.  q is trusted to be
-    column-strict; each factor is checked to be a column-strict rectangle,
-    which, given content gamma(R), holds exactly when q is R-LR.
+    read off q with no insertion (:func:`_read_off`).  Its insertion
+    tableau, and that of each prefix of rectangles 1..i, is a key tableau:
+    of q's shape, and of the shape of q's labels up to hi_i.  q is trusted
+    to be column-strict; each factor is checked to be a column-strict
+    rectangle, which, given content gamma(R), holds exactly when q is R-LR.
     """
-    rows: list[list[int]] = [[] for _ in range(seq.n)]
-    for r, row in enumerate(q.rows, start=1):
+    top = max((row[-1] for row in q.rows), default=0)
+    if top > seq.n:
+        raise InconsistentPairError(f"label {top} of q lies beyond 1..{seq.n}")
+    return CrystalElement._raw(seq, tuple(_factors(_read_off(q.rows, seq.n), seq, seq.n)))
+
+
+def _read_off(qrows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
+    """Rows 1..n of the lift of the recording rows ``qrows`` (labels in
+    1..n): row s lists, in order, the rows of q that hold the label s."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for r, row in enumerate(qrows, start=1):
         for x in row:
-            if x > seq.n:
-                raise InconsistentPairError(f"label {x} of q lies beyond 1..{seq.n}")
             rows[x - 1].append(r)
-    return CrystalElement._raw(seq, tuple(_factors([tuple(row) for row in rows], seq, seq.n)))
+    return [tuple(row) for row in rows]
 
 
 def _unlift(rows: Sequence[Sequence[int]], n: int) -> Tableau:

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectcrys import cli, verify
+from rectcrys import cli, kpoly, verify
 from rectcrys.cache import PolynomialCache
+from rectcrys.crystal import RectSequence
+from rectcrys.kpoly import k_polynomial, kostka_foulkes
 from rectcrys.laurent import LaurentPolynomial
 from rectcrys.verify import VerifyReport
 
@@ -93,6 +95,21 @@ class TestRoundTrips:
         for shape, rects, coeffs in (("1100", "1x1100", {"0": 1}), ("1400,800", "1x1100,1x1100", {"300": 1})):
             code, out = run_cli(capsys, ["kpoly", "compute", "--shape", shape, "--rects", rects, "--no-cache"])
             assert code == 0 and json.loads(out) == {"coeffs": coeffs}, out
+
+    def test_one_shape_route_matches_k_polynomial(self, capsys, monkeypatch):
+        # a one-shot request sums its shape tableau by tableau, never the
+        # per-R energy pass that k_polynomial and kostka_foulkes read
+        rects = "1x3,2x2,1x2,2x1,1x1,1x2"
+        seq = RectSequence([(1, 3), (2, 2), (1, 2), (2, 1), (1, 1), (1, 2)])
+        requests = [
+            (["compute", "--shape", shape, "--rects", rects], lambda lam=lam: k_polynomial(lam, seq))
+            for shape, lam in (("6,4,2,1,1", (6, 4, 2, 1, 1)), ("7,4,2,1", (7, 4, 2, 1)), ("3,3,3,3,2", (3, 3, 3, 3, 2)))
+        ] + [(["kostka", "--lambda", "4,2,1", "--mu", "3,2,1,1"], lambda: kostka_foulkes((4, 2, 1), (3, 2, 1, 1)))]
+        for args, want in requests:
+            with monkeypatch.context() as patched:
+                patched.setattr(kpoly, "_lrt_energies", None)
+                code, out = run_cli(capsys, ["kpoly", *args, "--no-cache"])
+            assert code == 0 and LaurentPolynomial.from_json(json.loads(out)) == want(), args
 
     def test_affine_e0_golden(self, capsys, golden, golden_files):
         code, out = run_cli(

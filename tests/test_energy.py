@@ -16,7 +16,9 @@ from rectcrys.energy import (
 )
 from rectcrys.rmatrix import sigma_swap, tau_swap
 from rectcrys.errors import InconsistentPairError
-from rectcrys.rsk import LRTableau, TableauPair, _lift, is_r_lr, lrt_tableaux, rsk_inverse, rsk_pair
+from rectcrys.kpoly import graded_character, k_polynomial
+from rectcrys.laurent import LaurentPolynomial
+from rectcrys.rsk import LRTableau, TableauPair, _lift, is_r_lr, lrt_by_shape, lrt_tableaux, rsk_inverse, rsk_pair
 from rectcrys.tableaux import Tableau, column_insert, enumerate_cst, key, partition, partitions_of, record
 from rectcrys.verify import rect_sequences
 
@@ -199,6 +201,39 @@ class TestTableauEnergy:
             for t in lrt_tableaux(lam, seq):
                 q = LRTableau(t, seq)
                 assert tableau_energy(tau_swap(q, 1)) == tableau_energy(q)
+
+
+class TestEnergyPass:
+    """The per-R pass: each energy is its prefix's, from the same pass on
+    R_1..R_{m-1}, plus the terms (i, m) of the walk."""
+
+    def test_matches_tableau_by_tableau(self):
+        count = 0
+        for seq in rect_sequences(4, 8):
+            energies = energy._lrt_energies(seq)
+            tableaux = [t for group in lrt_by_shape(seq).values() for t in group]
+            assert len(energies) == len(tableaux)
+            for t in tableaux:
+                terms = tableau_energy_terms(LRTableau._raw(t, seq))
+                assert energies[t.rows] == sum(v for _, _, v in terms), (seq, t)
+                count += 1
+        assert count == 2977
+
+    def test_two_rectangles_need_no_insertion(self, monkeypatch):
+        # the one term of two rectangles reads labels from 1, a normal
+        # subtableau, so the pass reads its shape and inserts no word
+        def insertion(word):
+            raise AssertionError(f"inserted a word of {len(word)} letters")
+
+        monkeypatch.setattr(energy, "insertion_shape", insertion)
+        energy._lrt_energies.cache_clear()
+        try:
+            wide = RectSequence([(1, 1100), (1, 1100)])
+            assert k_polynomial((1400, 800), wide) == LaurentPolynomial({300: 1})
+            gc = graded_character(RectSequence([(1, 30), (1, 30)]))
+            assert gc.as_dict() == {partition((60 - k, k)): LaurentPolynomial({30 - k: 1}) for k in range(31)}
+        finally:
+            energy._lrt_energies.cache_clear()
 
 
 class TestCharge:

@@ -140,7 +140,7 @@ class TestGradedCharacter:
         for module in (rsk, verify):
             monkeypatch.setattr(module, "rsk_pair", scan)
         # a cached energy would skip the walk
-        energy._tableau_energy_cached.cache_clear()
+        energy._lrt_energies.cache_clear()
         gc = graded_character(RectSequence([(1, 2), (1, 1), (1, 1)]))
         assert gc.as_dict() == {
             (2, 1, 1): LaurentPolynomial.one(),

@@ -1,17 +1,23 @@
-"""The package's public surface: the lazily resolved names and the
-immutable value types."""
+"""The package's public surface: the lazily resolved names, clear_caches and
+the immutable value types."""
 
 import importlib
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
 import rectcrys
 from rectcrys.affine import PromotionTrace, pair_promote
 from rectcrys.crystal import CrystalElement, RectSequence, Signature, word_signature
+from rectcrys.demazure import demazure_character
 from rectcrys.errors import NonLRError, ShapeMismatchError
+from rectcrys.kpoly import graded_character, k_polynomial
 from rectcrys.rsk import LRTableau, TableauPair, rsk_pair
 from rectcrys.tableaux import Tableau
+from rectcrys.verify import verify_energy
 
 # The names the package exported when its __init__ imported every module,
 # by the module that defines (or re-exports) each, less the test-only
@@ -59,6 +65,36 @@ class TestLazyNamespace:
             rectcrys.no_such_name  # noqa: B018
         with pytest.raises(ImportError):
             exec("from rectcrys import no_such_name", {})
+
+
+class TestClearCaches:
+    def test_empties_every_memo(self):
+        seq = RectSequence([(1, 3), (2, 1), (1, 2), (1, 1)])
+        before = k_polynomial((4, 2, 1, 1), seq)
+        graded_character(seq)
+        demazure_character(2, (2, 1), 3)
+        assert verify_energy(3, 5).ok
+        memos = {
+            id(obj): obj
+            for name, module in list(sys.modules.items())
+            if name.startswith("rectcrys.")
+            for obj in vars(module).values()
+            if callable(getattr(obj, "cache_info", None))
+        }.values()
+        # 14 unbounded memos and crystal._swapped, bounded at 256
+        assert len(memos) == 15 and any(memo.cache_info().currsize for memo in memos)
+        rectcrys.clear_caches()
+        assert [memo for memo in memos if memo.cache_info().currsize] == []
+        assert k_polynomial((4, 2, 1, 1), seq) == before
+
+    def test_imports_no_module(self):
+        # so that the CLI's cold-start module set does not change
+        code = (
+            "import sys, rectcrys; before = set(sys.modules); rectcrys.clear_caches(); "
+            "assert set(sys.modules) == before, set(sys.modules) - before"
+        )
+        src = os.path.dirname(os.path.dirname(rectcrys.__file__))
+        subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), check=True)
 
 
 SEQ = RectSequence([(2, 2), (1, 1)])

@@ -11,8 +11,8 @@ track of the delta grading.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from operator import add, sub
 from typing import Mapping, Sequence
 
@@ -83,9 +83,29 @@ def _term_key(n: int, w) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _simple_root_keys(n: int) -> tuple[tuple[int, ...], ...]:
-    """alpha_0, ..., alpha_{n-1} as term keys."""
-    return tuple(_term_key(n, simple_root(n, i)) for i in range(n))
+def _classical_roots(n: int) -> tuple[tuple[int, ...], ...]:
+    """The classical parts (lam0, *finite) of alpha_0, ..., alpha_{n-1}."""
+    return tuple(_term_key(n, simple_root(n, i))[:n] for i in range(n))
+
+
+# A FormalCharacter keeps the delta grading of each classical weight in one
+# int, whose signed _BITS-bit digit e is the coefficient at delta = _hi - e.
+# Sums of such ints are exact, and the digits read back exactly while every
+# coefficient lies in [-_HALF, _HALF).
+_BITS = 64
+_HALF = 1 << (_BITS - 1)
+_MASK = (1 << _BITS) - 1
+
+
+def _digits(p: int):
+    """(e, digit) for the nonzero signed digits of p, lowest first."""
+    e = 0
+    while p:
+        d = ((p + _HALF) & _MASK) - _HALF
+        if d:
+            yield e, d
+        p = (p - d) >> _BITS
+        e += 1
 
 
 class FormalCharacter:
@@ -93,56 +113,88 @@ class FormalCharacter:
 
     Terms are keyed by plain tuples (lam0, finite_1, ..., finite_{n-1},
     delta), so that key[i] is the pairing <h_i, w> for every color i; the
-    constructor also accepts AffineWeight keys.
+    constructor also accepts AffineWeight keys.  No pairing depends on
+    delta, so the terms are stored one entry per classical weight
+    (lam0, *finite), its delta grading packed into one int (see _digits);
+    ``terms`` decodes them.  Coefficients must lie in [-2**63, 2**63).
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_hi", "_packed")
 
     def __init__(self, n: int, terms: Mapping = ()):
         self.n = n
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self.terms = {_term_key(n, w): c for w, c in items if c != 0}
+        terms = {_term_key(n, w): c for w, c in items if c != 0}
+        hi = max((w[n] for w in terms), default=0)
+        packed: dict[tuple[int, ...], int] = {}
+        for w, c in terms.items():
+            if not -_HALF <= c < _HALF:
+                raise ValueError(f"coefficient {c} outside [-2**{_BITS - 1}, 2**{_BITS - 1})")
+            cl = w[:n]
+            packed[cl] = packed.get(cl, 0) + (c << _BITS * (hi - w[n]))
+        self._hi = hi
+        self._packed = packed
 
     @classmethod
-    def _of(cls, n: int, acc: dict[tuple[int, ...], int]) -> "FormalCharacter":
-        """Trusted constructor from tuple keys; drops zero coefficients."""
+    def _of(cls, n: int, hi: int, acc: dict[tuple[int, ...], int]) -> "FormalCharacter":
+        """Trusted constructor from packed gradings; drops the zero ones."""
         ch = object.__new__(cls)
         ch.n = n
-        ch.terms = {w: c for w, c in acc.items() if c}
+        ch._hi = hi
+        ch._packed = {w: p for w, p in acc.items() if p}
         return ch
 
     @classmethod
     def exponential(cls, w: AffineWeight) -> "FormalCharacter":
         return cls(w.n, {w: 1})
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """The {(lam0, *finite, delta): coefficient} view."""
+        hi = self._hi
+        return {
+            (*w, hi - e): c for w, p in self._packed.items() for e, c in _digits(p)
+        }
+
     def demazure_op(self, i: int) -> "FormalCharacter":
         """Geometric-series Demazure operator at color i.
 
         For <h_i, w> = k >= 0 the exponential spreads to w, w-alpha_i, ...,
         w-k*alpha_i; k = -1 kills the term; k <= -2 contributes the negated
-        string w+alpha_i, ..., w+(-k-1)*alpha_i.
+        string w+alpha_i, ..., w+(-k-1)*alpha_i.  Each classical weight
+        walks its string once, carrying its whole grading.  alpha_0 alone
+        has a delta part, 1, so a step at color 0 moves the grading by one
+        digit, up in delta by a right shift.  hi first rises by the longest
+        such string, so that no right shift drops a digit.
         """
-        alpha = _simple_root_keys(self.n)[i]
+        alpha = _classical_roots(self.n)[i]
+        shift = 0 if i else _BITS
+        pad = max((-1 - w[0] for w in self._packed if w[0] <= -2), default=0) if shift else 0
         acc: dict[tuple[int, ...], int] = {}
         get = acc.get
-        for w, c in self.terms.items():
+        for w, p in self._packed.items():
             k = w[i]
+            p <<= shift * pad
             if k >= 0:
-                acc[w] = get(w, 0) + c
+                acc[w] = get(w, 0) + p
                 for _ in range(k):
                     w = tuple(map(sub, w, alpha))
-                    acc[w] = get(w, 0) + c
+                    p <<= shift
+                    acc[w] = get(w, 0) + p
             elif k <= -2:
                 for _ in range(-k - 1):
                     w = tuple(map(add, w, alpha))
-                    acc[w] = get(w, 0) - c
-        return FormalCharacter._of(self.n, acc)
+                    p >>= shift
+                    acc[w] = get(w, 0) - p
+        return FormalCharacter._of(self.n, self._hi + pad, acc)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FormalCharacter)
-            and self.n == other.n
-            and self.terms == other.terms
+        if not (isinstance(other, FormalCharacter) and self.n == other.n):
+            return False
+        a, b = (self, other) if self._hi >= other._hi else (other, self)
+        lift = _BITS * (a._hi - b._hi)
+        return a._packed.keys() == b._packed.keys() and all(
+            p == b._packed[w] << lift for w, p in a._packed.items()
         )
 
     def __len__(self) -> int:
@@ -173,23 +225,25 @@ def translation_length(t: Sequence[int]) -> int:
     return sum(abs(t[i] - t[j]) for i in range(len(t)) for j in range(i + 1, len(t)))
 
 
-def _translate_point(mu: Sequence[int], n: int) -> list[Fraction]:
+def _translate_point(mu: Sequence[int], n: int) -> list[int]:
     """A generic point of the fundamental alcove moved by the translation
-    attached to mu."""
+    attached to mu, in units of 1 / (n (n + 1)): the point
+    ((n - k) / (n + 1))_k, less its mean, plus the translation."""
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     t = translation_vector(mu, n)
-    base = [Fraction(n - k, n + 1) for k in range(1, n + 1)]
-    mean = sum(base) / n
-    return [x - mean + tx for x, tx in zip(base, t)]
+    unit = n * (n + 1)
+    return [n * (n - k) - n * (n - 1) // 2 + tx * unit for k, tx in enumerate(t, start=1)]
 
 
-def _wall_walk(point: list[Fraction]) -> list[int]:
-    """Walk a generic point (in place) back to the fundamental alcove wall
-    by wall, finite walls first.  Each crossing contributes one letter, and the
-    letters, read left to right, spell a reduced word of the element that
-    carries the fundamental alcove to the point's alcove."""
+def _wall_walk(point: list[int]) -> list[int]:
+    """Walk a generic point (in place, in the units of _translate_point) back
+    to the fundamental alcove wall by wall, finite walls first.  Each crossing
+    contributes one letter, and the letters, read left to right, spell a
+    reduced word of the element that carries the fundamental alcove to the
+    point's alcove."""
     n = len(point)
+    unit = n * (n + 1)
     word: list[int] = []
     while True:
         desc = None
@@ -197,13 +251,13 @@ def _wall_walk(point: list[Fraction]) -> list[int]:
             if point[i - 1] < point[i]:
                 desc = i
                 break
-        if desc is None and point[0] - point[-1] > 1:
+        if desc is None and point[0] - point[-1] > unit:
             desc = 0
         if desc is None:
             return word
         word.append(desc)
         if desc == 0:
-            point[0], point[-1] = point[-1] + 1, point[0] - 1
+            point[0], point[-1] = point[-1] + unit, point[0] - unit
         else:
             point[desc - 1], point[desc] = point[desc], point[desc - 1]
 
@@ -226,25 +280,26 @@ def translation_reduced_word(mu: Sequence[int], n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Demazure characters and their classical decomposition.
 
-def _straighten(terms: Mapping[tuple[int, ...], int], level: int, n: int) -> GradedCharacter:
+def _straighten(ch: FormalCharacter, level: int) -> GradedCharacter:
     """Apply the Weyl character formula D_{w_0} of the finite subalgebra to
-    each exponential and collect the irreducible characters by q-degree.
+    each exponential of ``ch`` and collect the irreducible characters by
+    q-degree.
 
     The finite part of a weight becomes the vector v = lam + rho with sum
     level * n + |rho|, rho = (n-1, ..., 1, 0).  The term vanishes when v has
     a repeated entry; otherwise it is sgn(sigma) times the character of the
-    shape sort(v) - rho, sigma the sorting permutation.  Terms are grouped
-    by finite part first, since many q-degrees share one.
+    shape sort(v) - rho, sigma the sorting permutation.  Each classical
+    weight is straightened once, with its whole packed grading; the gradings
+    are summed per shape and decoded once per shape.
     """
-    by_finite: dict[tuple[int, ...], dict[int, int]] = {}
-    for w, c in terms.items():
-        if w[n] > 0:
-            raise ValueError("positive delta coefficient in a Demazure character")
-        by_degree = by_finite.setdefault(w[1:n], {})
-        by_degree[-w[n]] = by_degree.get(-w[n], 0) + c
+    n, hi = ch.n, ch._hi
+    above_zero = (1 << _BITS * hi) - 1 if hi > 0 else 0
     size = level * n
-    out: dict[tuple[int, ...], dict[int, int]] = {}
-    for fin, by_degree in by_finite.items():
+    out: dict[tuple[int, ...], int] = {}
+    for w, p in ch._packed.items():
+        if p & above_zero:
+            raise ValueError("positive delta coefficient in a Demazure character")
+        fin = w[1:]
         tail = size - sum(i * f for i, f in enumerate(fin, start=1))
         if tail % n:
             raise ValueError(f"no partition of {size} with differences {fin}")
@@ -257,12 +312,11 @@ def _straighten(terms: Mapping[tuple[int, ...], int], level: int, n: int) -> Gra
         sign = -1 if sum(a > b for k, a in enumerate(v) for b in v[k + 1:]) % 2 else 1
         v.sort(reverse=True)
         lam = tuple(x - k for k, x in zip(range(n - 1, -1, -1), v))
-        acc = out.setdefault(lam, {})
-        for e, c in by_degree.items():
-            acc[e] = acc.get(e, 0) + sign * c
+        out[lam] = out.get(lam, 0) + sign * p
     result = {}
-    for lam, acc in out.items():
-        poly = LaurentPolynomial(acc)
+    for lam, p in out.items():
+        # digit e is the coefficient at delta = hi - e, that is at q^(e - hi)
+        poly = LaurentPolynomial({e - hi: c for e, c in _digits(p)})
         if not poly.coeffs:
             continue
         negative = [e for e, m in poly.coeffs.items() if m < 0]
@@ -286,11 +340,18 @@ def demazure_character(level: int, mu: Sequence[int], n: int) -> GradedCharacter
         raise ValueError(f"n must be at least 2, got {n}")
     if level < 1:
         raise ValueError("level must be >= 1")
+    # Each operator step gives the character of a Demazure module inside the
+    # final one, so no coefficient exceeds |B^R|, and a rectangle has at most
+    # comb(n + level - 1, level) choices of each row.
+    if comb(n + level - 1, level) ** n >= _HALF:
+        raise ValueError(
+            f"|B^R| at n = {n}, level {level} may reach 2**{_BITS - 1}, past a packed coefficient"
+        )
     word = _wall_walk(sorted(_translate_point(mu, n), reverse=True))
     ch = FormalCharacter(n, {(level,) + (0,) * n: 1})
     for i in reversed(word):
         ch = ch.demazure_op(i)
-    return _straighten(ch.terms, level, n)
+    return _straighten(ch, level)
 
 
 def crystal_side_character(level: int, mu: Sequence[int]) -> GradedCharacter:

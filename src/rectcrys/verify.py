@@ -529,7 +529,10 @@ def _check_rsk(seq: RectSequence) -> Iterator[dict]:
     # pair promotion in two halves: the recording half, which reads only q
     # and the strip of letters n in p, once per (q, strip), giving the new
     # q's id and the added cells; the insertion half once per (p, added
-    # cells), giving the new p's id.  A half that raises holds None.
+    # cells), giving the new p's id.  A half that raises holds None.  The
+    # insertion half repeats for under a quarter of the elements, but its memo
+    # still paid: verify_rsk(4, 7) took 3.59 s with it and 3.71 s without
+    # (medians of 3 alternating fresh-process runs, 2-vCPU VM, Python 3.11).
     recorded: dict = {}
     inserted: dict = {}
     for code, (pb, qb) in enumerate(zip(P, Q)):

@@ -3,14 +3,17 @@
 Jeu-de-taquin slides on a dict from cells to letters, the way from such a
 dict back to a Tableau, promotion and its inverse the cell-map way, the
 crystal enumeration, the inverse cyclage, the string lengths of elements
-at every color, 0 included, and tau by insertion.
+at every color, 0 included, tau by insertion, and the alcove walk of the
+translation's reduced words in exact fractions.
 Cells are (row, col) pairs, 1-based, row 1 on top.
 """
 
+from fractions import Fraction
 from itertools import chain, product
 
 from rectcrys.affine import promote
 from rectcrys.crystal import CrystalElement, signature, young_w0
+from rectcrys.demazure import translation_vector
 from rectcrys.errors import NonLRError
 from rectcrys.rmatrix import sigma_swap
 from rectcrys.rsk import _lift, is_r_lr, rsk_pair
@@ -154,3 +157,34 @@ def string_lengths(b, i):
     else:
         sig = signature(b, i)
     return sig.phi, sig.eps
+
+
+def fraction_translate_point(mu, n):
+    """A generic point of the fundamental alcove, ((n - k) / (n + 1))_k less
+    its mean, moved by the translation attached to mu."""
+    t = translation_vector(mu, n)
+    base = [Fraction(n - k, n + 1) for k in range(1, n + 1)]
+    mean = sum(base) / n
+    return [x - mean + tx for x, tx in zip(base, t)]
+
+
+def fraction_wall_walk(point):
+    """Walk a generic point (in place) back to the fundamental alcove wall
+    by wall, finite walls first, one letter per crossing."""
+    n = len(point)
+    word = []
+    while True:
+        desc = None
+        for i in range(1, n):
+            if point[i - 1] < point[i]:
+                desc = i
+                break
+        if desc is None and point[0] - point[-1] > 1:
+            desc = 0
+        if desc is None:
+            return word
+        word.append(desc)
+        if desc == 0:
+            point[0], point[-1] = point[-1] + 1, point[0] - 1
+        else:
+            point[desc - 1], point[desc] = point[desc], point[desc - 1]

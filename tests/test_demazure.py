@@ -2,10 +2,13 @@ import random
 
 import pytest
 
+from oracles import fraction_translate_point, fraction_wall_walk
 from rectcrys.demazure import (
     AffineWeight,
     FormalCharacter,
     _straighten,
+    _translate_point,
+    _wall_walk,
     cartan_entry,
     crystal_side_character,
     demazure_character,
@@ -204,7 +207,87 @@ class TestDemazureOperator:
             assert lhs == ch.demazure_op(3).demazure_op(1)
 
 
+def keyed(terms):
+    """AffineWeight-keyed terms as the tuple-keyed ``terms`` view."""
+    return {(w.lam0, *w.finite, w.delta): c for w, c in terms.items()}
+
+
+class TestPackedGrading:
+    """Each classical weight keeps its delta grading in one int of 64-bit
+    digits; these cases break if a color-0 step may shift a digit out, or if
+    a digit cannot hold a coefficient of 2**40."""
+
+    BIG = 2**40
+
+    def test_color0_raises_delta_without_loss(self):
+        # lam0 = -6 raises delta by up to 5, from two degrees of one weight
+        # and from a second weight whose lowest degree sits far below
+        terms = {
+            AffineWeight(3, -6, (1, 2), 0): 3,
+            AffineWeight(3, -6, (1, 2), -1): -self.BIG,
+            AffineWeight(3, -6, (0, 0), -4): self.BIG + 1,
+            AffineWeight(3, 2, (-1, 0), 1): 1,
+        }
+        want = oracle_demazure_op(terms, 3, 0)
+        got = FormalCharacter(3, terms).demazure_op(0)
+        assert got.terms == keyed(want)
+        assert got == FormalCharacter(3, want)
+
+    def test_large_coefficients_survive_every_color(self):
+        terms = {
+            AffineWeight(3, 2, (0, 0), 0): self.BIG,
+            AffineWeight(3, -3, (2, 3), -1): -self.BIG - 5,
+            AffineWeight(3, -2, (1, 3), -2): 7,
+        }
+        want, got = terms, FormalCharacter(3, terms)
+        for i in (0, 1, 2, 0, 1, 0, 2):
+            want = oracle_demazure_op(want, 3, i)
+            got = got.demazure_op(i)
+            assert got.terms == keyed(want)
+        assert len(got) == sum(abs(c) for c in want.values())
+
+    def test_padding_is_invisible(self):
+        # the op lifts the grading by the rise of 2 at lam0 = -3, while the
+        # top terms, at delta 0, rise by 1 (lam0 = -2) or vanish (lam0 = -1):
+        # the result carries an unused digit above its highest delta, 1
+        terms = {
+            AffineWeight(2, -1, (2,), 0): self.BIG,
+            AffineWeight(2, -2, (3,), 0): self.BIG,
+            AffineWeight(2, -3, (4,), -5): self.BIG,
+        }
+        padded = FormalCharacter(2, terms).demazure_op(0)
+        fresh = FormalCharacter(2, padded.terms)
+        assert padded._hi > fresh._hi
+        assert padded.terms == fresh.terms == keyed(oracle_demazure_op(terms, 2, 0))
+        assert padded == fresh and fresh == padded
+        assert len(padded) == len(fresh) == sum(abs(c) for c in fresh.terms.values())
+        lowered = FormalCharacter(2, {(*w[:2], w[2] - 1): c for w, c in fresh.terms.items()})
+        assert padded != lowered and lowered != padded
+
+    def test_rejects_coefficients_beyond_a_digit(self):
+        with pytest.raises(ValueError, match="outside"):
+            FormalCharacter(2, {(1, 0, 0): 2**63})
+        assert FormalCharacter(2, {(1, 0, 0): -(2**63)}).terms == {(1, 0, 0): -(2**63)}
+
+    def test_straighten_rejects_positive_delta(self):
+        # n = 2, level 1: lam0 = -3 gives w + alpha_0 and w + 2 alpha_0, at
+        # delta 1 and 2; the weight itself straightens to a partition
+        ch = FormalCharacter(2, {(-3, 4, 0): 1})
+        with pytest.raises(ValueError, match="positive delta coefficient"):
+            _straighten(ch.demazure_op(0), 1)
+        with pytest.raises(ValueError, match="positive delta coefficient"):
+            _straighten(FormalCharacter(2, {(1, 0, 1): self.BIG}), 1)
+
+
 class TestTranslationWords:
+    def test_integer_walk_matches_fraction_walk(self):
+        for n in range(2, 9):
+            for mu in partitions_of(n, n):
+                point = fraction_translate_point(mu, n)
+                assert translation_reduced_word(mu, n) == fraction_wall_walk(list(point))
+                coset = _wall_walk(sorted(_translate_point(mu, n), reverse=True))
+                assert coset == fraction_wall_walk(sorted(point, reverse=True)), (n, mu)
+
     def test_identity_translation(self):
         # the one-column partition gives the zero weight
         assert translation_vector((2,), 2) == (0, 0)
@@ -273,12 +356,18 @@ class TestDemazureCharacter:
             assert total == expected
 
     def test_matches_crystal_route(self):
-        for n in (2, 3, 4):
-            for level in (1, 2):
-                for mu in partitions_of(n, n):
-                    assert demazure_character(level, mu, n) == crystal_side_character(
-                        level, mu
-                    )
+        cases = [(n, level) for n in (2, 3, 4) for level in (1, 2)] + [(6, 2)]
+        for n, level in cases:
+            for mu in partitions_of(n, n):
+                assert demazure_character(level, mu, n) == crystal_side_character(
+                    level, mu
+                ), (n, level, mu)
+
+    def test_refuses_coefficients_past_a_digit(self):
+        # the bound on |B^R| at n = 11, level 2, comb(12, 2)**11 = 66**11,
+        # passes 2**63
+        with pytest.raises(ValueError, match="past a packed coefficient"):
+            demazure_character(2, (1,) * 11, 11)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_rejects_small_n(self, n):
@@ -304,15 +393,15 @@ class TestDemazureCharacter:
     def test_straighten_rejects_non_characters(self):
         # n = 2, level 1: finite weight (2,) is lam = (2,), (0,) is (1, 1),
         # and (-2,) straightens to minus the character of (1, 1)
-        def terms(weights):
-            return {(1 - fin, fin, 0): c for fin, c in weights.items()}
+        def character(weights):
+            return FormalCharacter(2, {(1 - fin, fin, 0): c for fin, c in weights.items()})
 
-        gc = _straighten(terms({2: 1, 0: 2, -2: 1}), 1, 2)
+        gc = _straighten(character({2: 1, 0: 2, -2: 1}), 1)
         assert gc.as_dict() == {
             (2,): LaurentPolynomial.one(),
             (1, 1): LaurentPolynomial.one(),
         }
         with pytest.raises(ValueError, match="negative multiplicity"):
-            _straighten(terms({2: 1, -2: 1}), 1, 2)
+            _straighten(character({2: 1, -2: 1}), 1)
         with pytest.raises(ValueError, match="no partition"):
-            _straighten(terms({1: 1}), 1, 2)
+            _straighten(character({1: 1}), 1)

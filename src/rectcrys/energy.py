@@ -172,8 +172,11 @@ def _lrt_energies(seq: RectSequence) -> Mapping[tuple, int]:
     The terms (i, j) with j < m read only the labels below lo_m: the prefix,
     an LR tableau of R_1..R_{m-1}, whose energy is this pass on that
     sequence.  So each energy is its prefix's plus the terms (i, m) of
-    :func:`_column_terms`.  With no real switch every term (i, j) is
-    restricted_d at i, so the energy is the sum over i of m - i times it.
+    :func:`_column_terms`.  The tableaux are grouped by prefix: the lift of
+    factors 1..m-1 and the prefix insertion states are read once per
+    prefix, and only the last factor's lift once per tableau.  With no real
+    switch every term (i, j) is restricted_d at i, so the energy is the sum
+    over i of m - i times it.
     """
     m = seq.m
     tableaux = [t.rows for group in lrt_by_shape(seq).values() for t in group]
@@ -187,15 +190,20 @@ def _lrt_energies(seq: RectSequence) -> Mapping[tuple, int]:
             for rows in tableaux
         })
     prefix_energy = _lrt_energies(RectSequence(seq.rects[:-1]))
-    bounds = [seq.subalphabet(j) for j in range(1, m + 1)]
-    lo_m = bounds[-1][0]
-    out = {}
+    bounds = [seq.subalphabet(j) for j in range(1, m)]
+    lo_m = seq.subalphabet(m)[0]
+    by_prefix: dict[tuple, list[tuple]] = {}
     for rows in tableaux:
-        lift = _read_off(rows, seq.n)  # trusted: the tableaux are R-LR
-        lifted = [tuple(lift[lo - 1 : hi]) for lo, hi in bounds]
         prefix = tuple(row[:k] for row in rows if (k := bisect_left(row, lo_m)))
-        terms = _column_terms(rows, seq, lifted, _prefix_states(rows, seq), m)
-        out[rows] = prefix_energy[prefix] + sum(terms)
+        by_prefix.setdefault(prefix, []).append(rows)
+    out = {}
+    for prefix, group in by_prefix.items():
+        lift = _read_off(prefix, lo_m - 1)  # trusted: the tableaux are R-LR
+        lifted = [tuple(lift[lo - 1 : hi]) for lo, hi in bounds]
+        states, energy = _prefix_states(prefix, seq), prefix_energy[prefix]
+        for rows in group:
+            terms = _column_terms(rows, seq, lifted + [tuple(_read_off(rows, seq.n, lo_m))], states, m)
+            out[rows] = energy + sum(terms)
     return MappingProxyType(out)
 
 

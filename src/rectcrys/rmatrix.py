@@ -12,10 +12,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .crystal import CrystalElement, RectSequence, _row_word
-from .errors import NonLRError
-from .rsk import LRTableau, _lift, _unlift, lrt_tableaux, peel_recording
-from .tableaux import Tableau, column_insert
+from .crystal import CrystalElement, RectSequence
+from .errors import InconsistentPairError, NonLRError
+from .rsk import LRTableau, _factors, _lift, _unlift, lrt_tableaux
+from .tableaux import Tableau, _col_insert, _peel, _tableau_of_cols, conjugate
 
 
 @lru_cache(maxsize=None)
@@ -50,6 +50,20 @@ def _two_factor_tau(shape: tuple[int, ...], rects: tuple[tuple[int, int], tuple[
     return cands[0]
 
 
+@lru_cache(maxsize=1024)
+def _peel_plan(col_lengths: tuple[int, ...], rect1: tuple[int, int], rect2: tuple[int, int]) -> tuple:
+    """How sigma takes apart an insertion tableau with these column lengths:
+    the cells of the unique (rect2, rect1)-LR tableau of its shape that carry
+    rect1's labels, one group per label from the top label down; and the
+    sequence (rect2, rect1)."""
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for r, row in enumerate(_two_factor_tau(conjugate(col_lengths), (rect2, rect1)).rows, start=1):
+        for c, label in enumerate(row, start=1):
+            groups.setdefault(label, []).append((r, c))
+    top = rect2[0] + rect1[0]
+    return tuple(tuple(groups[k]) for k in range(top, rect2[0], -1)), RectSequence((rect2, rect1))
+
+
 @lru_cache(maxsize=None)
 def _sigma_pair(
     rect1: tuple[int, int],
@@ -59,11 +73,24 @@ def _sigma_pair(
     alphabet: int,
 ) -> tuple[tuple, tuple]:
     """sigma on a two-factor element given by factor rows; returns new rows
-    (position 1 gets a rect2-shaped factor, position 2 a rect1-shaped one)."""
-    p = column_insert(_row_word(rows2) + _row_word(rows1), n=alphabet)
-    swapped = RectSequence((rect2, rect1))
-    q_new = _two_factor_tau(p.outer, (rect2, rect1))
-    new1, new2 = peel_recording(p, q_new, swapped, alphabet=alphabet)
+    (position 1 gets a rect2-shaped factor, position 2 a rect1-shaped one).
+
+    rows1, a column-strict rectangle, is its own insertion tableau, so only
+    rows2's letters are column-inserted into its columns to give the
+    element's p.  Peeling off p, rightmost first, the cells of each label
+    of rect1 in :func:`_peel_plan` ejects the new rect1 factor's rows, last
+    row first; the columns left hold the new rect2 factor.
+    """
+    cols = [list(col) for col in zip(*rows1)]
+    for row in rows2:
+        for x in reversed(row):
+            _col_insert(cols, x)
+    plan, swapped = _peel_plan(tuple(map(len, cols)), rect1, rect2)
+    try:
+        peeled = [_peel(cols, cells) for cells in plan]
+    except ValueError as exc:
+        raise InconsistentPairError(str(exc)) from exc
+    new1, new2 = _factors(_tableau_of_cols(cols, alphabet).rows + tuple(peeled[::-1]), swapped, alphabet)
     return new1.rows, new2.rows
 
 

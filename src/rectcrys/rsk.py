@@ -11,6 +11,7 @@ subalphabet (a Levi color of R).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
@@ -115,13 +116,13 @@ def _lift(q: Tableau, seq: RectSequence) -> CrystalElement:
     return CrystalElement._raw(seq, tuple(_factors(_read_off(q.rows, seq.n), seq, seq.n)))
 
 
-def _read_off(qrows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
-    """Rows 1..n of the lift of the recording rows ``qrows`` (labels in
+def _read_off(qrows: Sequence[Sequence[int]], n: int, lo: int = 1) -> list[tuple[int, ...]]:
+    """Rows lo..n of the lift of the recording rows ``qrows`` (labels in
     1..n): row s lists, in order, the rows of q that hold the label s."""
-    rows: list[list[int]] = [[] for _ in range(n)]
+    rows: list[list[int]] = [[] for _ in range(n - lo + 1)]
     for r, row in enumerate(qrows, start=1):
-        for x in row:
-            rows[x - 1].append(r)
+        for x in row[bisect_left(row, lo) :]:
+            rows[x - lo].append(r)
     return [tuple(row) for row in rows]
 
 

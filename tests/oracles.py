@@ -3,8 +3,9 @@
 Jeu-de-taquin slides on a dict from cells to letters, the way from such a
 dict back to a Tableau, promotion and its inverse the cell-map way, the
 crystal enumeration, the inverse cyclage, the string lengths of elements
-at every color, 0 included, tau by insertion, and the alcove walk of the
-translation's reduced words in exact fractions.
+at every color, 0 included, tau by insertion, sigma on two factors by
+inserting the whole element, and the alcove walk of the translation's
+reduced words in exact fractions.
 Cells are (row, col) pairs, 1-based, row 1 on top.
 """
 
@@ -12,12 +13,12 @@ from fractions import Fraction
 from itertools import chain, product
 
 from rectcrys.affine import promote
-from rectcrys.crystal import CrystalElement, signature, young_w0
+from rectcrys.crystal import CrystalElement, RectSequence, _row_word, signature, young_w0
 from rectcrys.demazure import translation_vector
 from rectcrys.errors import NonLRError
-from rectcrys.rmatrix import sigma_swap
-from rectcrys.rsk import _lift, is_r_lr, rsk_pair
-from rectcrys.tableaux import Tableau, enumerate_cst
+from rectcrys.rmatrix import _two_factor_tau, sigma_swap
+from rectcrys.rsk import _lift, is_r_lr, peel_recording, rsk_pair
+from rectcrys.tableaux import Tableau, column_insert, enumerate_cst
 
 
 def cell_map(t):
@@ -121,6 +122,31 @@ def tau_by_insertion(q, pos):
     """tau at pos of an LR tableau by insertion: lift q, switch with sigma,
     and insert the whole switched element (the route tau_swap avoids)."""
     return rsk_pair(sigma_swap(_lift(q.tableau, q.seq), pos)).q
+
+
+def sigma_pair_by_insertion(rect1, rect2, rows1, rows2, n):
+    """sigma on a two-factor element by insertion: the whole element's word
+    is column-inserted, and the (rect2, rect1)-LR tableau of its shape is
+    peeled off it label by label (the route rmatrix._sigma_pair avoids)."""
+    p = column_insert(_row_word(rows2) + _row_word(rows1), n=n)
+    q_new = _two_factor_tau(p.outer, (rect2, rect1))
+    new1, new2 = peel_recording(p, q_new, RectSequence((rect2, rect1)), alphabet=n)
+    return new1.rows, new2.rows
+
+
+def two_rectangle_pairs(max_n, max_cells):
+    """Every factor pair (rect1, rect2, rows1, rows2, n) of two distinct
+    rectangles with at most ``max_cells`` cells in all, over every alphabet
+    n with eta1 + eta2 <= n <= max_n."""
+    for n in range(2, max_n + 1):
+        rects = [(eta, mu) for eta in range(1, n) for mu in range(1, max_cells) if eta * mu < max_cells]
+        for (eta1, mu1), (eta2, mu2) in product(rects, repeat=2):
+            if (eta1, mu1) == (eta2, mu2) or eta1 + eta2 > n or eta1 * mu1 + eta2 * mu2 > max_cells:
+                continue
+            factors1 = [t.rows for t in enumerate_cst((mu1,) * eta1, n)]
+            factors2 = [t.rows for t in enumerate_cst((mu2,) * eta2, n)]
+            for rows1, rows2 in product(factors1, factors2):
+                yield (eta1, mu1), (eta2, mu2), rows1, rows2, n
 
 
 def chi_inverse(word, seq):

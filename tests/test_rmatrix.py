@@ -17,7 +17,7 @@ from rectcrys.tableaux import (
 from rectcrys.verify import rect_sequences
 
 from conftest import element_from
-from oracles import enumerate_crystal, slide_into, slide_out_of
+from oracles import enumerate_crystal, sigma_pair_by_insertion, slide_into, slide_out_of, two_rectangle_pairs
 
 
 def all_lr_words(seq, length):
@@ -135,6 +135,15 @@ class TestSigma:
                     assert _sigma_pair((eta, mu), (eta, mu), rows1, rows2, n) == (rows1, rows2)
                     count += 1
         assert count == 1151
+
+    def test_agrees_with_insertion(self):
+        # One-sided insertion and the peel plan against inserting the whole
+        # element, on every pair of two distinct rectangles at n <= 4.
+        count = 0
+        for args in two_rectangle_pairs(4, 8):
+            assert _sigma_pair.__wrapped__(*args) == sigma_pair_by_insertion(*args), args
+            count += 1
+        assert count == 22670
 
     def test_golden(self, golden, golden_b):
         tb = sigma_swap(golden_b, 2)

@@ -280,24 +280,6 @@ def translation_reduced_word(mu: Sequence[int], n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Demazure characters and their classical decomposition.
 
-@lru_cache(maxsize=4096)
-def _straightened(fin: tuple[int, ...], size: int, n: int) -> tuple[tuple[int, ...], int] | None:
-    """(sort(v) - rho, sgn(sigma)) for the classical weight with finite part
-    ``fin`` and v = lam + rho, |lam| = ``size``; None when v repeats an entry."""
-    tail = size - sum(i * f for i, f in enumerate(fin, start=1))
-    if tail % n:
-        raise ValueError(f"no partition of {size} with differences {fin}")
-    v = [tail // n]
-    for f in reversed(fin):
-        v.append(v[-1] + f + 1)
-    # v lists lam_n + rho_n, ..., lam_1 + rho_1
-    if len(set(v)) < n:
-        return None
-    sign = -1 if sum(a > b for k, a in enumerate(v) for b in v[k + 1:]) % 2 else 1
-    v.sort(reverse=True)
-    return tuple(x - k for k, x in zip(range(n - 1, -1, -1), v)), sign
-
-
 def _straighten(ch: FormalCharacter, level: int) -> GradedCharacter:
     """Apply the Weyl character formula D_{w_0} of the finite subalgebra to
     each exponential of ``ch`` and collect the irreducible characters by
@@ -307,20 +289,30 @@ def _straighten(ch: FormalCharacter, level: int) -> GradedCharacter:
     level * n + |rho|, rho = (n-1, ..., 1, 0).  The term vanishes when v has
     a repeated entry; otherwise it is sgn(sigma) times the character of the
     shape sort(v) - rho, sigma the sorting permutation.  Each classical
-    weight is straightened with its whole packed grading, and its shape and
-    sign are memoized across calls (:func:`_straightened`); the gradings are
-    summed per shape and decoded once per shape.
+    weight is straightened once, with its whole packed grading; the gradings
+    are summed per shape and decoded once per shape.
     """
     n, hi = ch.n, ch._hi
     above_zero = (1 << _BITS * hi) - 1 if hi > 0 else 0
+    size = level * n
     out: dict[tuple[int, ...], int] = {}
     for w, p in ch._packed.items():
         if p & above_zero:
             raise ValueError("positive delta coefficient in a Demazure character")
-        term = _straightened(w[1:], level * n, n)
-        if term:
-            lam, sign = term
-            out[lam] = out.get(lam, 0) + sign * p
+        fin = w[1:]
+        tail = size - sum(i * f for i, f in enumerate(fin, start=1))
+        if tail % n:
+            raise ValueError(f"no partition of {size} with differences {fin}")
+        v = [tail // n]
+        for f in reversed(fin):
+            v.append(v[-1] + f + 1)
+        # v lists lam_n + rho_n, ..., lam_1 + rho_1
+        if len(set(v)) < n:
+            continue
+        sign = -1 if sum(a > b for k, a in enumerate(v) for b in v[k + 1:]) % 2 else 1
+        v.sort(reverse=True)
+        lam = tuple(x - k for k, x in zip(range(n - 1, -1, -1), v))
+        out[lam] = out.get(lam, 0) + sign * p
     result = {}
     for lam, p in out.items():
         # digit e is the coefficient at delta = hi - e, that is at q^(e - hi)

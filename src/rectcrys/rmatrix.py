@@ -54,14 +54,13 @@ def _two_factor_tau(shape: tuple[int, ...], rects: tuple[tuple[int, int], tuple[
 def _peel_plan(col_lengths: tuple[int, ...], rect1: tuple[int, int], rect2: tuple[int, int]) -> tuple:
     """How sigma takes apart an insertion tableau with these column lengths:
     the cells of the unique (rect2, rect1)-LR tableau of its shape that carry
-    rect1's labels, one group per label from the top label down; and the
-    sequence (rect2, rect1)."""
+    rect1's labels, one group per label from the top label down."""
     groups: dict[int, list[tuple[int, int]]] = {}
     for r, row in enumerate(_two_factor_tau(conjugate(col_lengths), (rect2, rect1)).rows, start=1):
         for c, label in enumerate(row, start=1):
             groups.setdefault(label, []).append((r, c))
     top = rect2[0] + rect1[0]
-    return tuple(tuple(groups[k]) for k in range(top, rect2[0], -1)), RectSequence((rect2, rect1))
+    return tuple(tuple(groups[k]) for k in range(top, rect2[0], -1))
 
 
 @lru_cache(maxsize=None)
@@ -85,12 +84,13 @@ def _sigma_pair(
     for row in rows2:
         for x in reversed(row):
             _col_insert(cols, x)
-    plan, swapped = _peel_plan(tuple(map(len, cols)), rect1, rect2)
+    plan = _peel_plan(tuple(map(len, cols)), rect1, rect2)
     try:
         peeled = [_peel(cols, cells) for cells in plan]
     except ValueError as exc:
         raise InconsistentPairError(str(exc)) from exc
-    new1, new2 = _factors(_tableau_of_cols(cols, alphabet).rows + tuple(peeled[::-1]), swapped, alphabet)
+    rows = _tableau_of_cols(cols, alphabet).rows + tuple(peeled[::-1])
+    new1, new2 = _factors(rows, RectSequence((rect2, rect1)), alphabet)
     return new1.rows, new2.rows
 
 

@@ -82,8 +82,8 @@ class TestClearCaches:
             if callable(getattr(obj, "cache_info", None))
         }.values()
         # 14 unbounded memos; crystal._swapped, bounded at 256; and
-        # rmatrix._peel_plan and demazure._straightened, bounded at 1024, 4096
-        assert len(memos) == 17 and any(memo.cache_info().currsize for memo in memos)
+        # rmatrix._peel_plan, bounded at 1024
+        assert len(memos) == 16 and any(memo.cache_info().currsize for memo in memos)
         rectcrys.clear_caches()
         assert [memo for memo in memos if memo.cache_info().currsize] == []
         assert k_polynomial((4, 2, 1, 1), seq) == before

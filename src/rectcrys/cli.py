@@ -100,12 +100,11 @@ def _maybe_element(result: CrystalElement | None) -> None:
 def _cmd_tableau(args) -> int:
     from .tableaux import Tableau, antinormal, column_insert, json_ints, key
 
-    if args.op == "insert":
-        data = _read_json(args.infile)
-        _emit(column_insert(json_ints(data["word"], "word")).to_json())
-    elif args.op == "antinormal":
-        data = _read_json(args.infile)
-        _emit(antinormal(json_ints(data["word"], "word")).to_json())
+    if args.op in ("insert", "antinormal"):
+        word = json_ints(_read_json(args.infile)["word"], "word")
+        if any(x < 1 for x in word):
+            raise ValueError(f"letters must be >= 1, got {word}")
+        _emit((column_insert if args.op == "insert" else antinormal)(word).to_json())
     elif args.op == "word":
         t = Tableau.from_json(_read_json(args.infile))
         _emit({"word": list(t.word())})

@@ -15,11 +15,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .crystal import CrystalElement, RectSequence
 from .errors import InconsistentPairError
-from .rsk import LRTableau, _lift, _read_off, lrt_by_shape
+from .rsk import LRTableau, _read_off, lrt_by_shape
 from .rmatrix import _sigma_pair, sigma_swap
 from .tableaux import Tableau, _record_onto, conjugate, insertion_shape, partition
 
@@ -90,27 +90,6 @@ def _switches(seq: RectSequence) -> bool:
     return len(set(seq.rects[1:])) > 1
 
 
-def tableau_energy_terms(q: LRTableau) -> list[tuple[int, int, int]]:
-    """Summands (i, j, value) of the tableau-side energy, ordered by j and
-    then by decreasing i; the terms of each j are :func:`_column_terms`.
-
-    The walk runs on the factor rows of the highest weight element that
-    ``rsk._lift`` reads off q (it raises when q is not R-LR).  With no real
-    switch every term (i, j) is restricted_d(q, i), computed once per i.
-    """
-    seq, qrows = q.seq, q.tableau.rows
-    lifted = [t.rows for t in _lift(q.tableau, seq).factors]
-    if not _switches(seq):
-        base = [restricted_d(q, i) for i in range(1, seq.m)]
-        return [(i, j, base[i - 1]) for j in range(2, seq.m + 1) for i in range(j - 1, 0, -1)]
-    states = _prefix_states(qrows, seq)
-    return [
-        (i, j, value)
-        for j in range(2, seq.m + 1)
-        for i, value in zip(range(j - 1, 0, -1), _column_terms(qrows, seq, lifted, states, j))
-    ]
-
-
 def _prefix_states(qrows: tuple, seq: RectSequence) -> list[tuple[tuple, tuple]]:
     """Per position i <= m-2 (a term follows a real switch only there): the
     shape of q's labels up to hi_i, and its labels in A_i row by row."""
@@ -165,46 +144,50 @@ def _switched_term(shape: tuple, kept: tuple, rows: tuple, lo: int, hi: int, col
     return _restricted_east(labels, lo, hi + len(rows), col)
 
 
-@lru_cache(maxsize=None)
-def _lrt_energies(seq: RectSequence) -> Mapping[tuple, int]:
-    """The energy of every R-LR tableau of R, keyed by its rows (read-only).
+def _energies(seq: RectSequence, tableaux: Iterable[tuple]) -> dict[tuple, int]:
+    """The energies of the given R-LR tableaux of R (trusted), keyed by rows.
 
     The terms (i, j) with j < m read only the labels below lo_m: the prefix,
-    an LR tableau of R_1..R_{m-1}, whose energy is this pass on that
-    sequence.  So each energy is its prefix's plus the terms (i, m) of
-    :func:`_column_terms`.  The tableaux are grouped by prefix: the lift of
-    factors 1..m-1 and the prefix insertion states are read once per
-    prefix, and only the last factor's lift once per tableau.  With no real
-    switch every term (i, j) is restricted_d at i, so the energy is the sum
-    over i of m - i times it.
+    an LR tableau of R_1..R_{m-1}, whose energy comes from this function on
+    that sequence and the prefixes met.  So each energy is its prefix's plus
+    the terms (i, m) of :func:`_column_terms`.  The tableaux are grouped by
+    prefix: the lift of factors 1..m-1 and the prefix insertion states are
+    read once per prefix, and only the last factor's lift once per tableau.
+    With no real switch every term (i, j) is restricted_d at i, so the
+    energy is the sum over i of m - i times it.
     """
     m = seq.m
-    tableaux = [t.rows for group in lrt_by_shape(seq).values() for t in group]
     if not _switches(seq):
         weighted = [
             (m - i, seq.subalphabet(i)[0], seq.subalphabet(i + 1)[1], max(seq.mu(i), seq.mu(i + 1)))
             for i in range(1, m)
         ]
-        return MappingProxyType({
+        return {
             rows: sum(w * _restricted_east(rows, lo, hi, col) for w, lo, hi, col in weighted)
             for rows in tableaux
-        })
-    prefix_energy = _lrt_energies(RectSequence(seq.rects[:-1]))
+        }
     bounds = [seq.subalphabet(j) for j in range(1, m)]
     lo_m = seq.subalphabet(m)[0]
     by_prefix: dict[tuple, list[tuple]] = {}
     for rows in tableaux:
         prefix = tuple(row[:k] for row in rows if (k := bisect_left(row, lo_m)))
         by_prefix.setdefault(prefix, []).append(rows)
+    prefix_energy = _energies(RectSequence(seq.rects[:-1]), by_prefix)
     out = {}
     for prefix, group in by_prefix.items():
-        lift = _read_off(prefix, lo_m - 1)  # trusted: the tableaux are R-LR
+        lift = _read_off(prefix, lo_m - 1)
         lifted = [tuple(lift[lo - 1 : hi]) for lo, hi in bounds]
         states, energy = _prefix_states(prefix, seq), prefix_energy[prefix]
         for rows in group:
             terms = _column_terms(rows, seq, lifted + [tuple(_read_off(rows, seq.n, lo_m))], states, m)
             out[rows] = energy + sum(terms)
-    return MappingProxyType(out)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _lrt_energies(seq: RectSequence) -> Mapping[tuple, int]:
+    """The energy of every R-LR tableau of R, keyed by its rows (read-only)."""
+    return MappingProxyType(_energies(seq, [t.rows for group in lrt_by_shape(seq).values() for t in group]))
 
 
 def tableau_energy(q: LRTableau) -> int:

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .crystal import RectSequence
-from .energy import _lrt_energies, tableau_energy, tableau_energy_terms
+from .energy import _energies, _lrt_energies, tableau_energy
 from .laurent import LaurentPolynomial
 from .rsk import LRTableau, lrt_by_shape, lrt_tableaux
 from .tableaux import Tableau, _Frozen, _Record, column_insert, key, partition
@@ -57,11 +57,10 @@ def k_polynomial(lam: Sequence[int], seq: RectSequence) -> LaurentPolynomial:
 
 
 def _one_shape_k_polynomial(lam: Sequence[int], seq: RectSequence) -> LaurentPolynomial:
-    """k_polynomial summed tableau by tableau: a one-shot request asks for
-    one shape, which costs far less than the pass over every shape of R."""
-    return LaurentPolynomial(Counter(
-        sum(v for _, _, v in tableau_energy_terms(LRTableau._raw(t, seq))) for t in lrt_tableaux(lam, seq)
-    ))
+    """k_polynomial from the energies of that shape's tableaux alone: a
+    one-shot request asks for one shape, which costs far less than the pass
+    over every shape of R."""
+    return LaurentPolynomial(Counter(_energies(seq, [t.rows for t in lrt_tableaux(lam, seq)]).values()))
 
 
 def kostka_sequence(mu: Sequence[int]) -> RectSequence:

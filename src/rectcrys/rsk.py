@@ -53,21 +53,18 @@ def rsk_pair(b: CrystalElement) -> TableauPair:
     return TableauPair(*record([row for t in b.factors for row in t.rows], b.seq.n))
 
 
-def peel_recording(
-    p: Tableau, q: Tableau, seq: RectSequence, alphabet: int | None = None
-) -> list[Tableau]:
+def peel_recording(p: Tableau, q: Tableau, seq: RectSequence) -> list[Tableau]:
     """Factor tableaux of the element recorded by (p, q).
 
     Peels the cells of q labeled r (rightmost first) off p by reverse column
     insertions; the ejected letters must come out weakly increasing and
-    rebuild the r-th row of the element.  ``alphabet`` bounds the letters of
-    the factors (defaults to the recording alphabet size n of ``seq``).
+    rebuild the r-th row of the element, over the letters 1..n of ``seq``.
     """
     try:
         rows = unrecord(p, q, seq.n)
     except ValueError as exc:
         raise InconsistentPairError(str(exc)) from exc
-    return _factors(rows, seq, seq.n if alphabet is None else alphabet)
+    return _factors(rows, seq, seq.n)
 
 
 def _factors(rows: Sequence[tuple[int, ...]], seq: RectSequence, bound: int) -> list[Tableau]:

@@ -139,7 +139,10 @@ class Tableau:
         n: int | None = None,
     ):
         rows_t = [tuple(int(x) for x in row) for row in rows]
-        inner_full = list(_pad(partition(inner), len(rows_t)))
+        inner = partition(inner)
+        if len(inner) > len(rows_t):
+            raise ValueError(f"inner shape {inner} has more rows than the {len(rows_t)} given")
+        inner_full = list(_pad(inner, len(rows_t)))
         while rows_t and not rows_t[-1]:
             rows_t.pop()
             inner_full.pop()

@@ -17,8 +17,8 @@ from rectcrys.crystal import CrystalElement, RectSequence, _row_word, signature,
 from rectcrys.demazure import translation_vector
 from rectcrys.errors import NonLRError
 from rectcrys.rmatrix import _two_factor_tau, sigma_swap
-from rectcrys.rsk import _lift, is_r_lr, peel_recording, rsk_pair
-from rectcrys.tableaux import Tableau, column_insert, enumerate_cst
+from rectcrys.rsk import _factors, _lift, is_r_lr, rsk_pair
+from rectcrys.tableaux import Tableau, column_insert, enumerate_cst, unrecord
 
 
 def cell_map(t):
@@ -129,8 +129,8 @@ def sigma_pair_by_insertion(rect1, rect2, rows1, rows2, n):
     is column-inserted, and the (rect2, rect1)-LR tableau of its shape is
     peeled off it label by label (the route rmatrix._sigma_pair avoids)."""
     p = column_insert(_row_word(rows2) + _row_word(rows1), n=n)
-    q_new = _two_factor_tau(p.outer, (rect2, rect1))
-    new1, new2 = peel_recording(p, q_new, RectSequence((rect2, rect1)), alphabet=n)
+    seq = RectSequence((rect2, rect1))
+    new1, new2 = _factors(unrecord(p, _two_factor_tau(p.outer, seq.rects), seq.n), seq, n)
     return new1.rows, new2.rows
 
 

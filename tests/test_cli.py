@@ -97,7 +97,7 @@ class TestRoundTrips:
             assert code == 0 and json.loads(out) == {"coeffs": coeffs}, out
 
     def test_one_shape_route_matches_k_polynomial(self, capsys, monkeypatch):
-        # a one-shot request sums its shape tableau by tableau, never the
+        # a one-shot request walks its shape's tableaux alone, never the
         # per-R energy pass that k_polynomial and kostka_foulkes read
         rects = "1x3,2x2,1x2,2x1,1x1,1x2"
         seq = RectSequence([(1, 3), (2, 2), (1, 2), (2, 1), (1, 1), (1, 2)])
@@ -465,6 +465,17 @@ class TestMalformedInput:
         assert golden_seq.n == 7
         argv = ["--infile", golden_files["element"], "crystal", op, "--color", str(color)]
         assert "--color must be in 0..6" in self.run_usage_error(capsys, argv)
+
+    @pytest.mark.parametrize("op", ["insert", "antinormal"])
+    @pytest.mark.parametrize("word", [[0, 1], [-3], [2, 1, 0]])
+    def test_letter_below_one(self, op, word):
+        code, err = _main_on_stdin(["tableau", op], json.dumps({"word": word}))
+        assert code == 2 and err.startswith("usage error:") and "letters must be >= 1" in err
+
+    def test_inner_longer_than_rows(self):
+        text = json.dumps({"rows": [[1, 2]], "inner": [1, 1, 1]})
+        code, err = _main_on_stdin(["tableau", "word"], text)
+        assert code == 2 and err.startswith("usage error:") and "more rows" in err
 
     def test_crystal_op_alias_gone(self, capsys):
         # `crystal e|f|r` is the one spelling of an operator

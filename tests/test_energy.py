@@ -11,7 +11,6 @@ from rectcrys.energy import (
     local_H,
     restricted_d,
     tableau_energy,
-    tableau_energy_terms,
     total_energy,
 )
 from rectcrys.rmatrix import sigma_swap, tau_swap
@@ -43,10 +42,15 @@ def tau_chain_energy_terms(q: LRTableau) -> list[tuple[int, int, int]]:
     return out
 
 
+def tau_chain_energy(q: LRTableau) -> int:
+    return sum(v for _, _, v in tau_chain_energy_terms(q))
+
+
 def ordering_mismatches() -> tuple[int, list[LRTableau]]:
     """Every LR tableau of every ordering of 1x1, 1x1, 1x2, 2x1, with the
-    ones whose walked terms differ from the tau chain's.  The orderings put
-    equal rectangles next to each other before and after a real switch."""
+    ones whose walked energy differs from the tau chain's.  The orderings
+    put equal rectangles next to each other before and after a real
+    switch."""
     count, bad = 0, []
     for rects in sorted(set(permutations([(1, 1), (1, 1), (1, 2), (2, 1)]))):
         seq = RectSequence(rects)
@@ -54,7 +58,7 @@ def ordering_mismatches() -> tuple[int, list[LRTableau]]:
             for t in lrt_tableaux(lam, seq):
                 q = LRTableau(t, seq)
                 count += 1
-                if tableau_energy_terms(q) != tau_chain_energy_terms(q):
+                if tableau_energy(q) != tau_chain_energy(q):
                     bad.append(q)
     return count, bad
 
@@ -115,7 +119,7 @@ class TestTotalEnergy:
 class TestTableauEnergy:
     def test_golden(self, golden, golden_seq):
         q = LRTableau(Tableau.from_json(golden["q"], n=7), golden_seq)
-        assert [v for _, _, v in tableau_energy_terms(q)] == [1, 2, 0]
+        assert [v for _, _, v in tau_chain_energy_terms(q)] == [1, 2, 0]
         assert tableau_energy(q) == 3
 
     def test_stacked_zero(self):
@@ -134,7 +138,7 @@ class TestTableauEnergy:
         count = 0
         for seq, t in lr_family(4, 7, 3):
             q = LRTableau(t, seq)
-            assert tableau_energy_terms(q) == tau_chain_energy_terms(q)
+            assert tableau_energy(q) == tau_chain_energy(q)
             count += 1
         assert count == 1241
 
@@ -144,9 +148,10 @@ class TestTableauEnergy:
 
     def test_corrupted_snapshot_fails_oracle(self, monkeypatch):
         # the key-tableau prefix states are read by the walk alone; losing
-        # one cell of each must show up against the tau chain.  The memo of
-        # post-switch terms is cleared on both sides of the patch, so that
-        # neither earlier nor corrupted entries outlive it.
+        # one cell of each must show up against the tau chain.  The memos of
+        # post-switch terms and of per-R energies are cleared on both sides
+        # of the patch, so that neither earlier nor corrupted entries
+        # outlive it.
         record_onto = energy._record_onto
 
         def corrupted(cols, *args):
@@ -157,10 +162,12 @@ class TestTableauEnergy:
 
         monkeypatch.setattr(energy, "_record_onto", corrupted)
         energy._switched_term.cache_clear()
+        energy._lrt_energies.cache_clear()
         try:
             assert ordering_mismatches()[1]
         finally:
             energy._switched_term.cache_clear()
+            energy._lrt_energies.cache_clear()
 
     def test_prefix_states_are_key_tableaux(self):
         # the insertion state of rectangles 1..k of the lift is the key
@@ -204,8 +211,8 @@ class TestTableauEnergy:
 
 
 class TestEnergyPass:
-    """The per-R pass: each energy is its prefix's, from the same pass on
-    R_1..R_{m-1}, plus the terms (i, m) of the walk."""
+    """The walk over given tableaux: each energy is its prefix's, from the
+    same walk on R_1..R_{m-1} and the prefixes met, plus the terms (i, m)."""
 
     def test_matches_tableau_by_tableau(self):
         count = 0
@@ -214,9 +221,20 @@ class TestEnergyPass:
             tableaux = [t for group in lrt_by_shape(seq).values() for t in group]
             assert len(energies) == len(tableaux)
             for t in tableaux:
-                terms = tableau_energy_terms(LRTableau._raw(t, seq))
-                assert energies[t.rows] == sum(v for _, _, v in terms), (seq, t)
+                assert energies[t.rows] == tau_chain_energy(LRTableau._raw(t, seq)), (seq, t)
                 count += 1
+        assert count == 2977
+
+    def test_one_shape_matches_the_pass(self):
+        # a one-shot request walks one shape's tableaux, whose prefixes are
+        # fewer than the pass over every shape meets
+        count = 0
+        for seq in rect_sequences(4, 8):
+            energies = energy._lrt_energies(seq)
+            for group in lrt_by_shape(seq).values():
+                rows = [t.rows for t in group]
+                assert energy._energies(seq, rows) == {r: energies[r] for r in rows}, seq
+                count += len(rows)
         assert count == 2977
 
     def test_two_rectangles_need_no_insertion(self, monkeypatch):

@@ -15,6 +15,8 @@ from rectcrys.kpoly import (
 from rectcrys.rsk import lrt_tableaux
 from rectcrys.tableaux import conjugate, enumerate_cst, partitions_of
 
+from conftest import load_fixture
+
 
 class TestLaurentPolynomial:
     def test_arithmetic(self):
@@ -65,6 +67,17 @@ class TestKPolynomial:
         seq = RectSequence([(1, 2), (2, 1), (1, 1)])
         for lam in partitions_of(seq.ncells, seq.n):
             assert k_polynomial(lam, seq)(1) == len(lrt_tableaux(lam, seq))
+
+
+    def test_one_shape_route_on_fixture(self):
+        # the one-shot route walks one shape's tableaux with real switches;
+        # each shape must give the committed per-R character's coefficients
+        seq = RectSequence([(1, 3), (2, 2), (1, 2), (2, 1), (1, 1), (1, 2)])
+        terms = load_fixture("character_1x3_2x2_1x2_2x1_1x1_1x2.json")["terms"]
+        assert len(terms) == 105
+        for term in terms:
+            got = kpoly._one_shape_k_polynomial(term["shape"], seq)
+            assert got == LaurentPolynomial.from_json(term), term["shape"]
 
 
 class TestKostkaFoulkes:

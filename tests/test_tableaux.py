@@ -258,6 +258,16 @@ class TestKey:
             key((1, 1, 1), n=2)
 
 
+class TestSkewShape:
+    def test_inner_longer_than_rows_rejected(self):
+        # the inner shape must fit inside the outer one
+        with pytest.raises(ValueError, match="more rows"):
+            Tableau([[1, 2]], inner=(1, 1, 1))
+        with pytest.raises(ValueError, match="more rows"):
+            Tableau.from_json({"rows": [[1, 2]], "inner": [1, 1, 1]})
+        assert Tableau([[1, 2], []], inner=(1, 1)).outer == (3,)
+
+
 class TestShapeFromCells:
     # tableau_from_cells of the test oracles
     def test_roundtrip(self):

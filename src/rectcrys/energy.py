@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .crystal import CrystalElement, RectSequence
 from .errors import InconsistentPairError
-from .rsk import LRTableau, _read_off, lrt_by_shape
+from .rsk import LRTableau, _levi_colors, _read_off, _strips, lrt_by_shape
 from .rmatrix import _sigma_pair, sigma_swap
 from .tableaux import Tableau, _record_onto, conjugate, insertion_shape, partition
 
@@ -188,6 +188,65 @@ def _energies(seq: RectSequence, tableaux: Iterable[tuple]) -> dict[tuple, int]:
 def _lrt_energies(seq: RectSequence) -> Mapping[tuple, int]:
     """The energy of every R-LR tableau of R, keyed by its rows (read-only)."""
     return MappingProxyType(_energies(seq, [t.rows for group in lrt_by_shape(seq).values() for t in group]))
+
+
+def _column_walk(seq: RectSequence, outer: tuple[int, ...] | None = None) -> dict[tuple, dict[int, int]]:
+    """{energy: count} over the R-LR tableaux of each shape of R, inside
+    ``outer`` when given, for an R with no real switch: the strip walk of
+    :func:`lrt_by_shape` with counts in place of tableaux.
+
+    With no real switch the energy is the sum over i of m - i times d_i,
+    restricted_d at i, which reads only q's labels lo_i..hi_{i+1}: the skew
+    tableau fixed by the chain of shapes of q's labels up to lo_i - 1, ...,
+    hi_{i+1}.  So a state is that chain, from the start of the last
+    complete rectangle to the current letter, with the Levi strip of the
+    walk, and holds {energy so far: count}.  When rectangle i+1 is
+    complete, each state adds (m - i) d_i and drops rectangle i's shapes,
+    and the states that became equal merge.
+    """
+    m = seq.m
+    levi = set(_levi_colors(seq))
+    ends = {seq.subalphabet(i + 1)[1]: i for i in range(1, m)}  # hi_{i+1} -> i
+    states: dict = {(((),), None): {0: 1}}  # (chain of shapes, last strip or None) -> counts
+    for x, g in enumerate(seq.gamma(), start=1):
+        grown: dict = {}
+        for (chain, last), counts in states.items():
+            shape = chain[-1] + (0,)
+            for strip in _strips(shape, g, last, outer):
+                new = tuple(p + c for p, c in zip(shape, strip) if p + c)
+                grown[chain + (new,), strip if x in levi else None] = counts
+        i = ends.get(x)
+        if i is not None:
+            lo, eta, weight = seq.subalphabet(i)[0], seq.eta(i), m - i
+            col = max(seq.mu(i), seq.mu(i + 1))
+            merged: dict = {}
+            for (chain, _), counts in grown.items():
+                d = weight * _chain_east(chain, lo, col)
+                _add_shifted(merged.setdefault((chain[eta:], None), {}), counts, d)
+            grown = merged
+        states = grown
+    out: dict = {}
+    for (chain, _), counts in states.items():
+        _add_shifted(out.setdefault(chain[-1], {}), counts, 0)
+    return out
+
+
+def _add_shifted(acc: dict[int, int], counts: Mapping[int, int], shift: int) -> None:
+    for e, c in counts.items():
+        acc[e + shift] = acc.get(e + shift, 0) + c
+
+
+def _chain_east(chain: Sequence[tuple], lo: int, col: int) -> int:
+    """:func:`_restricted_east` past ``col`` of the labels lo..hi that the
+    chain of shapes nu^(lo-1), ..., nu^(hi) places: row r holds the label
+    x once per cell of nu^(x) past nu^(x-1) in that row."""
+    if lo == 1:
+        return _east_count(chain[-1], col)
+    rows: list[list[int]] = [[] for _ in chain[-1]]
+    for x, (prev, cur) in enumerate(zip(chain, chain[1:]), start=lo):
+        for r, part in enumerate(cur):
+            rows[r] += [x] * (part - (prev[r] if r < len(prev) else 0))
+    return _restricted_east(rows, lo, lo + len(chain) - 2, col)
 
 
 def tableau_energy(q: LRTableau) -> int:

@@ -12,12 +12,13 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import product
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .crystal import RectSequence
-from .energy import _energies, _lrt_energies, tableau_energy
+from .energy import _column_walk, _energies, _lrt_energies, _switches, tableau_energy
 from .laurent import LaurentPolynomial
-from .rsk import LRTableau, lrt_by_shape, lrt_tableaux
+from .rsk import LRTableau, _lr_rows, _lr_shape, lrt_by_shape, lrt_tableaux
 from .tableaux import Tableau, _Frozen, _Record, column_insert, key, partition
 
 
@@ -50,17 +51,37 @@ class GradedCharacter(_Frozen):
 
 def k_polynomial(lam: Sequence[int], seq: RectSequence) -> LaurentPolynomial:
     """K_{lambda;R}(q): charge generating polynomial over LRT(lambda; R), read
-    off the energies of every R-LR tableau of R, one pass per R."""
-    tableaux = lrt_tableaux(lam, seq)
+    off the per-R map of every shape's counts."""
+    counts = _k_counts(seq)
+    # a key of the map is a partition of |R| as given: no check to repeat
+    hit = counts.get(lam) if lam.__class__ is tuple else None
+    if hit is None:
+        hit = counts.get(_lr_shape(lam, seq), {})
+    return LaurentPolynomial._copy_of(hit)
+
+
+@lru_cache(maxsize=None)
+def _k_counts(seq: RectSequence) -> Mapping[tuple[int, ...], Mapping[int, int]]:
+    """K_{lambda;R}(q) of every shape lambda of R as {energy: count}
+    (read-only).  With no real switch the column walk counts them without
+    listing a tableau; otherwise they are counted over the energies of
+    every R-LR tableau."""
+    if not _switches(seq):
+        return MappingProxyType(_column_walk(seq))
     energies = _lrt_energies(seq)
-    return LaurentPolynomial(Counter(energies[t.rows] for t in tableaux))
+    return MappingProxyType({
+        lam: Counter(energies[t.rows] for t in group) for lam, group in lrt_by_shape(seq).items()
+    })
 
 
 def _one_shape_k_polynomial(lam: Sequence[int], seq: RectSequence) -> LaurentPolynomial:
-    """k_polynomial from the energies of that shape's tableaux alone: a
-    one-shot request asks for one shape, which costs far less than the pass
-    over every shape of R."""
-    return LaurentPolynomial(Counter(_energies(seq, [t.rows for t in lrt_tableaux(lam, seq)]).values()))
+    """k_polynomial by walks pinned to the one shape a one-shot request asks
+    for, which cost far less than the per-R map: the column walk when R has
+    no real switch, otherwise the energy walk on that shape's tableaux."""
+    lam = _lr_shape(lam, seq)
+    if not _switches(seq):
+        return LaurentPolynomial(_column_walk(seq, lam).get(lam, {}))
+    return LaurentPolynomial(Counter(_energies(seq, _lr_rows(seq, lam).get(lam, [])).values()))
 
 
 def kostka_sequence(mu: Sequence[int]) -> RectSequence:
@@ -92,7 +113,7 @@ def graded_character(seq: RectSequence) -> GradedCharacter:
     irreducible characters, by the LR route: the coefficient of s_lambda is
     K_{lambda;R}(q).  ``verify.verify_characters`` cross-checks it against a
     scan of the crystal."""
-    return GradedCharacter.from_dict({lam: k_polynomial(lam, seq) for lam in lrt_by_shape(seq)})
+    return GradedCharacter.from_dict({lam: LaurentPolynomial._copy_of(c) for lam, c in _k_counts(seq).items()})
 
 
 @lru_cache(maxsize=None)

@@ -23,6 +23,14 @@ class LaurentPolynomial:
         self.coeffs = {e: c for e, c in acc.items() if c != 0}
 
     @classmethod
+    def _copy_of(cls, coeffs: Mapping[int, int]) -> "LaurentPolynomial":
+        """A polynomial holding a copy of ``coeffs``, trusted to map ints to
+        nonzero ints: a memo's counts, read with no check and no alias."""
+        poly = cls.__new__(cls)
+        poly.coeffs = dict(coeffs)
+        return poly
+
+    @classmethod
     def zero(cls) -> "LaurentPolynomial":
         return cls()
 

@@ -159,17 +159,38 @@ def enumerate_lrt(lam: Sequence[int], seq: RectSequence) -> list[LRTableau]:
 
 def lrt_tableaux(lam: Sequence[int], seq: RectSequence) -> tuple[Tableau, ...]:
     """The R-LR tableaux of shape ``lam``, read off :func:`lrt_by_shape`."""
+    lam = _lr_shape(lam, seq)
+    return lrt_by_shape(seq).get(lam, ())
+
+
+def lrt_one_shape(lam: Sequence[int], seq: RectSequence) -> tuple[Tableau, ...]:
+    """The R-LR tableaux of shape ``lam``, in the order of :func:`lrt_tableaux`,
+    by a strip walk that places no strip leaving ``lam``.  Not memoized: a
+    one-shot request asks for one shape of R and lists no other."""
+    lam = _lr_shape(lam, seq)
+    return tuple(Tableau._raw(rows, (), seq.n) for rows in _lr_rows(seq, lam).get(lam, ()))
+
+
+def _lr_shape(lam: Sequence[int], seq: RectSequence) -> tuple[int, ...]:
     lam = partition(lam)
     if sum(lam) != seq.ncells:
         raise ValueError(f"|{lam}| != {seq.ncells} cells of R")
-    return lrt_by_shape(seq).get(lam, ())
+    return lam
 
 
 @lru_cache(maxsize=None)
 def lrt_by_shape(seq: RectSequence) -> Mapping[tuple[int, ...], tuple[Tableau, ...]]:
     """Every R-LR tableau, by shape: the shapes in reverse lexicographic
     order, as ``partitions_of`` lists them, and each shape's tableaux in
-    row-word lexicographic order; shapes with none are absent.
+    row-word lexicographic order; shapes with none are absent."""
+    return MappingProxyType({
+        shape: tuple(Tableau._raw(rows, (), seq.n) for rows in group) for shape, group in _lr_rows(seq).items()
+    })
+
+
+def _lr_rows(seq: RectSequence, outer: tuple[int, ...] | None = None) -> dict[tuple[int, ...], list[tuple]]:
+    """The rows of every R-LR tableau, by shape, in the order of
+    :func:`lrt_by_shape`; given ``outer``, only those inside it.
 
     The letters x = 1..n go in one at a time, each as a horizontal strip of
     gamma_x cells (:func:`_strips`).  Prefixes of one shape share their
@@ -180,7 +201,7 @@ def lrt_by_shape(seq: RectSequence) -> Mapping[tuple[int, ...], tuple[Tableau, .
         grown: dict = {}
         for (shape, last), prefixes in states.items():
             shape += (0,)
-            for strip in _strips(shape, g, last):
+            for strip in _strips(shape, g, last, outer):
                 new = tuple(p + c for p, c in zip(shape, strip) if p + c)
                 adds = [(x,) * c for c in strip[: len(new)]]
                 grown.setdefault((new, strip if x in levi else None), []).extend(
@@ -189,25 +210,34 @@ def lrt_by_shape(seq: RectSequence) -> Mapping[tuple[int, ...], tuple[Tableau, .
         states = grown
     # color n is never Levi, so each shape is one state; rows of one shape
     # have equal lengths, so bottom row first is word order
-    return MappingProxyType({
-        shape: tuple(Tableau._raw(rows, (), seq.n) for rows in sorted(group, key=lambda rows: rows[::-1]))
-        for (shape, _), group in sorted(states.items(), reverse=True)
-    })
+    return {
+        shape: sorted(group, key=lambda rows: rows[::-1]) for (shape, _), group in sorted(states.items(), reverse=True)
+    }
 
 
-def _strips(shape: tuple[int, ...], g: int, last: tuple[int, ...] | None) -> list[tuple[int, ...]]:
+def _strips(
+    shape: tuple[int, ...], g: int, last: tuple[int, ...] | None, outer: tuple[int, ...] | None = None
+) -> list[tuple[int, ...]]:
     """Cells per row of the horizontal strips of g cells on ``shape`` (which
     ends in a zero part), chosen from the bottom row up.  Given the strip
     ``last`` of the letter x-1 of a Levi color x-1, rows 1..r take at most
     the cells ``last`` has in rows 1..r-1: the reading word lists the rows
-    bottom first, so these suffixes decide if it is highest weight for x-1."""
+    bottom first, so these suffixes decide if it is highest weight for x-1.
+    Given a partition ``outer`` that contains ``shape``, only the strips
+    that stay inside it: a row takes no cell past ``outer``, and leaves no
+    more cells to the rows above it than they can still take."""
     bound = [0, *accumulate(last)] if last else [g] * len(shape)
+    if outer is None:
+        room = [g, *(shape[s - 1] - shape[s] for s in range(1, len(shape)))]
+    else:
+        outer = tuple(outer) + (0,) * len(shape)
+        room = [outer[0] - shape[0], *(min(shape[s - 1], outer[s]) - shape[s] for s in range(1, len(shape)))]
+    above = [*accumulate(room)]  # cells that rows 1..r can still take
     strips = [((), g)]  # (cells in the rows below, cells left for the rows above)
     for s in range(len(shape) - 1, 0, -1):
-        room = shape[s - 1] - shape[s]
         strips = [
             ((c, *tail), left - c)
             for tail, left in strips
-            for c in range(max(0, left - bound[s - 1]), min(room, left) + 1)
+            for c in range(max(0, left - bound[s - 1], left - above[s - 1]), min(room[s], left) + 1)
         ]
-    return [(left, *tail) for tail, left in strips]
+    return [(left, *tail) for tail, left in strips if left <= room[0]]

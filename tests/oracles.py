@@ -5,20 +5,24 @@ dict back to a Tableau, promotion and its inverse the cell-map way, the
 crystal enumeration, the inverse cyclage, the string lengths of elements
 at every color, 0 included, tau by insertion, sigma on two factors by
 inserting the whole element, and the alcove walk of the translation's
-reduced words in exact fractions.
+reduced words in exact fractions, and the LR route of the Kostka counts
+that the column walk replaced.
 Cells are (row, col) pairs, 1-based, row 1 on top.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, product
 
 from rectcrys.affine import promote
 from rectcrys.crystal import CrystalElement, RectSequence, _row_word, signature, young_w0
 from rectcrys.demazure import translation_vector
+from rectcrys.energy import _column_walk, _lrt_energies, _switches
 from rectcrys.errors import NonLRError
 from rectcrys.rmatrix import _two_factor_tau, sigma_swap
-from rectcrys.rsk import _factors, _lift, is_r_lr, rsk_pair
+from rectcrys.rsk import _factors, _lift, is_r_lr, lrt_by_shape, rsk_pair
 from rectcrys.tableaux import Tableau, column_insert, enumerate_cst, unrecord
+from rectcrys.verify import rect_sequences
 
 
 def cell_map(t):
@@ -214,3 +218,19 @@ def fraction_wall_walk(point):
             point[0], point[-1] = point[-1] + 1, point[0] - 1
         else:
             point[desc - 1], point[desc] = point[desc], point[desc - 1]
+
+
+def column_walk_mismatches(max_n, max_cells):
+    """The number of R in rect_sequences(max_n, max_cells) with no real
+    switch, and those of them on which the column walk's counts differ from
+    one Counter per shape over the energies of every R-LR tableau."""
+    count, bad = 0, []
+    for seq in rect_sequences(max_n, max_cells):
+        if _switches(seq):
+            continue
+        count += 1
+        energies = _lrt_energies(seq)
+        lr_route = {lam: Counter(energies[t.rows] for t in group) for lam, group in lrt_by_shape(seq).items()}
+        if _column_walk(seq) != lr_route:
+            bad.append(seq.rects)
+    return count, bad

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectcrys import cli, kpoly, verify
+from rectcrys import cli, kpoly, rsk, verify
 from rectcrys.cache import PolynomialCache
 from rectcrys.crystal import RectSequence
 from rectcrys.kpoly import k_polynomial, kostka_foulkes
@@ -97,17 +97,26 @@ class TestRoundTrips:
             assert code == 0 and json.loads(out) == {"coeffs": coeffs}, out
 
     def test_one_shape_route_matches_k_polynomial(self, capsys, monkeypatch):
-        # a one-shot request walks its shape's tableaux alone, never the
-        # per-R energy pass that k_polynomial and kostka_foulkes read
+        # a one-shot request walks its shape alone, never the per-R map,
+        # tableaux or energy pass that k_polynomial and kostka_foulkes read;
+        # 3x1,1x3,1x3 has no real switch, so the pinned column walk runs
         rects = "1x3,2x2,1x2,2x1,1x1,1x2"
         seq = RectSequence([(1, 3), (2, 2), (1, 2), (2, 1), (1, 1), (1, 2)])
         requests = [
             (["compute", "--shape", shape, "--rects", rects], lambda lam=lam: k_polynomial(lam, seq))
             for shape, lam in (("6,4,2,1,1", (6, 4, 2, 1, 1)), ("7,4,2,1", (7, 4, 2, 1)), ("3,3,3,3,2", (3, 3, 3, 3, 2)))
-        ] + [(["kostka", "--lambda", "4,2,1", "--mu", "3,2,1,1"], lambda: kostka_foulkes((4, 2, 1), (3, 2, 1, 1)))]
+        ] + [
+            (["kostka", "--lambda", "4,2,1", "--mu", "3,2,1,1"], lambda: kostka_foulkes((4, 2, 1), (3, 2, 1, 1))),
+            (["kostka", "--lambda", "5,3,1", "--mu", "3,2,2,2"], lambda: kostka_foulkes((5, 3, 1), (3, 2, 2, 2))),
+            (
+                ["compute", "--shape", "4,3,1,1", "--rects", "3x1,1x3,1x3"],
+                lambda: k_polynomial((4, 3, 1, 1), RectSequence([(3, 1), (1, 3), (1, 3)])),
+            ),
+        ]
         for args, want in requests:
             with monkeypatch.context() as patched:
-                patched.setattr(kpoly, "_lrt_energies", None)
+                for name in ("_lrt_energies", "_k_counts", "lrt_by_shape"):
+                    patched.setattr(kpoly, name, None)
                 code, out = run_cli(capsys, ["kpoly", *args, "--no-cache"])
             assert code == 0 and LaurentPolynomial.from_json(json.loads(out)) == want(), args
 
@@ -176,7 +185,9 @@ class TestRoundTrips:
             {"shape": [2], "coeffs": {"1": 1}},
         ]
 
-    def test_lrt_streaming(self, capsys):
+    def test_lrt_streaming(self, capsys, monkeypatch):
+        # a walk pinned to the shape: the per-R listing is never built
+        monkeypatch.setattr(rsk, "lrt_by_shape", None)
         code, out = run_cli(
             capsys, ["rsk", "lrt", "--shape", "2,1", "--rects", "1x1,1x1,1x1"]
         )
@@ -184,6 +195,8 @@ class TestRoundTrips:
         lines = out.splitlines()
         assert len(lines) == 2
         assert all(json.loads(line)["outer"] == [2, 1] for line in lines)
+        code, out = run_cli(capsys, ["rsk", "lrt", "--shape", "1500,1500", "--rects", "1x1500,1x1500"])
+        assert code == 0 and [json.loads(line)["rows"] for line in out.splitlines()] == [[[1] * 1500, [2] * 1500]]
 
     def test_affine_trace(self, capsys, golden, golden_files):
         code, out = run_cli(

@@ -2,7 +2,7 @@ from itertools import permutations
 
 import pytest
 
-from rectcrys import energy
+from rectcrys import energy, kpoly
 from rectcrys.crystal import CrystalElement, RectSequence, f
 from rectcrys.energy import (
     charge_word,
@@ -239,19 +239,26 @@ class TestEnergyPass:
 
     def test_two_rectangles_need_no_insertion(self, monkeypatch):
         # the one term of two rectangles reads labels from 1, a normal
-        # subtableau, so the pass reads its shape and inserts no word
+        # subtableau, so the column walk and the pass read its shape and
+        # insert no word
         def insertion(word):
             raise AssertionError(f"inserted a word of {len(word)} letters")
 
         monkeypatch.setattr(energy, "insertion_shape", insertion)
         energy._lrt_energies.cache_clear()
+        kpoly._k_counts.cache_clear()
         try:
             wide = RectSequence([(1, 1100), (1, 1100)])
             assert k_polynomial((1400, 800), wide) == LaurentPolynomial({300: 1})
-            gc = graded_character(RectSequence([(1, 30), (1, 30)]))
+            narrow = RectSequence([(1, 30), (1, 30)])
+            gc = graded_character(narrow)
             assert gc.as_dict() == {partition((60 - k, k)): LaurentPolynomial({30 - k: 1}) for k in range(31)}
+            # k_polynomial and graded_character took the column walk; the
+            # pass over tableaux must need no insertion either
+            assert sorted(energy._lrt_energies(narrow).values()) == list(range(31))
         finally:
             energy._lrt_energies.cache_clear()
+            kpoly._k_counts.cache_clear()
 
 
 class TestCharge:

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 
 from rectcrys import energy, kpoly, rmatrix, rsk, verify
 from rectcrys.crystal import RectSequence
@@ -12,10 +13,11 @@ from rectcrys.kpoly import (
     kostka_foulkes,
     monotonicity_check,
 )
-from rectcrys.rsk import lrt_tableaux
+from rectcrys.rsk import lrt_by_shape, lrt_one_shape, lrt_tableaux
 from rectcrys.tableaux import conjugate, enumerate_cst, partitions_of
 
 from conftest import load_fixture
+from oracles import column_walk_mismatches
 
 
 class TestLaurentPolynomial:
@@ -68,6 +70,15 @@ class TestKPolynomial:
         for lam in partitions_of(seq.ncells, seq.n):
             assert k_polynomial(lam, seq)(1) == len(lrt_tableaux(lam, seq))
 
+    def test_results_do_not_alias_the_memo(self):
+        # both read the per-R map; a caller's edit must not reach it
+        for seq in (RectSequence([(1, 2)] * 4), RectSequence([(1, 3), (2, 1), (1, 2), (1, 1)])):
+            lam = max(kpoly._k_counts(seq))
+            want = k_polynomial(lam, seq)
+            k_polynomial(lam, seq).coeffs[99] = 7
+            graded_character(seq).terms[-1][1].coeffs.clear()
+            assert k_polynomial(lam, seq) == want
+            assert graded_character(seq).terms[-1][1] == want
 
     def test_one_shape_route_on_fixture(self):
         # the one-shot route walks one shape's tableaux with real switches;
@@ -78,6 +89,61 @@ class TestKPolynomial:
         for term in terms:
             got = kpoly._one_shape_k_polynomial(term["shape"], seq)
             assert got == LaurentPolynomial.from_json(term), term["shape"]
+
+
+class TestColumnWalk:
+    """With no real switch (rectangles 2..m equal) the per-R map is filled by
+    the column walk, which lists no tableau; the LR route is its oracle."""
+
+    def test_matches_the_lr_route(self):
+        # one rectangle included; CI runs the 173 R of rect_sequences(5, 9)
+        assert column_walk_mismatches(4, 8) == (105, [])
+
+    def test_k_counts_reads_the_walk(self, monkeypatch):
+        def listed(seq):
+            raise AssertionError("listed the tableaux of an R with no real switch")
+
+        monkeypatch.setattr(kpoly, "lrt_by_shape", listed)
+        monkeypatch.setattr(kpoly, "_lrt_energies", listed)
+        kpoly._k_counts.cache_clear()
+        seq = RectSequence([(1, 3), (1, 2), (1, 2), (1, 2)])
+        got = k_polynomial((5, 3, 1), seq)
+        energies = energy._lrt_energies(seq)
+        assert got == LaurentPolynomial(Counter(energies[t.rows] for t in rsk.lrt_tableaux((5, 3, 1), seq)))
+
+    def test_pinned_walks_match(self):
+        # a one-shape walk places no strip that leaves its shape, and gives
+        # the shape's tableaux, in order, or its counts
+        count = 0
+        for seq in verify.rect_sequences(4, 8):
+            for lam, group in lrt_by_shape(seq).items():
+                assert lrt_one_shape(lam, seq) == group, (seq, lam)
+                assert kpoly._one_shape_k_polynomial(lam, seq) == k_polynomial(lam, seq), (seq, lam)
+                if not energy._switches(seq):
+                    assert energy._column_walk(seq, lam) == {lam: kpoly._k_counts(seq)[lam]}
+                count += 1
+        assert count == 1692
+
+
+class TestTransposeDuality:
+    def test_transposed_rectangles(self):
+        # K_{lam;R}(q) = q^c(R) K_{lam^t;R^t}(1/q), where R^t transposes
+        # every rectangle and c(R) = sum over i < j of
+        # min(eta_i, eta_j) min(mu_i, mu_j).  R^t has another alphabet,
+        # other Levi blocks and other switches than R, so each side checks
+        # the other's energy walk; no-switch R and R^t both take the column
+        # walk.  Confirmed on these R by experiment, not from a source.
+        count = 0
+        for seq in verify.rect_sequences(4, 8):
+            c = sum(min(a, b) * min(u, v) for (a, u), (b, v) in combinations(seq.rects, 2))
+            dual = RectSequence([(mu, eta) for eta, mu in seq.rects])
+            want = {
+                conjugate(lam): LaurentPolynomial({c - e: k for e, k in poly.coeffs.items()})
+                for lam, poly in graded_character(seq).terms
+            }
+            assert graded_character(dual).as_dict() == want, seq
+            count += 1
+        assert count == 272
 
 
 class TestKostkaFoulkes:

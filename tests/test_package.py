@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import rectcrys
+from rectcrys import kpoly
 from rectcrys.affine import PromotionTrace, pair_promote
 from rectcrys.crystal import CrystalElement, RectSequence, Signature, word_signature
 from rectcrys.demazure import demazure_character
@@ -81,9 +82,11 @@ class TestClearCaches:
             for obj in vars(module).values()
             if callable(getattr(obj, "cache_info", None))
         }.values()
-        # 14 unbounded memos; crystal._swapped, bounded at 256; and
-        # rmatrix._peel_plan, bounded at 1024
-        assert len(memos) == 16 and any(memo.cache_info().currsize for memo in memos)
+        # 15 unbounded memos, kpoly._k_counts (the per-R Kostka map) among
+        # them; crystal._swapped, bounded at 256; and rmatrix._peel_plan,
+        # bounded at 1024
+        assert len(memos) == 17 and any(memo.cache_info().currsize for memo in memos)
+        assert kpoly._k_counts in memos and kpoly._k_counts.cache_info().currsize
         rectcrys.clear_caches()
         assert [memo for memo in memos if memo.cache_info().currsize] == []
         assert k_polynomial((4, 2, 1, 1), seq) == before

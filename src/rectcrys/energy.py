@@ -13,13 +13,14 @@ oracle.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .crystal import CrystalElement, RectSequence
 from .errors import InconsistentPairError
-from .rsk import LRTableau, _levi_colors, _read_off, _strips, lrt_by_shape
+from .rsk import LRTableau, _levi_colors, _lr_rows, _read_off, _strips, lrt_by_shape
 from .rmatrix import _sigma_pair, sigma_swap
 from .tableaux import Tableau, _record_onto, conjugate, insertion_shape, partition
 
@@ -188,6 +189,16 @@ def _energies(seq: RectSequence, tableaux: Iterable[tuple]) -> dict[tuple, int]:
 def _lrt_energies(seq: RectSequence) -> Mapping[tuple, int]:
     """The energy of every R-LR tableau of R, keyed by its rows (read-only)."""
     return MappingProxyType(_energies(seq, [t.rows for group in lrt_by_shape(seq).values() for t in group]))
+
+
+def _kostka_counts(seq: RectSequence, outer: tuple[int, ...] | None = None) -> dict[tuple, dict[int, int]]:
+    """K_{lambda;R}(q) as {energy: count} per shape of R (inside ``outer`` if given):
+    the column walk, or with a real switch the energy walk on unmemoized LR rows."""
+    if not _switches(seq):
+        return _column_walk(seq, outer)
+    by_shape = _lr_rows(seq, outer)
+    energies = _energies(seq, [rows for group in by_shape.values() for rows in group])
+    return {lam: Counter(energies[rows] for rows in group) for lam, group in by_shape.items()}
 
 
 def _column_walk(seq: RectSequence, outer: tuple[int, ...] | None = None) -> dict[tuple, dict[int, int]]:

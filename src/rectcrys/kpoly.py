@@ -16,9 +16,9 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .crystal import RectSequence
-from .energy import _column_walk, _energies, _lrt_energies, _switches, tableau_energy
+from .energy import _kostka_counts, tableau_energy
 from .laurent import LaurentPolynomial
-from .rsk import LRTableau, _lr_rows, _lr_shape, lrt_by_shape, lrt_tableaux
+from .rsk import LRTableau, _lr_shape, lrt_tableaux
 from .tableaux import Tableau, _Frozen, _Record, column_insert, key, partition
 
 
@@ -62,26 +62,15 @@ def k_polynomial(lam: Sequence[int], seq: RectSequence) -> LaurentPolynomial:
 
 @lru_cache(maxsize=None)
 def _k_counts(seq: RectSequence) -> Mapping[tuple[int, ...], Mapping[int, int]]:
-    """K_{lambda;R}(q) of every shape lambda of R as {energy: count}
-    (read-only).  With no real switch the column walk counts them without
-    listing a tableau; otherwise they are counted over the energies of
-    every R-LR tableau."""
-    if not _switches(seq):
-        return MappingProxyType(_column_walk(seq))
-    energies = _lrt_energies(seq)
-    return MappingProxyType({
-        lam: Counter(energies[t.rows] for t in group) for lam, group in lrt_by_shape(seq).items()
-    })
+    """K_{lambda;R}(q) of every shape of R as {energy: count}, read-only."""
+    return MappingProxyType(_kostka_counts(seq))
 
 
 def _one_shape_k_polynomial(lam: Sequence[int], seq: RectSequence) -> LaurentPolynomial:
-    """k_polynomial by walks pinned to the one shape a one-shot request asks
-    for, which cost far less than the per-R map: the column walk when R has
-    no real switch, otherwise the energy walk on that shape's tableaux."""
+    """k_polynomial by the walk of :func:`energy._kostka_counts` pinned to the
+    one shape a one-shot request asks for: far cheaper than the per-R map."""
     lam = _lr_shape(lam, seq)
-    if not _switches(seq):
-        return LaurentPolynomial(_column_walk(seq, lam).get(lam, {}))
-    return LaurentPolynomial(Counter(_energies(seq, _lr_rows(seq, lam).get(lam, [])).values()))
+    return LaurentPolynomial(_kostka_counts(seq, lam).get(lam, {}))
 
 
 def kostka_sequence(mu: Sequence[int]) -> RectSequence:
@@ -197,7 +186,9 @@ def monotonicity_check(
     if not 0 <= position <= seq.m:
         raise ValueError(f"position must be in 0..{seq.m}, got {position}")
     lam = partition(lam)
-    base = k_polynomial(lam, seq)
+    # both polynomials count the tableaux and energies the injection reads
+    sources = [(t, tableau_energy(LRTableau._raw(t, seq))) for t in lrt_tableaux(lam, seq)]
+    base = LaurentPolynomial._copy_of(Counter(energy for _, energy in sources))
     if k == 0 or m == 0:
         return MonotonicityReport(True, base, base, [])
     prepended = RectSequence(((m, k),) + seq.rects)
@@ -205,20 +196,16 @@ def monotonicity_check(
     rects_at.insert(position, (m, k))
     extended_seq = RectSequence(rects_at)
     lam_ext = add_rows(lam, k, m)
-    extended = k_polynomial(lam_ext, extended_seq)
-    # at the default position this is the enumeration k_polynomial just made
+    extended = LaurentPolynomial._copy_of(
+        Counter(tableau_energy(LRTableau._raw(t, extended_seq)) for t in lrt_tableaux(lam_ext, extended_seq))
+    )
     lr_images = set(lrt_tableaux(lam_ext, prepended))
     injection = []
     seen: dict[Tableau, tuple[int, ...]] = {}
     failure = None
-    for t in lrt_tableaux(lam, seq):
-        q = LRTableau._raw(t, seq)
+    for t, energy in sources:
         image = extend_map(t, k, m)
-        entry = {
-            "source": t.to_json(),
-            "image": image.to_json(),
-            "energy": tableau_energy(q),
-        }
+        entry = {"source": t.to_json(), "image": image.to_json(), "energy": energy}
         injection.append(entry)
         if image.outer != lam_ext:
             failure = f"image shape {image.outer} != {lam_ext}"
@@ -231,8 +218,8 @@ def monotonicity_check(
             break
         seen[image] = t.rows
         e_new = tableau_energy(LRTableau._raw(image, prepended))
-        if e_new != entry["energy"]:
-            failure = f"energy changed: {entry['energy']} -> {e_new}"
+        if e_new != energy:
+            failure = f"energy changed: {energy} -> {e_new}"
             break
     holds = failure is None and base.leq_coefficientwise(extended)
     if failure is None and not holds:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .crystal import CrystalElement, RectSequence
 from .errors import InconsistentPairError, NonLRError
-from .rsk import LRTableau, _factors, _lift, _unlift, lrt_tableaux
+from .rsk import LRTableau, _factors, _lift, _lr_rows, _unlift
 from .tableaux import Tableau, _col_insert, _peel, _tableau_of_cols, conjugate
 
 
@@ -43,11 +43,12 @@ def tau_swap(q: LRTableau, pos: int) -> LRTableau:
 
 
 def _two_factor_tau(shape: tuple[int, ...], rects: tuple[tuple[int, int], tuple[int, int]]) -> Tableau:
-    """The unique LR tableau of a partition shape for two rectangles."""
-    cands = lrt_tableaux(shape, RectSequence(rects))
+    """The unique LR tableau of a partition shape for two rectangles, by a walk pinned to it."""
+    seq = RectSequence(rects)
+    cands = _lr_rows(seq, shape).get(shape, [])
     if len(cands) != 1:
         raise NonLRError(f"LRT({shape}; {rects}) has {len(cands)} elements, not 1")
-    return cands[0]
+    return Tableau._raw(cands[0], (), seq.n)
 
 
 @lru_cache(maxsize=1024)

@@ -82,8 +82,8 @@ def rect_sequences(
     rows_only: bool = False,
 ) -> Iterator[RectSequence]:
     """All rectangle sequences with alphabet size 2..n_max and at most
-    ``max_cells`` cells, in a fixed deterministic order."""
-    for n in range(2, n_max + 1):
+    ``max_cells`` cells (so n <= max_cells), in a fixed deterministic order."""
+    for n in range(2, min(n_max, max_cells) + 1):
         for comp in compositions(n):
             if num_rects is not None and len(comp) != num_rects:
                 continue

@@ -5,23 +5,26 @@ dict back to a Tableau, promotion and its inverse the cell-map way, the
 crystal enumeration, the inverse cyclage, the string lengths of elements
 at every color, 0 included, tau by insertion, sigma on two factors by
 inserting the whole element, and the alcove walk of the translation's
-reduced words in exact fractions, and the LR route of the Kostka counts
-that the column walk replaced.
+reduced words in exact fractions, the LR route of the Kostka counts
+that the column walk replaced, and the transpose duality of graded
+characters.
 Cells are (row, col) pairs, 1-based, row 1 on top.
 """
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, combinations, product
 
 from rectcrys.affine import promote
 from rectcrys.crystal import CrystalElement, RectSequence, _row_word, signature, young_w0
 from rectcrys.demazure import translation_vector
 from rectcrys.energy import _column_walk, _lrt_energies, _switches
 from rectcrys.errors import NonLRError
-from rectcrys.rmatrix import _two_factor_tau, sigma_swap
-from rectcrys.rsk import _factors, _lift, is_r_lr, lrt_by_shape, rsk_pair
-from rectcrys.tableaux import Tableau, column_insert, enumerate_cst, unrecord
+from rectcrys.kpoly import graded_character
+from rectcrys.laurent import LaurentPolynomial
+from rectcrys.rmatrix import sigma_swap
+from rectcrys.rsk import _factors, _lift, is_r_lr, lrt_by_shape, lrt_tableaux, rsk_pair
+from rectcrys.tableaux import Tableau, column_insert, conjugate, enumerate_cst, unrecord
 from rectcrys.verify import rect_sequences
 
 
@@ -134,7 +137,8 @@ def sigma_pair_by_insertion(rect1, rect2, rows1, rows2, n):
     peeled off it label by label (the route rmatrix._sigma_pair avoids)."""
     p = column_insert(_row_word(rows2) + _row_word(rows1), n=n)
     seq = RectSequence((rect2, rect1))
-    new1, new2 = _factors(unrecord(p, _two_factor_tau(p.outer, seq.rects), seq.n), seq, n)
+    (q,) = lrt_tableaux(p.outer, seq)
+    new1, new2 = _factors(unrecord(p, q, seq.n), seq, n)
     return new1.rows, new2.rows
 
 
@@ -233,4 +237,26 @@ def column_walk_mismatches(max_n, max_cells):
         lr_route = {lam: Counter(energies[t.rows] for t in group) for lam, group in lrt_by_shape(seq).items()}
         if _column_walk(seq) != lr_route:
             bad.append(seq.rects)
+    return count, bad
+
+
+def duality_mismatches(max_n, max_cells):
+    """The number of R in rect_sequences(max_n, max_cells), and those on
+    which K_{lam;R}(q) = q^c(R) K_{lam^t;R^t}(1/q) fails, where R^t
+    transposes every rectangle and c(R) is the sum over i < j of
+    min(eta_i, eta_j) min(mu_i, mu_j).  R^t has another alphabet, other
+    Levi blocks and other switches than R, so each side checks the other's
+    energy walk; no-switch R and R^t both take the column walk.  Confirmed
+    on these R by experiment, not from a source."""
+    count, bad = 0, []
+    for seq in rect_sequences(max_n, max_cells):
+        c = sum(min(a, b) * min(u, v) for (a, u), (b, v) in combinations(seq.rects, 2))
+        dual = RectSequence([(mu, eta) for eta, mu in seq.rects])
+        want = {
+            conjugate(lam): LaurentPolynomial({c - e: k for e, k in poly.coeffs.items()})
+            for lam, poly in graded_character(seq).terms
+        }
+        if graded_character(dual).as_dict() != want:
+            bad.append(seq.rects)
+        count += 1
     return count, bad

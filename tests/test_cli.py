@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectcrys import cli, kpoly, rsk, verify
+from rectcrys import cli, energy, kpoly, rsk, verify
 from rectcrys.cache import PolynomialCache
 from rectcrys.crystal import RectSequence
 from rectcrys.kpoly import k_polynomial, kostka_foulkes
@@ -115,8 +115,8 @@ class TestRoundTrips:
         ]
         for args, want in requests:
             with monkeypatch.context() as patched:
-                for name in ("_lrt_energies", "_k_counts", "lrt_by_shape"):
-                    patched.setattr(kpoly, name, None)
+                for module, name in ((energy, "_lrt_energies"), (kpoly, "_k_counts"), (rsk, "lrt_by_shape")):
+                    patched.setattr(module, name, None)
                 code, out = run_cli(capsys, ["kpoly", *args, "--no-cache"])
             assert code == 0 and LaurentPolynomial.from_json(json.loads(out)) == want(), args
 
@@ -389,6 +389,15 @@ class TestVerifyCommand:
             ["verify", "main-theorem", "--n", "2", "--level", "1", "--mu", "1,1"],
         )
         assert code == 0
+
+    def test_large_n_with_few_cells(self, capsys):
+        # no alphabet past max_cells holds a sequence: --n 30 stops at n = 3
+        reports = []
+        for n in ("30", "3"):
+            code, out = run_cli(capsys, ["verify", "crystal-axioms", "--n", n, "--max-cells", "3"])
+            assert code == 0
+            reports.append([{k: v for k, v in r.items() if k != "elapsed_ms"} for r in json.loads(out)])
+        assert reports[0] == reports[1] and reports[0][0]["instances"]
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         def fake(n, cells, jobs=1):

@@ -3,6 +3,7 @@ and the index tables the suites walk, tied to the library routes and shown
 to fail when perturbed."""
 
 import concurrent.futures
+import time
 from itertools import product
 
 import pytest
@@ -45,6 +46,13 @@ class TestWorkerCount:
             size = len(verify.FastCrystal(seq).elements)
             for check, cost in verify.US_PER_ELEMENT.items():
                 assert verify._work(check, seq) == cost * size
+
+    def test_rect_sequences_stop_at_max_cells(self):
+        # a sequence over 1..n has at least n cells, so no n past max_cells
+        # lists its 2^(n-1) compositions
+        start = time.perf_counter()
+        assert list(verify.rect_sequences(40, 6)) == list(verify.rect_sequences(6, 6))
+        assert time.perf_counter() - start < 1
 
     def test_count_is_hook_content(self):
         for n, eta, mu in product(range(1, 6), range(1, 7), range(1, 4)):

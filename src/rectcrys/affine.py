@@ -214,10 +214,10 @@ def chi(word: Sequence[int], seq: RectSequence) -> tuple[int, ...]:
     subalphabet; the rest of the word is conjugated as well.  Input and output
     are R-LR words."""
     word = tuple(word)
-    if not word:
-        return ()
     if not is_r_lr(word, seq):
         raise NonLRError("chi requires an R-LR word")
+    if not word:  # the empty R
+        return ()
     x, u = word[-1], word[:-1]
     return young_w0((x,), seq) + young_w0(u, seq)
 

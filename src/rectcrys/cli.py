@@ -134,7 +134,7 @@ def _cmd_crystal(args) -> int:
 
 def _cmd_rsk(args) -> int:
     from .crystal import RectSequence
-    from .rsk import TableauPair, lrt_one_shape, rsk_inverse, rsk_pair
+    from .rsk import TableauPair, lrt_tableaux, rsk_inverse, rsk_pair
     from .tableaux import Tableau, json_ints
 
     if args.op == "pair":
@@ -152,7 +152,7 @@ def _cmd_rsk(args) -> int:
     elif args.op == "lrt":
         _require(args, "shape", "rects")
         seq = _parse_rects(args.rects)
-        for t in lrt_one_shape(_parse_partition(args.shape), seq):
+        for t in lrt_tableaux(_parse_partition(args.shape), seq):
             _emit(t.to_json())
     return 0
 

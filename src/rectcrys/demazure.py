@@ -197,9 +197,6 @@ class FormalCharacter:
             p == b._packed[w] << lift for w, p in a._packed.items()
         )
 
-    def __len__(self) -> int:
-        return sum(abs(c) for c in self.terms.values())
-
     def __repr__(self) -> str:
         return f"FormalCharacter({len(self.terms)} weights)"
 

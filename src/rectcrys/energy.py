@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .crystal import CrystalElement, RectSequence
 from .errors import InconsistentPairError
-from .rsk import LRTableau, _levi_colors, _lr_rows, _read_off, _strips, lrt_by_shape
+from .rsk import LRTableau, _levi_colors, _lr_rows, _read_off, _strips
 from .rmatrix import _sigma_pair, sigma_swap
 from .tableaux import Tableau, _record_onto, conjugate, insertion_shape, partition
 
@@ -186,9 +186,14 @@ def _energies(seq: RectSequence, tableaux: Iterable[tuple]) -> dict[tuple, int]:
 
 
 @lru_cache(maxsize=None)
-def _lrt_energies(seq: RectSequence) -> Mapping[tuple, int]:
-    """The energy of every R-LR tableau of R, keyed by its rows (read-only)."""
-    return MappingProxyType(_energies(seq, [t.rows for group in lrt_by_shape(seq).values() for t in group]))
+def _lrt_energies(seq: RectSequence) -> Mapping[tuple, Mapping[tuple, int]]:
+    """The energy of every R-LR tableau of R, by shape as :func:`_lr_rows`
+    lists them, keyed by rows (read-only): the one per-R tableau memo."""
+    by_shape = _lr_rows(seq)
+    energies = _energies(seq, [rows for group in by_shape.values() for rows in group])
+    return MappingProxyType({
+        lam: MappingProxyType({rows: energies[rows] for rows in group}) for lam, group in by_shape.items()
+    })
 
 
 def _kostka_counts(seq: RectSequence, outer: tuple[int, ...] | None = None) -> dict[tuple, dict[int, int]]:
@@ -204,7 +209,7 @@ def _kostka_counts(seq: RectSequence, outer: tuple[int, ...] | None = None) -> d
 def _column_walk(seq: RectSequence, outer: tuple[int, ...] | None = None) -> dict[tuple, dict[int, int]]:
     """{energy: count} over the R-LR tableaux of each shape of R, inside
     ``outer`` when given, for an R with no real switch: the strip walk of
-    :func:`lrt_by_shape` with counts in place of tableaux.
+    :func:`_lr_rows` with counts in place of tableaux.
 
     With no real switch the energy is the sum over i of m - i times d_i,
     restricted_d at i, which reads only q's labels lo_i..hi_{i+1}: the skew
@@ -263,10 +268,10 @@ def _chain_east(chain: Sequence[tuple], lo: int, col: int) -> int:
 def tableau_energy(q: LRTableau) -> int:
     """Generalized charge of an LR tableau: the energy of any element whose
     recording tableau is q, read off the pass over every R-LR tableau of R."""
-    energy = _lrt_energies(q.seq).get(q.tableau.rows)
-    if energy is None:
-        raise InconsistentPairError(f"{q.tableau.rows} is not a {q.seq.rects}-LR tableau")
-    return energy
+    try:
+        return _lrt_energies(q.seq)[q.tableau.outer][q.tableau.rows]
+    except KeyError:
+        raise InconsistentPairError(f"{q.tableau.rows} is not a {q.seq.rects}-LR tableau") from None
 
 
 # ---------------------------------------------------------------------------

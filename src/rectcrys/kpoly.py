@@ -16,9 +16,9 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .crystal import RectSequence
-from .energy import _kostka_counts, tableau_energy
+from .energy import _kostka_counts, _lrt_energies
 from .laurent import LaurentPolynomial
-from .rsk import LRTableau, _lr_shape, lrt_tableaux
+from .rsk import _lr_shape
 from .tableaux import Tableau, _Frozen, _Record, column_insert, key, partition
 
 
@@ -185,10 +185,10 @@ def monotonicity_check(
     """
     if not 0 <= position <= seq.m:
         raise ValueError(f"position must be in 0..{seq.m}, got {position}")
-    lam = partition(lam)
+    lam = _lr_shape(lam, seq)
     # both polynomials count the tableaux and energies the injection reads
-    sources = [(t, tableau_energy(LRTableau._raw(t, seq))) for t in lrt_tableaux(lam, seq)]
-    base = LaurentPolynomial._copy_of(Counter(energy for _, energy in sources))
+    sources = _lrt_energies(seq).get(lam, {})
+    base = LaurentPolynomial._copy_of(Counter(sources.values()))
     if k == 0 or m == 0:
         return MonotonicityReport(True, base, base, [])
     prepended = RectSequence(((m, k),) + seq.rects)
@@ -196,28 +196,27 @@ def monotonicity_check(
     rects_at.insert(position, (m, k))
     extended_seq = RectSequence(rects_at)
     lam_ext = add_rows(lam, k, m)
-    extended = LaurentPolynomial._copy_of(
-        Counter(tableau_energy(LRTableau._raw(t, extended_seq)) for t in lrt_tableaux(lam_ext, extended_seq))
-    )
-    lr_images = set(lrt_tableaux(lam_ext, prepended))
+    extended = LaurentPolynomial._copy_of(Counter(_lrt_energies(extended_seq).get(lam_ext, {}).values()))
+    images = _lrt_energies(prepended).get(lam_ext, {})
     injection = []
-    seen: dict[Tableau, tuple[int, ...]] = {}
+    seen: dict[tuple, tuple] = {}
     failure = None
-    for t, energy in sources:
+    for rows, energy in sources.items():
+        t = Tableau._raw(rows, (), seq.n)
         image = extend_map(t, k, m)
         entry = {"source": t.to_json(), "image": image.to_json(), "energy": energy}
         injection.append(entry)
         if image.outer != lam_ext:
             failure = f"image shape {image.outer} != {lam_ext}"
             break
-        if image not in lr_images:
+        e_new = images.get(image.rows)
+        if e_new is None:
             failure = "image not LR for the extended sequence"
             break
-        if image in seen:
-            failure = f"injection collides: {seen[image]} and {t.rows}"
+        if image.rows in seen:
+            failure = f"injection collides: {seen[image.rows]} and {rows}"
             break
-        seen[image] = t.rows
-        e_new = tableau_energy(LRTableau._raw(image, prepended))
+        seen[image.rows] = rows
         if e_new != energy:
             failure = f"energy changed: {energy} -> {e_new}"
             break

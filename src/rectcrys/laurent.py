@@ -82,7 +82,15 @@ class LaurentPolynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "LaurentPolynomial":
-        return cls({int(e): int(c) for e, c in data["coeffs"].items()})
+        """The inverse of :meth:`to_json`; ValueError unless the coefficients
+        map integer strings, as ``to_json`` writes them, to nonzero ints."""
+        coeffs = data["coeffs"]
+        if not isinstance(coeffs, dict):
+            raise ValueError(f"coeffs {coeffs!r:.40} is not a map")
+        for e, c in coeffs.items():
+            if not (isinstance(e, str) and str(int(e)) == e and type(c) is int and c):
+                raise ValueError(f"term {e!r:.40}: {c!r:.40} is not an integer string mapped to a nonzero int")
+        return cls._copy_of({int(e): c for e, c in coeffs.items()})
 
     def __repr__(self) -> str:
         if not self.coeffs:

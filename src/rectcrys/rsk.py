@@ -12,10 +12,8 @@ subalphabet (a Levi color of R).
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
 from itertools import accumulate
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .crystal import CrystalElement, RectSequence, _bracket, _word_pairs
 from .errors import InconsistentPairError, NonLRError, ShapeMismatchError
@@ -158,15 +156,9 @@ def enumerate_lrt(lam: Sequence[int], seq: RectSequence) -> list[LRTableau]:
 
 
 def lrt_tableaux(lam: Sequence[int], seq: RectSequence) -> tuple[Tableau, ...]:
-    """The R-LR tableaux of shape ``lam``, read off :func:`lrt_by_shape`."""
-    lam = _lr_shape(lam, seq)
-    return lrt_by_shape(seq).get(lam, ())
-
-
-def lrt_one_shape(lam: Sequence[int], seq: RectSequence) -> tuple[Tableau, ...]:
-    """The R-LR tableaux of shape ``lam``, in the order of :func:`lrt_tableaux`,
-    by a strip walk that places no strip leaving ``lam``.  Not memoized: a
-    one-shot request asks for one shape of R and lists no other."""
+    """The R-LR tableaux of shape ``lam``, in row-word lexicographic order,
+    by a strip walk that places no strip leaving ``lam``.  Not memoized: it
+    lists no other shape of R."""
     lam = _lr_shape(lam, seq)
     return tuple(Tableau._raw(rows, (), seq.n) for rows in _lr_rows(seq, lam).get(lam, ()))
 
@@ -178,19 +170,11 @@ def _lr_shape(lam: Sequence[int], seq: RectSequence) -> tuple[int, ...]:
     return lam
 
 
-@lru_cache(maxsize=None)
-def lrt_by_shape(seq: RectSequence) -> Mapping[tuple[int, ...], tuple[Tableau, ...]]:
-    """Every R-LR tableau, by shape: the shapes in reverse lexicographic
-    order, as ``partitions_of`` lists them, and each shape's tableaux in
-    row-word lexicographic order; shapes with none are absent."""
-    return MappingProxyType({
-        shape: tuple(Tableau._raw(rows, (), seq.n) for rows in group) for shape, group in _lr_rows(seq).items()
-    })
-
-
 def _lr_rows(seq: RectSequence, outer: tuple[int, ...] | None = None) -> dict[tuple[int, ...], list[tuple]]:
-    """The rows of every R-LR tableau, by shape, in the order of
-    :func:`lrt_by_shape`; given ``outer``, only those inside it.
+    """The rows of every R-LR tableau, by shape: the shapes in reverse
+    lexicographic order, as ``partitions_of`` lists them, and each shape's
+    rows in row-word lexicographic order; shapes with none are absent.
+    Given ``outer``, only the tableaux inside it.
 
     The letters x = 1..n go in one at a time, each as a horizontal strip of
     gamma_x cells (:func:`_strips`).  Prefixes of one shape share their

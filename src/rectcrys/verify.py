@@ -25,12 +25,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .affine import _n_strip, _promote_insertion, _promote_recording, chi, cocyclage_witness, e0, promote_tableau
 from .crystal import CrystalElement, RectSequence, _bracket, pairing, tableau_e, tableau_f, tableau_phi_eps, tableau_reflection
 from .demazure import crystal_side_character, demazure_character
-from .energy import _local_d, classical_charge, restricted_d, tableau_energy
+from .energy import _local_d, _lrt_energies, classical_charge, restricted_d, tableau_energy
 from .errors import InconsistentPairError
 from .kpoly import character_weights, graded_character, monotonicity_check
 from .laurent import LaurentPolynomial
 from .rmatrix import _sigma_pair, tau_swap
-from .rsk import LRTableau, lrt_by_shape, lrt_tableaux, rsk_pair
+from .rsk import LRTableau, _lr_rows, rsk_pair
 from .tableaux import Tableau, _peel_labels, _record_onto, _Record, _tableau_of_cols, column_insert, enumerate_cst, key, partition, partitions_of, reverse_row_insert
 
 
@@ -509,8 +509,7 @@ def _check_rsk(seq: RectSequence) -> Iterator[dict]:
     # bijection: round trip and cardinality of the image
     if walk.failed is not None:
         yield _fail(fc.instance_json(walk.failed), "rsk_inverse . rsk_pair = id", "mismatch")
-    by_shape = lrt_by_shape(seq).items()
-    count = sum(sum(character_weights(lam, n).values()) * len(ts) for lam, ts in by_shape)
+    count = sum(sum(character_weights(lam, n).values()) * len(group) for lam, group in _lr_rows(seq).items())
     if count != len(fc.elements):
         yield _fail({"rects": seq.to_json()}, f"image size {len(fc.elements)}", count)
     P, Q, p_tables = walk.p, walk.q, walk.p_tables
@@ -749,9 +748,11 @@ def _level_sums(fc: FastCrystal, el: tuple[int, ...]) -> list[int]:
 
 def _check_three_rectangles(seq: RectSequence) -> Iterator[dict]:
     M = max(seq.mu(j) for j in (1, 2, 3))
-    for rest in partitions_of(seq.ncells - M, seq.n - 1, M):
-        lam = (M,) + rest
-        for t in lrt_tableaux(lam, seq):
+    for lam, group in _lrt_energies(seq).items():
+        if lam[0] != M:
+            continue
+        for rows in group:
+            t = Tableau._raw(rows, (), seq.n)
             q = LRTableau(t, seq)
             t2 = _checked_tau(q, 2)
             t12 = _checked_tau(t2, 1)
@@ -781,9 +782,9 @@ def _check_charge(seq: RectSequence) -> Iterator[dict]:
     gamma = seq.gamma()
     if any(gamma[i] < gamma[i + 1] for i in range(len(gamma) - 1)):
         return  # charge needs partition content
-    for group in lrt_by_shape(seq).values():
-        for t in group:
-            en = tableau_energy(LRTableau(t, seq))
+    for group in _lrt_energies(seq).values():
+        for rows, en in group.items():
+            t = Tableau._raw(rows, (), seq.n)
             ch = classical_charge(t)
             if en != ch:
                 yield _fail(t.to_json(), f"charge {ch}", en)
@@ -800,8 +801,9 @@ def verify_charge_energy(n_max: int, max_cells: int, jobs: int = 1) -> VerifyRep
 def _check_cocyclage(seq: RectSequence) -> Iterator[dict]:
     n = seq.n
     M = max(seq.mu(j) for j in range(1, seq.m + 1))
-    for lam, group in lrt_by_shape(seq).items():
-        for t in group:
+    for lam, group in _lrt_energies(seq).items():
+        for rows, energy in group.items():
+            t = Tableau._raw(rows, (), n)
             corners = [
                 (r, lam[r - 1])
                 for r in range(1, len(lam) + 1)
@@ -830,9 +832,7 @@ def _check_cocyclage(seq: RectSequence) -> Iterator[dict]:
                     )
                 if cell[1] == lam[0] and lam[0] > M:
                     # last-column case: the energy must drop by one
-                    drop = tableau_energy(LRTableau(t, seq)) - tableau_energy(
-                        LRTableau(got, seq)
-                    )
+                    drop = energy - tableau_energy(LRTableau(got, seq))
                     if drop != 1:
                         yield _fail(
                             {"tableau": t.to_json(), "corner": list(cell)},
@@ -920,7 +920,7 @@ def verify_characters(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport
 # Suite: monotonicity under adding a rectangle.
 
 def _check_monotonicity_seq(seq: RectSequence) -> Iterator[dict]:
-    for lam in lrt_by_shape(seq):
+    for lam in _lrt_energies(seq):
         for k in (1, 2):
             for m in (1, 2):
                 rep = monotonicity_check(lam, seq, k, m)

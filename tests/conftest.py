@@ -4,7 +4,7 @@ import os
 import pytest
 
 from rectcrys.crystal import CrystalElement, RectSequence
-from rectcrys.rsk import lrt_by_shape
+from rectcrys.energy import _lrt_energies
 from rectcrys.tableaux import Tableau
 from rectcrys.verify import rect_sequences
 
@@ -51,6 +51,6 @@ def lr_family(n_max: int, max_cells: int, min_rects: int):
     with at least ``min_rects`` rectangles."""
     for seq in rect_sequences(n_max, max_cells):
         if seq.m >= min_rects:
-            for group in lrt_by_shape(seq).values():
-                for t in group:
-                    yield seq, t
+            for group in _lrt_energies(seq).values():
+                for rows in group:
+                    yield seq, Tableau._raw(rows, (), seq.n)

@@ -23,7 +23,7 @@ from rectcrys.errors import NonLRError
 from rectcrys.kpoly import graded_character
 from rectcrys.laurent import LaurentPolynomial
 from rectcrys.rmatrix import sigma_swap
-from rectcrys.rsk import _factors, _lift, is_r_lr, lrt_by_shape, lrt_tableaux, rsk_pair
+from rectcrys.rsk import _factors, _lift, is_r_lr, rsk_pair
 from rectcrys.tableaux import Tableau, column_insert, conjugate, enumerate_cst, unrecord
 from rectcrys.verify import rect_sequences
 
@@ -137,8 +137,8 @@ def sigma_pair_by_insertion(rect1, rect2, rows1, rows2, n):
     peeled off it label by label (the route rmatrix._sigma_pair avoids)."""
     p = column_insert(_row_word(rows2) + _row_word(rows1), n=n)
     seq = RectSequence((rect2, rect1))
-    (q,) = lrt_tableaux(p.outer, seq)
-    new1, new2 = _factors(unrecord(p, q, seq.n), seq, n)
+    (qrows,) = _lrt_energies(seq)[p.outer]
+    new1, new2 = _factors(unrecord(p, Tableau._raw(qrows, (), seq.n), seq.n), seq, n)
     return new1.rows, new2.rows
 
 
@@ -233,8 +233,7 @@ def column_walk_mismatches(max_n, max_cells):
         if _switches(seq):
             continue
         count += 1
-        energies = _lrt_energies(seq)
-        lr_route = {lam: Counter(energies[t.rows] for t in group) for lam, group in lrt_by_shape(seq).items()}
+        lr_route = {lam: Counter(group.values()) for lam, group in _lrt_energies(seq).items()}
         if _column_walk(seq) != lr_route:
             bad.append(seq.rects)
     return count, bad

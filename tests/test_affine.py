@@ -165,6 +165,8 @@ class TestChi:
         seq = RectSequence([(1, 1), (1, 1)])
         with pytest.raises(NonLRError):
             chi((2, 2), seq)
+        with pytest.raises(NonLRError):
+            chi((), RectSequence([(1, 2), (1, 1)]))
 
     def test_golden_identity(self, golden, golden_seq):
         # the conjugated cyclage undoes the strip transfer on the word level

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectcrys import cli, energy, kpoly, rsk, verify
+from rectcrys import cli, energy, kpoly, verify
 from rectcrys.cache import PolynomialCache
 from rectcrys.crystal import RectSequence
 from rectcrys.kpoly import k_polynomial, kostka_foulkes
@@ -113,12 +113,14 @@ class TestRoundTrips:
                 lambda: k_polynomial((4, 3, 1, 1), RectSequence([(3, 1), (1, 3), (1, 3)])),
             ),
         ]
+        energy._lrt_energies.cache_clear()
         for args, want in requests:
             with monkeypatch.context() as patched:
-                for module, name in ((energy, "_lrt_energies"), (kpoly, "_k_counts"), (rsk, "lrt_by_shape")):
+                for module, name in ((energy, "_lrt_energies"), (kpoly, "_k_counts")):
                     patched.setattr(module, name, None)
                 code, out = run_cli(capsys, ["kpoly", *args, "--no-cache"])
             assert code == 0 and LaurentPolynomial.from_json(json.loads(out)) == want(), args
+        assert energy._lrt_energies.cache_info().currsize == 0
 
     def test_affine_e0_golden(self, capsys, golden, golden_files):
         code, out = run_cli(
@@ -185,9 +187,9 @@ class TestRoundTrips:
             {"shape": [2], "coeffs": {"1": 1}},
         ]
 
-    def test_lrt_streaming(self, capsys, monkeypatch):
-        # a walk pinned to the shape: the per-R listing is never built
-        monkeypatch.setattr(rsk, "lrt_by_shape", None)
+    def test_lrt_streaming(self, capsys):
+        # a walk pinned to the shape: the per-R tableau memo is never filled
+        energy._lrt_energies.cache_clear()
         code, out = run_cli(
             capsys, ["rsk", "lrt", "--shape", "2,1", "--rects", "1x1,1x1,1x1"]
         )
@@ -197,6 +199,7 @@ class TestRoundTrips:
         assert all(json.loads(line)["outer"] == [2, 1] for line in lines)
         code, out = run_cli(capsys, ["rsk", "lrt", "--shape", "1500,1500", "--rects", "1x1500,1x1500"])
         assert code == 0 and [json.loads(line)["rows"] for line in out.splitlines()] == [[[1] * 1500, [2] * 1500]]
+        assert energy._lrt_energies.cache_info().currsize == 0
 
     def test_affine_trace(self, capsys, golden, golden_files):
         code, out = run_cli(
@@ -338,6 +341,19 @@ class TestCache:
         (tmp_path / "kpoly.json").write_text(json.dumps(store))
         _, again = run_cli(capsys, self.args(tmp_path))
         assert again == first
+
+    @pytest.mark.parametrize("coeffs", [[1, 2], {"1": 1.5}, {"1": 0}], ids=["list", "float", "zero"])
+    def test_malformed_entry_recomputed(self, capsys, tmp_path, coeffs):
+        # a list, a fractional and a zero coefficient: each entry is dropped
+        # and the polynomial, q + q^2, recomputed, never served truncated
+        run_cli(capsys, self.args(tmp_path))
+        store = json.loads((tmp_path / "kpoly.json").read_text())
+        store["entries"] = {k: {"coeffs": coeffs} for k in store["entries"]}
+        (tmp_path / "kpoly.json").write_text(json.dumps(store))
+        code = cli.main(self.args(tmp_path))
+        out, err = capsys.readouterr()
+        assert code == 0 and json.loads(out) == {"coeffs": {"1": 1, "2": 1}}
+        assert "corrupt cache entry" in err
 
     def test_non_object_file_recomputed(self, capsys, tmp_path):
         _, first = run_cli(capsys, self.args(tmp_path))
@@ -552,6 +568,15 @@ class TestMalformedInput:
         argv = ["kpoly", "monotone", "--shape", "2,1", "--rects", "1x2,1x1"]
         argv += ["--k", "1", "--m", "1", "--position", str(position)]
         assert "position must be in 0..2" in self.run_usage_error(capsys, argv)
+
+    def test_monotone_shape_of_wrong_size(self, capsys):
+        argv = ["kpoly", "monotone", "--shape", "5", "--rects", "1x2,1x1", "--k", "1", "--m", "1"]
+        assert "|(5,)| != 3 cells of R" in self.run_usage_error(capsys, argv)
+
+    def test_chi_of_the_empty_word(self):
+        # the empty word is no R-LR word, like every other word of wrong content
+        code, err = _main_on_stdin(["affine", "chi", "--rects", "1x2,1x1"], json.dumps({"word": []}))
+        assert code == 1 and "chi requires an R-LR word" in err
 
 
 # ---------------------------------------------------------------------------

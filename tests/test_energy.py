@@ -17,7 +17,7 @@ from rectcrys.rmatrix import sigma_swap, tau_swap
 from rectcrys.errors import InconsistentPairError
 from rectcrys.kpoly import graded_character, k_polynomial
 from rectcrys.laurent import LaurentPolynomial
-from rectcrys.rsk import LRTableau, TableauPair, _lift, is_r_lr, lrt_by_shape, lrt_tableaux, rsk_inverse, rsk_pair
+from rectcrys.rsk import LRTableau, TableauPair, _lift, _lr_rows, is_r_lr, lrt_tableaux, rsk_inverse, rsk_pair
 from rectcrys.tableaux import Tableau, column_insert, enumerate_cst, key, partition, partitions_of, record
 from rectcrys.verify import rect_sequences
 
@@ -217,12 +217,13 @@ class TestEnergyPass:
     def test_matches_tableau_by_tableau(self):
         count = 0
         for seq in rect_sequences(4, 8):
-            energies = energy._lrt_energies(seq)
-            tableaux = [t for group in lrt_by_shape(seq).values() for t in group]
-            assert len(energies) == len(tableaux)
-            for t in tableaux:
-                assert energies[t.rows] == tau_chain_energy(LRTableau._raw(t, seq)), (seq, t)
-                count += 1
+            memo = energy._lrt_energies(seq)
+            # the memo holds the walk's tableaux, shape by shape, in order
+            assert {lam: list(group) for lam, group in memo.items()} == _lr_rows(seq), seq
+            for group in memo.values():
+                for rows, e in group.items():
+                    assert e == tau_chain_energy(LRTableau._raw(Tableau._raw(rows, (), seq.n), seq)), (seq, rows)
+                    count += 1
         assert count == 2977
 
     def test_one_shape_matches_the_pass(self):
@@ -230,11 +231,9 @@ class TestEnergyPass:
         # fewer than the pass over every shape meets
         count = 0
         for seq in rect_sequences(4, 8):
-            energies = energy._lrt_energies(seq)
-            for group in lrt_by_shape(seq).values():
-                rows = [t.rows for t in group]
-                assert energy._energies(seq, rows) == {r: energies[r] for r in rows}, seq
-                count += len(rows)
+            for group in energy._lrt_energies(seq).values():
+                assert energy._energies(seq, list(group)) == group, seq
+                count += len(group)
         assert count == 2977
 
     def test_two_rectangles_need_no_insertion(self, monkeypatch):
@@ -255,7 +254,7 @@ class TestEnergyPass:
             assert gc.as_dict() == {partition((60 - k, k)): LaurentPolynomial({30 - k: 1}) for k in range(31)}
             # k_polynomial and graded_character took the column walk; the
             # pass over tableaux must need no insertion either
-            assert sorted(energy._lrt_energies(narrow).values()) == list(range(31))
+            assert sorted(e for group in energy._lrt_energies(narrow).values() for e in group.values()) == list(range(31))
         finally:
             energy._lrt_energies.cache_clear()
             kpoly._k_counts.cache_clear()

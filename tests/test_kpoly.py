@@ -1,5 +1,7 @@
 from collections import Counter
 
+import pytest
+
 import rectcrys
 from rectcrys import energy, kpoly, rmatrix, rsk, verify
 from rectcrys.crystal import RectSequence
@@ -14,8 +16,8 @@ from rectcrys.kpoly import (
     kostka_foulkes,
     monotonicity_check,
 )
-from rectcrys.rsk import lrt_by_shape, lrt_one_shape, lrt_tableaux
-from rectcrys.tableaux import conjugate, enumerate_cst, partitions_of
+from rectcrys.rsk import _lr_rows, lrt_tableaux
+from rectcrys.tableaux import Tableau, conjugate, enumerate_cst, partitions_of
 
 from conftest import load_fixture
 from oracles import column_walk_mismatches, duality_mismatches
@@ -45,6 +47,15 @@ class TestLaurentPolynomial:
     def test_json_roundtrip(self):
         p = LaurentPolynomial({0: 3, 5: -2})
         assert LaurentPolynomial.from_json(p.to_json()) == p
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [{"1": True}, {"1": "2"}, {"x": 1}, {"01": 1}, {" 1": 1}, {"1.0": 1}, {1: 1}],
+    )
+    def test_from_json_rejects_malformed(self, coeffs):
+        # the disk cache's own entries are covered in test_cli.py
+        with pytest.raises(ValueError):
+            LaurentPolynomial.from_json({"coeffs": coeffs})
 
 
 class TestKPolynomial:
@@ -105,23 +116,20 @@ class TestColumnWalk:
             raise AssertionError("listed the tableaux of an R with no real switch")
 
         seq = RectSequence([(1, 3), (1, 2), (1, 2), (1, 2)])
-        energies = energy._lrt_energies(seq)
-        want = LaurentPolynomial(Counter(energies[t.rows] for t in rsk.lrt_tableaux((5, 3, 1), seq)))
-        monkeypatch.setattr(rsk, "lrt_by_shape", listed)
+        want = LaurentPolynomial(Counter(energy._lrt_energies(seq)[(5, 3, 1)].values()))
         monkeypatch.setattr(energy, "_lrt_energies", listed)
         kpoly._k_counts.cache_clear()
         assert k_polynomial((5, 3, 1), seq) == want
 
     def test_counts_fill_no_tableau_memo(self):
         # the Kostka map and the peel plans walk their tableaux unmemoized;
-        # only tableau-level readers fill the per-R tableau and energy memos
+        # only tableau-level readers fill the per-R tableau memo
         rectcrys.clear_caches()
         for rects in ([(2, 2), (2, 2), (1, 2), (1, 2), (1, 2), (1, 2)], [(1, 3), (2, 2), (1, 2), (2, 1), (1, 1), (1, 2)]):
             seq = RectSequence(rects)
             lam = graded_character(seq).terms[0][0]
             assert kpoly._one_shape_k_polynomial(lam, seq) == k_polynomial(lam, seq)
         assert crystal_side_character(2, (2, 2, 1)).terms
-        assert rsk.lrt_by_shape.cache_info().currsize == 0
         assert energy._lrt_energies.cache_info().currsize == 0
 
     def test_pinned_walks_match(self):
@@ -129,8 +137,8 @@ class TestColumnWalk:
         # the shape's tableaux, in order, or its counts
         count = 0
         for seq in verify.rect_sequences(4, 8):
-            for lam, group in lrt_by_shape(seq).items():
-                assert lrt_one_shape(lam, seq) == group, (seq, lam)
+            for lam, group in _lr_rows(seq).items():
+                assert lrt_tableaux(lam, seq) == tuple(Tableau._raw(rows, (), seq.n) for rows in group), (seq, lam)
                 assert kpoly._one_shape_k_polynomial(lam, seq) == k_polynomial(lam, seq), (seq, lam)
                 if not energy._switches(seq):
                     assert energy._column_walk(seq, lam) == {lam: kpoly._k_counts(seq)[lam]}

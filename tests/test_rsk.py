@@ -8,9 +8,9 @@ from rectcrys.crystal import CrystalElement, RectSequence, signature
 from rectcrys.errors import InconsistentPairError, NonLRError, ShapeMismatchError
 from rectcrys.rsk import (
     TableauPair,
+    _lr_rows,
     enumerate_lrt,
     is_r_lr,
-    lrt_by_shape,
     lrt_tableaux,
     peel_recording,
     rsk_inverse,
@@ -177,9 +177,9 @@ class TestEnumerateLrt:
         assert lrt_tableaux((1, 1, 1), RectSequence([(1, 2), (1, 1)])) == ()
 
     def test_shapes_in_partitions_of_order(self):
-        # the suites iterate lrt_by_shape where they iterated partitions_of
+        # the suites iterate the walk's shapes where they iterated partitions_of
         for seq in rect_sequences(4, 7):
-            by_shape = lrt_by_shape(seq)
+            by_shape = _lr_rows(seq)
             assert all(by_shape.values())
             assert list(by_shape) == [lam for lam in partitions_of(seq.ncells, seq.n) if lam in by_shape]
 
@@ -253,5 +253,5 @@ class TestImageCount:
         # both sides by the hook-content formula, no crystal scanned
         for seq in rect_sequences(5, 8):
             n = seq.n
-            count = sum(len(ts) * hook_content(lam, n) for lam, ts in lrt_by_shape(seq).items())
+            count = sum(len(ts) * hook_content(lam, n) for lam, ts in _lr_rows(seq).items())
             assert count == prod(hook_content((mu,) * eta, n) for eta, mu in seq.rects), seq

@@ -127,7 +127,7 @@ def _cmd_crystal(args) -> int:
         _maybe_element(f(b, args.color) if args.color else f0(b))
     else:
         if args.color == 0:
-            raise RectcrysError("reflection needs a classical color")
+            raise ValueError(f"reflection needs a classical color, --color in 1..{b.seq.n - 1}, got 0")
         _maybe_element(reflection(b, args.color))
     return 0
 

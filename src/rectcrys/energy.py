@@ -21,19 +21,19 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .crystal import CrystalElement, RectSequence
 from .errors import InconsistentPairError
 from .rsk import LRTableau, _levi_colors, _lr_rows, _read_off, _strips
-from .rmatrix import _sigma_pair, sigma_swap
-from .tableaux import Tableau, _record_onto, conjugate, insertion_shape, partition
+from .rmatrix import _sigma_pair
+from .tableaux import Tableau, insertion_shape, partition
 
 
 def _east_count(shape: Sequence[int], col: int) -> int:
     return sum(max(0, part - col) for part in shape)
 
 
-def _local_d(b: CrystalElement, pos: int) -> int:
-    """Local energy between tensor positions pos and pos+1 of b."""
-    word = b.factors[pos].word() + b.factors[pos - 1].word()
-    col = max(b.seq.mu(pos), b.seq.mu(pos + 1))
-    return _east_count(insertion_shape(word), col)
+def _pair_d(rows_a: tuple, rows_b: tuple, col: int) -> int:
+    """Local energy of the two-factor element with factor rows ``rows_a``
+    then ``rows_b``: the east count past ``col`` of the insertion shape of
+    its reading word, rows_b's rows then rows_a's, bottom row first."""
+    return _east_count(insertion_shape(tuple(x for row in reversed(rows_a + rows_b) for x in row)), col)
 
 
 def local_H(b: CrystalElement) -> int:
@@ -41,23 +41,18 @@ def local_H(b: CrystalElement) -> int:
     highest weight component."""
     if b.seq.m != 2:
         raise ValueError("local_H expects exactly two factors")
-    return _local_d(b, 1)
+    return _pair_d(b.factors[0].rows, b.factors[1].rows, max(b.seq.mu(1), b.seq.mu(2)))
 
 
 def energy_terms(b: CrystalElement) -> list[tuple[int, int, int]]:
-    """Summands (i, j, value) of the total energy, for 1 <= i < j <= m.
-
-    For each j the right factor walks leftward: the (i, j) term is the local
-    energy at positions i, i+1 after switching positions j-1, ..., i+1.
-    """
-    out = []
-    for j in range(2, b.seq.m + 1):
-        cur = b
-        for i in range(j - 1, 0, -1):
-            out.append((i, j, _local_d(cur, i)))
-            if i > 1:
-                cur = sigma_swap(cur, i)
-    return out
+    """Summands (i, j, value) of the total energy, for 1 <= i < j <= m, in
+    the order of :func:`_column_terms` on b's factor rows."""
+    rows = [t.rows for t in b.factors]
+    return [
+        (i, j, v)
+        for j in range(2, b.seq.m + 1)
+        for i, v in zip(range(j - 1, 0, -1), _column_terms(b.seq, rows, j))
+    ]
 
 
 def total_energy(b: CrystalElement) -> int:
@@ -91,58 +86,21 @@ def _switches(seq: RectSequence) -> bool:
     return len(set(seq.rects[1:])) > 1
 
 
-def _prefix_states(qrows: tuple, seq: RectSequence) -> list[tuple[tuple, tuple]]:
-    """Per position i <= m-2 (a term follows a real switch only there): the
-    shape of q's labels up to hi_i, and its labels in A_i row by row."""
-    out = []
-    for i in range(1, seq.m - 1):
-        lo, hi = seq.subalphabet(i)
-        shape = tuple(k for k in (bisect_right(row, hi) for row in qrows) if k)
-        out.append((shape, tuple(row[bisect_left(row, lo, 0, k) : k] for row, k in zip(qrows, shape))))
-    return out
+def _column_terms(seq: RectSequence, rows: Sequence[tuple], j: int) -> Iterator[int]:
+    """The terms (i, j) of the total energy of the element with factor rows
+    ``rows``, for i = j-1 down to 1.
 
-
-def _column_terms(
-    qrows: tuple, seq: RectSequence, lifted: Sequence[tuple], states: Sequence[tuple], j: int
-) -> Iterator[int]:
-    """The terms (i, j) of the energy of the LR tableau with rows ``qrows``,
-    for i = j-1 down to 1; ``lifted`` holds the factor rows of its lift and
-    ``states`` its :func:`_prefix_states`.
-
-    The (i, j) term is restricted_d at positions i, i+1 after the switches
-    tau at positions j-1, ..., i+1.  sigma keeps the insertion tableau and
-    acts as tau on the recording tableau, so the switches are walked on the
-    lifted rows.  A switch of two equal rectangles is the identity and is
-    skipped: until the first real switch the term is restricted_d of q.
-    Switches above i leave rectangles 1..i alone, whose insertion state is
-    the key tableau of the shape of q's labels up to hi_i, and the term
-    reads labels up to the end of position i+1 only: ``_switched_term``
-    records the moved factor onto that key tableau.
+    The right factor walks leftward: the (i, j) term is the local energy at
+    positions i, i+1 after the switches sigma at positions j-1, ..., i+1,
+    each made on the two factor rows it moves.  A switch of two equal
+    rectangles is the identity and is skipped.
     """
-    rows, rects, moved = list(lifted[:j]), list(seq.rects[:j]), False
+    rows, rects = list(rows[:j]), list(seq.rects[:j])
     for i in range(j - 1, 0, -1):
-        lo, hi = seq.subalphabet(i)
-        col = max(rects[i - 1][1], rects[i][1])
-        if moved:
-            yield _switched_term(*states[i - 1], rows[i], lo, hi, col)
-        else:
-            yield _restricted_east(qrows, lo, seq.subalphabet(i + 1)[1], col)
+        yield _pair_d(rows[i - 1], rows[i], max(rects[i - 1][1], rects[i][1]))
         if i > 1 and rects[i - 1] != rects[i]:
             rows[i - 1], rows[i] = _sigma_pair(rects[i - 1], rects[i], rows[i - 1], rows[i], seq.n)
             rects[i - 1], rects[i] = rects[i], rects[i - 1]
-            moved = True
-
-
-@lru_cache(maxsize=None)
-def _switched_term(shape: tuple, kept: tuple, rows: tuple, lo: int, hi: int, col: int) -> int:
-    """restricted_d at i, i+1 after a real switch: the factor rows ``rows``
-    now at position i+1 are recorded, labels from hi+1, onto the key tableau
-    of ``shape`` (the insertion state of rectangles 1..i) next to ``kept``,
-    q's labels lo..hi row by row; the east count is then past ``col``."""
-    cols = [list(range(1, h + 1)) for h in conjugate(shape)]
-    labels = [list(row) for row in kept]
-    _record_onto(cols, labels, rows, hi + 1)
-    return _restricted_east(labels, lo, hi + len(rows), col)
 
 
 def _energies(seq: RectSequence, tableaux: Iterable[tuple]) -> dict[tuple, int]:
@@ -151,11 +109,12 @@ def _energies(seq: RectSequence, tableaux: Iterable[tuple]) -> dict[tuple, int]:
     The terms (i, j) with j < m read only the labels below lo_m: the prefix,
     an LR tableau of R_1..R_{m-1}, whose energy comes from this function on
     that sequence and the prefixes met.  So each energy is its prefix's plus
-    the terms (i, m) of :func:`_column_terms`.  The tableaux are grouped by
-    prefix: the lift of factors 1..m-1 and the prefix insertion states are
-    read once per prefix, and only the last factor's lift once per tableau.
-    With no real switch every term (i, j) is restricted_d at i, so the
-    energy is the sum over i of m - i times it.
+    the terms (i, m) of :func:`_column_terms` on the factor rows of its
+    lift, the highest weight element whose recording tableau it is.  The
+    tableaux are grouped by prefix: the lift of factors 1..m-1 is read once
+    per prefix, and only the last factor's once per tableau.  With no real
+    switch every term (i, j) is restricted_d at i, read off the recording
+    rows with no lift, so the energy is the sum over i of m - i times it.
     """
     m = seq.m
     if not _switches(seq):
@@ -178,10 +137,9 @@ def _energies(seq: RectSequence, tableaux: Iterable[tuple]) -> dict[tuple, int]:
     for prefix, group in by_prefix.items():
         lift = _read_off(prefix, lo_m - 1)
         lifted = [tuple(lift[lo - 1 : hi]) for lo, hi in bounds]
-        states, energy = _prefix_states(prefix, seq), prefix_energy[prefix]
+        energy = prefix_energy[prefix]
         for rows in group:
-            terms = _column_terms(rows, seq, lifted + [tuple(_read_off(rows, seq.n, lo_m))], states, m)
-            out[rows] = energy + sum(terms)
+            out[rows] = energy + sum(_column_terms(seq, lifted + [tuple(_read_off(rows, seq.n, lo_m))], m))
     return out
 
 

@@ -18,14 +18,6 @@ from .rsk import LRTableau, _factors, _lift, _lr_rows, _unlift
 from .tableaux import Tableau, _col_insert, _peel, _tableau_of_cols, conjugate
 
 
-@lru_cache(maxsize=None)
-def _tau_swap_cached(rows: tuple, seq: RectSequence, pos: int) -> Tableau:
-    lifted = [t.rows for t in _lift(Tableau._raw(rows, (), seq.n), seq).factors]
-    rect1, rect2 = seq.rects[pos - 1], seq.rects[pos]
-    lifted[pos - 1 : pos + 1] = _sigma_pair(rect1, rect2, lifted[pos - 1], lifted[pos], seq.n)
-    return _unlift([row for factor in lifted for row in factor], seq.n)
-
-
 def tau_swap(q: LRTableau, pos: int) -> LRTableau:
     """The LR tableau for the sequence with R_pos, R_pos+1 exchanged that the
     switch isomorphism produces on recording tableaux.
@@ -38,8 +30,11 @@ def tau_swap(q: LRTableau, pos: int) -> LRTableau:
     two subalphabets but is not characterized by that property alone once
     more than two rectangles are present.
     """
-    t = _tau_swap_cached(q.tableau.rows, q.seq, pos)
-    return LRTableau._raw(t, q.seq.swapped(pos))
+    seq = q.seq
+    lifted = [t.rows for t in _lift(q.tableau, seq).factors]
+    rect1, rect2 = seq.rects[pos - 1], seq.rects[pos]
+    lifted[pos - 1 : pos + 1] = _sigma_pair(rect1, rect2, lifted[pos - 1], lifted[pos], seq.n)
+    return LRTableau._raw(_unlift([row for factor in lifted for row in factor], seq.n), seq.swapped(pos))
 
 
 def _two_factor_tau(shape: tuple[int, ...], rects: tuple[tuple[int, int], tuple[int, int]]) -> Tableau:

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .affine import _n_strip, _promote_insertion, _promote_recording, chi, cocyclage_witness, e0, promote_tableau
 from .crystal import CrystalElement, RectSequence, _bracket, pairing, tableau_e, tableau_f, tableau_phi_eps, tableau_reflection
 from .demazure import crystal_side_character, demazure_character
-from .energy import _local_d, _lrt_energies, classical_charge, restricted_d, tableau_energy
+from .energy import _lrt_energies, _pair_d, classical_charge, restricted_d, tableau_energy
 from .errors import InconsistentPairError
 from .kpoly import character_weights, graded_character, monotonicity_check
 from .laurent import LaurentPolynomial
@@ -230,19 +230,19 @@ class PairTable:
 
     ``sigma[ka][kb]`` holds the factor indices (kb', ka') of sigma's image
     in R_b (x) R_a, and ``energy[ka][kb]`` the local energy of the pair.
-    Both are read off rmatrix._sigma_pair and energy._local_d, the code that
+    Both are read off rmatrix._sigma_pair and energy._pair_d, the code that
     sigma_swap and energy_terms run.
     """
 
     def __init__(self, rect_a: tuple[int, int], rect_b: tuple[int, int], n: int):
         (eta_a, mu_a), (eta_b, mu_b) = rect_a, rect_b
         ta, tb = factor_table((mu_a,) * eta_a, n), factor_table((mu_b,) * eta_b, n)
-        seq = RectSequence((rect_a, rect_b))
+        col = max(mu_a, mu_b)
         self.sigma, self.energy = [], []
         for a in ta.tableaux:
             images = (_sigma_pair(rect_a, rect_b, a.rows, b.rows, n) for b in tb.tableaux)
             self.sigma.append([(tb.index[rows1], ta.index[rows2]) for rows1, rows2 in images])
-            self.energy.append([_local_d(CrystalElement._raw(seq, (a, b)), 1) for b in tb.tableaux])
+            self.energy.append([_pair_d(a.rows, b.rows, col) for b in tb.tableaux])
 
 
 @lru_cache(maxsize=None)
@@ -590,12 +590,15 @@ def _check_rmatrix_pairs(seq: RectSequence) -> Iterator[dict]:
     table, back = pair_table(*seq.rects, n), pair_table(*reversed(seq.rects), n)
     sigma = [fs.code(table.sigma[a][b]) for a, b in fc.elements]  # by code
     images = [(fc.color(i), fs.color(i)) for i in range(n)]
+    taus: dict[Tableau, Tableau] = {}  # tau of each recording tableau met
     for code, el in enumerate(fc.elements):
         sel = table.sigma[el[0]][el[1]]
         pb, psb = rsk_pair(fc.to_element(el)), rsk_pair(fs.to_element(sel))
         if psb.p != pb.p:
             yield _fail(fc.instance_json(el), "sigma keeps p", "mismatch")
-        if psb.q != _checked_tau(LRTableau(pb.q, seq), 1).tableau:
+        if pb.q not in taus:
+            taus[pb.q] = _checked_tau(LRTableau(pb.q, seq), 1).tableau
+        if psb.q != taus[pb.q]:
             yield _fail(fc.instance_json(el), "sigma acts as tau on q", "mismatch")
         if back.sigma[sel[0]][sel[1]] != el:
             yield _fail(fc.instance_json(el), "sigma involution", "mismatch")

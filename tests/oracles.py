@@ -6,8 +6,9 @@ crystal enumeration, the inverse cyclage, the string lengths of elements
 at every color, 0 included, tau by insertion, sigma on two factors by
 inserting the whole element, and the alcove walk of the translation's
 reduced words in exact fractions, the LR route of the Kostka counts
-that the column walk replaced, and the transpose duality of graded
-characters.
+that the column walk replaced, the transpose duality of graded
+characters, the energy terms of an element by sigma_swap on whole
+elements, and the tau chain of tableau energy terms.
 Cells are (row, col) pairs, 1-based, row 1 on top.
 """
 
@@ -18,13 +19,13 @@ from itertools import chain, combinations, product
 from rectcrys.affine import promote
 from rectcrys.crystal import CrystalElement, RectSequence, _row_word, signature, young_w0
 from rectcrys.demazure import translation_vector
-from rectcrys.energy import _column_walk, _lrt_energies, _switches
+from rectcrys.energy import _column_walk, _lrt_energies, _switches, energy_terms, restricted_d
 from rectcrys.errors import NonLRError
 from rectcrys.kpoly import graded_character
 from rectcrys.laurent import LaurentPolynomial
 from rectcrys.rmatrix import sigma_swap
-from rectcrys.rsk import _factors, _lift, is_r_lr, rsk_pair
-from rectcrys.tableaux import Tableau, column_insert, conjugate, enumerate_cst, unrecord
+from rectcrys.rsk import LRTableau, TableauPair, _factors, _lift, is_r_lr, rsk_inverse, rsk_pair
+from rectcrys.tableaux import Tableau, column_insert, conjugate, enumerate_cst, key, unrecord
 from rectcrys.verify import rect_sequences
 
 
@@ -258,4 +259,55 @@ def duality_mismatches(max_n, max_cells):
         if graded_character(dual).as_dict() != want:
             bad.append(seq.rects)
         count += 1
+    return count, bad
+
+
+def energy_terms_by_swaps(b):
+    """The summands (i, j, value) of the total energy of b, switching whole
+    elements with sigma_swap: the (i, j) term counts the cells east of
+    column max(mu_i, mu_i+1) in the insertion shape of the two-factor word
+    at positions i, i+1, after the switches at j-1, ..., i+1 (the route
+    energy._column_terms avoids)."""
+    out = []
+    for j in range(2, b.seq.m + 1):
+        cur = b
+        for i in range(j - 1, 0, -1):
+            shape = column_insert(cur.factors[i].word() + cur.factors[i - 1].word()).outer
+            col = max(cur.seq.mu(i), cur.seq.mu(i + 1))
+            out.append((i, j, sum(max(0, part - col) for part in shape)))
+            if i > 1:
+                cur = sigma_swap(cur, i)
+    return out
+
+
+def tau_chain_energy_terms(q):
+    """The tau-chain tableau energy terms (i, j, value), in the order of
+    energy.energy_terms: every switch lifts the current tableau again with
+    the checked rsk_inverse, switches the element with sigma_swap and checks
+    the switched tableau with the public LRTableau constructor; each term
+    is restricted_d, read off the recording tableau."""
+    out = []
+    for j in range(2, q.seq.m + 1):
+        cur = q
+        for i in range(j - 1, 0, -1):
+            out.append((i, j, restricted_d(cur, i)))
+            if i > 1:
+                pair = TableauPair(key(cur.tableau.outer, n=cur.seq.n), cur.tableau)
+                b = sigma_swap(rsk_inverse(pair, cur.seq), i)
+                cur = LRTableau(rsk_pair(b).q, b.seq)
+    return out
+
+
+def lift_term_mismatches(max_n, max_cells):
+    """The number of LR tableaux q over rect_sequences(max_n, max_cells),
+    and those on which energy_terms of q's lift differs term by term from
+    the tau chain of q."""
+    count, bad = 0, []
+    for seq in rect_sequences(max_n, max_cells):
+        for group in _lrt_energies(seq).values():
+            for rows in group:
+                q = LRTableau._raw(Tableau._raw(rows, (), seq.n), seq)
+                if energy_terms(_lift(q.tableau, seq)) != tau_chain_energy_terms(q):
+                    bad.append(q)
+                count += 1
     return count, bad

@@ -504,6 +504,11 @@ class TestMalformedInput:
         argv = ["--infile", golden_files["element"], "crystal", op, "--color", str(color)]
         assert "--color must be in 0..6" in self.run_usage_error(capsys, argv)
 
+    def test_reflection_at_color_zero(self, capsys, golden_files):
+        # r has no affine color: a usage error, not a failed check (exit 1)
+        argv = ["--infile", golden_files["element"], "crystal", "r", "--color", "0"]
+        assert "reflection needs a classical color, --color in 1..6" in self.run_usage_error(capsys, argv)
+
     @pytest.mark.parametrize("op", ["insert", "antinormal"])
     @pytest.mark.parametrize("word", [[0, 1], [-3], [2, 1, 0]])
     def test_letter_below_one(self, op, word):

@@ -13,33 +13,22 @@ from rectcrys.energy import (
     tableau_energy,
     total_energy,
 )
-from rectcrys.rmatrix import sigma_swap, tau_swap
+from rectcrys.rmatrix import tau_swap
 from rectcrys.errors import InconsistentPairError
 from rectcrys.kpoly import graded_character, k_polynomial
 from rectcrys.laurent import LaurentPolynomial
-from rectcrys.rsk import LRTableau, TableauPair, _lift, _lr_rows, is_r_lr, lrt_tableaux, rsk_inverse, rsk_pair
+from rectcrys.rsk import LRTableau, _lift, _lr_rows, is_r_lr, lrt_tableaux, rsk_pair
 from rectcrys.tableaux import Tableau, column_insert, enumerate_cst, key, partition, partitions_of, record
 from rectcrys.verify import rect_sequences
 
 from conftest import lr_family
-from oracles import enumerate_crystal
-
-
-def tau_chain_energy_terms(q: LRTableau) -> list[tuple[int, int, int]]:
-    """The tau-chain tableau energy, as an oracle: every switch lifts the
-    current tableau again with the checked rsk_inverse and checks the
-    switched tableau with the public LRTableau constructor."""
-    out = []
-    for j in range(2, q.seq.m + 1):
-        cur = q
-        for i in range(j - 1, 0, -1):
-            out.append((i, j, restricted_d(cur, i)))
-            if i > 1:
-                pair = TableauPair(key(cur.tableau.outer, n=cur.seq.n), cur.tableau)
-                b = sigma_swap(rsk_inverse(pair, cur.seq), i)
-                cur = LRTableau(rsk_pair(b).q, b.seq)
-    out.sort(key=lambda t: (t[1], -t[0]))
-    return out
+from oracles import (
+    duality_mismatches,
+    energy_terms_by_swaps,
+    enumerate_crystal,
+    lift_term_mismatches,
+    tau_chain_energy_terms,
+)
 
 
 def tau_chain_energy(q: LRTableau) -> int:
@@ -106,6 +95,17 @@ class TestTotalEnergy:
         assert [v for _, _, v in terms] == [1, 2, 0]
         assert total_energy(golden_b) == 3
 
+    def test_terms_match_whole_element_switches(self):
+        # term by term against sigma_swap on whole elements and the
+        # insertion of each two-factor word, on every element of every R
+        # of rect_sequences(4, 5)
+        count = 0
+        for seq in rect_sequences(4, 5):
+            for b in enumerate_crystal(seq):
+                assert energy_terms(b) == energy_terms_by_swaps(b), b
+                count += 1
+        assert count == 5714
+
     def test_constant_on_components(self):
         seq = RectSequence([(1, 2), (1, 1), (1, 1)])
         for b in enumerate_crystal(seq):
@@ -146,28 +146,35 @@ class TestTableauEnergy:
         count, bad = ordering_mismatches()
         assert count == 216 and bad == []
 
-    def test_corrupted_snapshot_fails_oracle(self, monkeypatch):
-        # the key-tableau prefix states are read by the walk alone; losing
-        # one cell of each must show up against the tau chain.  The memos of
-        # post-switch terms and of per-R energies are cleared on both sides
-        # of the patch, so that neither earlier nor corrupted entries
-        # outlive it.
-        record_onto = energy._record_onto
+    def test_lift_terms_match_tau_chain(self):
+        # energy_terms of the lift against the tau chain, whose terms are
+        # restricted_d of the switched recording tableaux
+        assert lift_term_mismatches(4, 7) == (1371, [])
 
-        def corrupted(cols, *args):
-            cols[-1].pop()
-            if not cols[-1]:
-                cols.pop()
-            record_onto(cols, *args)
+    def test_skipped_switch_fails_oracles(self, monkeypatch):
+        # a walk that never switches the factor rows it moves must show up
+        # against the tau chain, sigma_swap on whole elements and the
+        # transpose duality.  The per-R memos of energies and Kostka counts
+        # are cleared on both sides of the patch, so that neither earlier
+        # nor corrupted entries outlive it.
+        def unswitched(rect1, rect2, rows1, rows2, n):
+            return rows1, rows2
 
-        monkeypatch.setattr(energy, "_record_onto", corrupted)
-        energy._switched_term.cache_clear()
-        energy._lrt_energies.cache_clear()
+        def clear():
+            energy._lrt_energies.cache_clear()
+            kpoly._k_counts.cache_clear()
+
+        monkeypatch.setattr(energy, "_sigma_pair", unswitched)
+        clear()
         try:
             assert ordering_mismatches()[1]
+            assert lift_term_mismatches(4, 7)[1]
+            elements = enumerate_crystal(RectSequence([(1, 1), (1, 2), (2, 1)]))
+            assert any(energy_terms(b) != energy_terms_by_swaps(b) for b in elements)
+            count, bad = duality_mismatches(4, 8)
+            assert (count, len(bad)) == (272, 156)
         finally:
-            energy._switched_term.cache_clear()
-            energy._lrt_energies.cache_clear()
+            clear()
 
     def test_prefix_states_are_key_tableaux(self):
         # the insertion state of rectangles 1..k of the lift is the key

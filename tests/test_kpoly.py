@@ -220,7 +220,6 @@ class TestGradedCharacter:
         # raising=True fails the test when one of them no longer does
         monkeypatch.setattr(energy, "total_energy", scan)
         monkeypatch.setattr(energy, "energy_terms", scan)
-        monkeypatch.setattr(energy, "sigma_swap", scan)
         monkeypatch.setattr(rmatrix, "sigma_swap", scan)
         for module in (rsk, verify):
             monkeypatch.setattr(module, "rsk_pair", scan)

@@ -82,11 +82,11 @@ class TestClearCaches:
             for obj in vars(module).values()
             if callable(getattr(obj, "cache_info", None))
         }.values()
-        # 14 unbounded memos, kpoly._k_counts (the per-R Kostka map) and
+        # 12 unbounded memos, kpoly._k_counts (the per-R Kostka map) and
         # energy._lrt_energies (the per-R tableau memo) among them;
         # crystal._swapped, bounded at 256; and rmatrix._peel_plan, bounded
         # at 1024
-        assert len(memos) == 16 and any(memo.cache_info().currsize for memo in memos)
+        assert len(memos) == 14 and any(memo.cache_info().currsize for memo in memos)
         assert kpoly._k_counts in memos and kpoly._k_counts.cache_info().currsize
         rectcrys.clear_caches()
         assert [memo for memo in memos if memo.cache_info().currsize] == []

@@ -1,10 +1,10 @@
 """Single-file key-value cache for computed Kostka polynomials.
 
-Entries live in one JSON file keyed by (n, lambda, rects); a schema version
-field invalidates every prior entry when bumped.  Unreadable or mismatched
-files are ignored and overwritten, never trusted.  Processes may share the
-file: a write merges with what is on disk under a lock, so no writer drops
-another's entries.
+Entries live in one JSON file keyed by (n, lambda, sorted rects); a schema
+version field invalidates every prior entry when bumped.  Unreadable or
+mismatched files are ignored and overwritten, never trusted.  Processes may
+share the file: a write merges with what is on disk under a lock, so no
+writer drops another's entries.
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ def default_cache_dir() -> str:
 
 
 def cache_key(n: int, lam, rects) -> str:
+    """The entry of (n, lambda, R), with the rectangles sorted: K_{lambda;R}(q)
+    does not depend on the order of R, so every order shares one entry."""
     return json.dumps(
-        [int(n), [int(x) for x in lam], [[int(a), int(b)] for a, b in rects]],
+        [int(n), [int(x) for x in lam], sorted([int(a), int(b)] for a, b in rects)],
         separators=(",", ":"),
     )
 

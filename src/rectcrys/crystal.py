@@ -21,26 +21,18 @@ class RectSequence(_Frozen):
     subalphabets A_1, ..., A_m of sizes eta_1, ..., eta_m.
     """
 
-    __slots__ = ("rects", "n", "_bounds", "_gamma")
+    __slots__ = ("rects", "n", "_bounds", "_gamma", "_multiset")
     _fields = ("rects",)
 
-    def __init__(self, rects: Iterable[Sequence[int]]):
-        # n and the subalphabet bounds are worked out here, gamma (one entry
-        # per letter) when first asked for; equality, hash and pickling use rects.
-        n = 0
-        rs, bounds = [], []
-        for e, m in rects:
-            e, m = int(e), int(m)
-            if e < 1 or m < 1:
-                raise ValueError(f"rectangles need positive dimensions: {(e, m)}")
-            rs.append((e, m))
-            bounds.append((n + 1, n + e))
-            n += e
-        put = object.__setattr__
-        put(self, "rects", tuple(rs))
-        put(self, "n", n)
-        put(self, "_bounds", tuple(bounds))
-        put(self, "_gamma", None)
+    def __new__(cls, rects: Iterable[Sequence[int]]):
+        # One shared instance per rectangle tuple: a tuple is looked up as
+        # given, anything else normalized and checked first.
+        if rects.__class__ is tuple:
+            try:
+                return _interned(rects)
+            except TypeError:  # unhashable, a tuple of lists
+                pass
+        return _interned(_normalized(rects))
 
     # Written out, not the generic field walk: RectSequence keys many memos.
     def __eq__(self, other) -> bool:
@@ -89,7 +81,9 @@ class RectSequence(_Frozen):
 
     def swapped(self, pos: int) -> "RectSequence":
         """Rectangles at positions pos, pos+1 exchanged."""
-        return _swapped(self.rects, pos)
+        r = list(self.rects)
+        r[pos - 1], r[pos] = r[pos], r[pos - 1]
+        return RectSequence(tuple(r))
 
     def permuted(self, w: Sequence[int]) -> "RectSequence":
         """The sequence wR, holding R_{w^{-1}(j)} at position j."""
@@ -107,12 +101,37 @@ class RectSequence(_Frozen):
         return f"RectSequence({list(self.rects)})"
 
 
-@lru_cache(maxsize=256)
-def _swapped(rects: tuple[tuple[int, int], ...], pos: int) -> RectSequence:
-    """RectSequence.swapped, shared by every element of one B^R."""
-    r = list(rects)
-    r[pos - 1], r[pos] = r[pos], r[pos - 1]
-    return RectSequence(r)
+def _normalized(rects: Iterable[Sequence[int]]) -> tuple[tuple[int, int], ...]:
+    """The rectangles as a tuple of (rows, columns) int pairs, each positive."""
+    out = []
+    for e, m in rects:
+        e, m = int(e), int(m)
+        if e < 1 or m < 1:
+            raise ValueError(f"rectangles need positive dimensions: {(e, m)}")
+        out.append((e, m))
+    return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _interned(rects: tuple) -> RectSequence:
+    """The one RectSequence of ``rects``, built on a miss: n and the
+    subalphabet bounds here, gamma (one entry per letter) when first asked
+    for, and the sorted multiset that keys the Kostka map.  Equality, hash
+    and pickling stay by value, since an evicted instance may still be in
+    use."""
+    rects = _normalized(rects)
+    seq = object.__new__(RectSequence)
+    put = object.__setattr__
+    bounds, n = [], 0
+    for e, _ in rects:
+        bounds.append((n + 1, n + e))
+        n += e
+    put(seq, "rects", rects)
+    put(seq, "n", n)
+    put(seq, "_bounds", tuple(bounds))
+    put(seq, "_gamma", None)
+    put(seq, "_multiset", tuple(sorted(rects)))
+    return seq
 
 
 class CrystalElement:

@@ -143,7 +143,7 @@ def _energies(seq: RectSequence, tableaux: Iterable[tuple]) -> dict[tuple, int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _lrt_energies(seq: RectSequence) -> Mapping[tuple, Mapping[tuple, int]]:
     """The energy of every R-LR tableau of R, by shape as :func:`_lr_rows`
     lists them, keyed by rows (read-only): the one per-R tableau memo."""

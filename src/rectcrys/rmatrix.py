@@ -59,7 +59,7 @@ def _peel_plan(col_lengths: tuple[int, ...], rect1: tuple[int, int], rect2: tupl
     return tuple(tuple(groups[k]) for k in range(top, rect2[0], -1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _sigma_pair(
     rect1: tuple[int, int],
     rect2: tuple[int, int],

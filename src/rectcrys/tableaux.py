@@ -327,7 +327,7 @@ def column_insert(word: Sequence[int], n: int | None = None) -> Tableau:
     return _tableau_of_cols(cols, n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def insertion_shape(word: tuple[int, ...]) -> tuple[int, ...]:
     """Shape of the insertion tableau of ``word`` (a tuple: it keys the memo)."""
     return column_insert(word).outer

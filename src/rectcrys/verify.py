@@ -25,9 +25,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .affine import _n_strip, _promote_insertion, _promote_recording, chi, cocyclage_witness, e0, promote_tableau
 from .crystal import CrystalElement, RectSequence, _bracket, pairing, tableau_e, tableau_f, tableau_phi_eps, tableau_reflection
 from .demazure import crystal_side_character, demazure_character
-from .energy import _lrt_energies, _pair_d, classical_charge, restricted_d, tableau_energy
+from .energy import _kostka_counts, _lrt_energies, _pair_d, classical_charge, restricted_d, tableau_energy
 from .errors import InconsistentPairError
-from .kpoly import character_weights, graded_character, monotonicity_check
+from .kpoly import character_weights, monotonicity_check
 from .laurent import LaurentPolynomial
 from .rmatrix import _sigma_pair, tau_swap
 from .rsk import LRTableau, _lr_rows, rsk_pair
@@ -880,7 +880,8 @@ def _check_stuck_component() -> Iterator[dict]:
 # Suite: the two expansion routes of the graded character.
 
 def _check_characters(seq: RectSequence) -> Iterator[dict]:
-    """Scan B^R and check the LR route of graded_character against it.
+    """Scan B^R and check against it the Kostka walk that graded_character
+    reads, run on R's own order rather than the walk order of its multiset.
 
     The coefficient of s_lambda counted over sl_n highest weight elements of
     weight lambda, graded by energy, must equal K_{lambda;R}(q); and the
@@ -899,7 +900,7 @@ def _check_characters(seq: RectSequence) -> Iterator[dict]:
             counts = by_hw.setdefault(partition(wt), {})
             counts[en] = counts.get(en, 0) + 1
     hw_route = {lam: LaurentPolynomial(d) for lam, d in by_hw.items()}
-    lr_route = graded_character(seq).as_dict()
+    lr_route = {lam: LaurentPolynomial(c) for lam, c in _kostka_counts(seq).items()}
     instance = {"rects": seq.to_json()}
     if hw_route != lr_route:
         msg = f"highest-weight route {hw_route} != tableau route {lr_route}"

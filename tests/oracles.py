@@ -7,8 +7,9 @@ at every color, 0 included, tau by insertion, sigma on two factors by
 inserting the whole element, and the alcove walk of the translation's
 reduced words in exact fractions, the LR route of the Kostka counts
 that the column walk replaced, the transpose duality of graded
-characters, the energy terms of an element by sigma_swap on whole
-elements, and the tau chain of tableau energy terms.
+characters, the Kostka walk on every order of a multiset against its map,
+the energy terms of an element by sigma_swap on whole elements, and the
+tau chain of tableau energy terms.
 Cells are (row, col) pairs, 1-based, row 1 on top.
 """
 
@@ -19,10 +20,9 @@ from itertools import chain, combinations, product
 from rectcrys.affine import promote
 from rectcrys.crystal import CrystalElement, RectSequence, _row_word, signature, young_w0
 from rectcrys.demazure import translation_vector
-from rectcrys.energy import _column_walk, _lrt_energies, _switches, energy_terms, restricted_d
+from rectcrys.energy import _column_walk, _kostka_counts, _lrt_energies, _switches, energy_terms, restricted_d
 from rectcrys.errors import NonLRError
-from rectcrys.kpoly import graded_character
-from rectcrys.laurent import LaurentPolynomial
+from rectcrys.kpoly import _k_counts
 from rectcrys.rmatrix import sigma_swap
 from rectcrys.rsk import LRTableau, TableauPair, _factors, _lift, is_r_lr, rsk_inverse, rsk_pair
 from rectcrys.tableaux import Tableau, column_insert, conjugate, enumerate_cst, key, unrecord
@@ -246,20 +246,34 @@ def duality_mismatches(max_n, max_cells):
     transposes every rectangle and c(R) is the sum over i < j of
     min(eta_i, eta_j) min(mu_i, mu_j).  R^t has another alphabet, other
     Levi blocks and other switches than R, so each side checks the other's
-    energy walk; no-switch R and R^t both take the column walk.  Confirmed
-    on these R by experiment, not from a source."""
+    energy walk, run on R and R^t as given, not through the map of their
+    multisets; no-switch R and R^t both take the column walk.  Confirmed on
+    these R by experiment, not from a source."""
     count, bad = 0, []
     for seq in rect_sequences(max_n, max_cells):
         c = sum(min(a, b) * min(u, v) for (a, u), (b, v) in combinations(seq.rects, 2))
         dual = RectSequence([(mu, eta) for eta, mu in seq.rects])
         want = {
-            conjugate(lam): LaurentPolynomial({c - e: k for e, k in poly.coeffs.items()})
-            for lam, poly in graded_character(seq).terms
+            conjugate(lam): {c - e: k for e, k in counts.items()}
+            for lam, counts in _kostka_counts(seq).items()
         }
-        if graded_character(dual).as_dict() != want:
+        if _kostka_counts(dual) != want:
             bad.append(seq.rects)
         count += 1
     return count, bad
+
+
+def reorder_mismatches(max_n, max_cells):
+    """The number of R in rect_sequences(max_n, max_cells) and of their
+    multisets, and the R on which the Kostka walk in R's own order differs
+    from the map of R's multiset, which walks one order of it."""
+    count, multisets, bad = 0, set(), []
+    for seq in rect_sequences(max_n, max_cells):
+        multisets.add(seq._multiset)
+        if _kostka_counts(seq) != _k_counts(seq._multiset):
+            bad.append(seq.rects)
+        count += 1
+    return count, len(multisets), bad
 
 
 def energy_terms_by_swaps(b):

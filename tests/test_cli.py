@@ -389,6 +389,16 @@ class TestCache:
             for k in range(25):
                 assert cache.get(f"{name}{k}") == LaurentPolynomial({k: 1}), (name, k)
 
+    def test_reordered_rects_share_an_entry(self, capsys, tmp_path):
+        # K_{lambda;R}(q) does not depend on the order of R: a second order
+        # of one R is a hit, answered without the Kostka code
+        first = ["kpoly", "compute", "--shape", "3,2,1", "--rects", "1x2,2x1,1x2", "--cache-dir", str(tmp_path)]
+        second = [*first[:5], "2x1,1x2,1x2", *first[6:]]
+        _, cold = run_cli(capsys, first)
+        _, warm = run_cli(capsys, second)
+        assert warm == cold and len(json.loads((tmp_path / "kpoly.json").read_text())["entries"]) == 1
+        assert "rectcrys.kpoly" not in loaded_by(*second)
+
 
 class TestVerifyCommand:
     def test_small_suite_passes(self, capsys):

@@ -1,7 +1,10 @@
 import itertools
+import pickle
 
 import pytest
 
+import rectcrys
+from rectcrys import crystal
 from rectcrys.crystal import (
     CrystalElement,
     RectSequence,
@@ -54,6 +57,49 @@ class TestRectSequence:
                 r[pos - 1], r[pos] = r[pos], r[pos - 1]
                 assert seq.swapped(pos) == RectSequence(r)
                 assert seq.swapped(pos) is seq.swapped(pos)
+
+
+class TestInterning:
+    RECTS = ((1, 2), (2, 1), (1, 1))
+
+    def test_tuple_gives_the_same_object(self):
+        assert RectSequence(self.RECTS) is RectSequence(tuple(self.RECTS))
+
+    def test_other_arguments_give_an_equal_object(self):
+        seq = RectSequence(self.RECTS)
+        for arg in ([list(r) for r in self.RECTS], (r for r in self.RECTS), tuple(list(r) for r in self.RECTS)):
+            other = RectSequence(arg)
+            assert other == seq and hash(other) == hash(seq) and other.rects == self.RECTS
+
+    @pytest.mark.parametrize(
+        "rects",
+        [((0, 2),), [(2, -1)], ((1, 2, 3),), [(1,)], (("x", 1),), [(1, 2), (1, "y")]],
+        ids=["zero", "negative", "three", "one", "text-tuple", "text-list"],
+    )
+    def test_malformed_rejected(self, rects):
+        with pytest.raises(ValueError):
+            RectSequence(rects)
+
+    def test_pickle_round_trip(self):
+        seq = RectSequence(self.RECTS)
+        back = pickle.loads(pickle.dumps(seq))
+        assert back == seq and back.n == 4 and back.subalphabet(2) == (2, 3)
+
+    def test_memo_stays_bounded(self):
+        bound = crystal._interned.cache_info().maxsize
+        first = RectSequence(((1, 1),))
+        for k in range(2, bound + 12):
+            RectSequence(((1, k),))
+        assert crystal._interned.cache_info().currsize == bound
+        # an evicted sequence is built again, equal, and keys what it keyed
+        again = RectSequence([(1, 1)])
+        assert again is not first and again == first and {first: 1}[again] == 1
+
+    def test_clear_caches_empties_the_memo(self):
+        RectSequence(self.RECTS)
+        rectcrys.clear_caches()
+        assert crystal._interned.cache_info().currsize == 0
+        assert RectSequence(self.RECTS).rects == self.RECTS
 
 
 def textbook_signature(word, i):

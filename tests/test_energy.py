@@ -27,6 +27,7 @@ from oracles import (
     energy_terms_by_swaps,
     enumerate_crystal,
     lift_term_mismatches,
+    reorder_mismatches,
     tau_chain_energy_terms,
 )
 
@@ -153,10 +154,10 @@ class TestTableauEnergy:
 
     def test_skipped_switch_fails_oracles(self, monkeypatch):
         # a walk that never switches the factor rows it moves must show up
-        # against the tau chain, sigma_swap on whole elements and the
-        # transpose duality.  The per-R memos of energies and Kostka counts
-        # are cleared on both sides of the patch, so that neither earlier
-        # nor corrupted entries outlive it.
+        # against the tau chain, sigma_swap on whole elements, the
+        # transpose duality and the map of each multiset.  The memos of
+        # energies and Kostka counts are cleared on both sides of the patch,
+        # so that neither earlier nor corrupted entries outlive it.
         def unswitched(rect1, rect2, rows1, rows2, n):
             return rows1, rows2
 
@@ -173,6 +174,7 @@ class TestTableauEnergy:
             assert any(energy_terms(b) != energy_terms_by_swaps(b) for b in elements)
             count, bad = duality_mismatches(4, 8)
             assert (count, len(bad)) == (272, 156)
+            assert reorder_mismatches(4, 8)[2]
         finally:
             clear()
 

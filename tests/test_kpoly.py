@@ -20,7 +20,7 @@ from rectcrys.rsk import _lr_rows, lrt_tableaux
 from rectcrys.tableaux import Tableau, conjugate, enumerate_cst, partitions_of
 
 from conftest import load_fixture
-from oracles import column_walk_mismatches, duality_mismatches
+from oracles import column_walk_mismatches, duality_mismatches, reorder_mismatches
 
 
 class TestLaurentPolynomial:
@@ -72,10 +72,10 @@ class TestKPolynomial:
         assert k_polynomial((1, 1, 1, 1), seq) == LaurentPolynomial.zero()
 
     def test_reorder_invariance(self):
+        # the walk on each order named, not the map both orders share
         for rects in ([(1, 2), (2, 1)], [(1, 1), (1, 2), (1, 1)], [(2, 1), (1, 2)]):
             seq = RectSequence(rects)
-            for lam in partitions_of(seq.ncells, seq.n):
-                assert k_polynomial(lam, seq) == k_polynomial(lam, seq.swapped(1))
+            assert energy._kostka_counts(seq) == energy._kostka_counts(seq.swapped(1))
 
     def test_value_at_one_counts_tableaux(self):
         seq = RectSequence([(1, 2), (2, 1), (1, 1)])
@@ -83,9 +83,9 @@ class TestKPolynomial:
             assert k_polynomial(lam, seq)(1) == len(lrt_tableaux(lam, seq))
 
     def test_results_do_not_alias_the_memo(self):
-        # both read the per-R map; a caller's edit must not reach it
+        # both read the map of R's multiset; a caller's edit must not reach it
         for seq in (RectSequence([(1, 2)] * 4), RectSequence([(1, 3), (2, 1), (1, 2), (1, 1)])):
-            lam = max(kpoly._k_counts(seq))
+            lam = max(kpoly._k_counts(seq._multiset))
             want = k_polynomial(lam, seq)
             k_polynomial(lam, seq).coeffs[99] = 7
             graded_character(seq).terms[-1][1].coeffs.clear()
@@ -134,14 +134,15 @@ class TestColumnWalk:
 
     def test_pinned_walks_match(self):
         # a one-shape walk places no strip that leaves its shape, and gives
-        # the shape's tableaux, in order, or its counts
+        # the shape's tableaux, in order, or its counts, on R's own order
+        # and on the walk order of R's multiset
         count = 0
         for seq in verify.rect_sequences(4, 8):
+            whole = energy._kostka_counts(seq)
             for lam, group in _lr_rows(seq).items():
                 assert lrt_tableaux(lam, seq) == tuple(Tableau._raw(rows, (), seq.n) for rows in group), (seq, lam)
+                assert energy._kostka_counts(seq, lam) == {lam: whole[lam]}, (seq, lam)
                 assert kpoly._one_shape_k_polynomial(lam, seq) == k_polynomial(lam, seq), (seq, lam)
-                if not energy._switches(seq):
-                    assert energy._column_walk(seq, lam) == {lam: kpoly._k_counts(seq)[lam]}
                 count += 1
         assert count == 1692
 
@@ -150,6 +151,34 @@ class TestTransposeDuality:
     def test_transposed_rectangles(self):
         # CI runs the 840 R of rect_sequences(5, 9)
         assert duality_mismatches(4, 8) == (272, [])
+
+
+class TestMultisetMap:
+    """One Kostka map per multiset of R, walked on one order of it."""
+
+    def test_every_order_matches_the_map(self):
+        # CI runs the 840 R, 179 multisets of rect_sequences(5, 9)
+        assert reorder_mismatches(4, 8) == (272, 89, [])
+
+    def test_one_entry_per_multiset(self):
+        kpoly._k_counts.cache_clear()
+        orders = [RectSequence(p) for p in ([(1, 2), (2, 1), (1, 2)], [(1, 2), (1, 2), (2, 1)], [(2, 1), (1, 2), (1, 2)])]
+        first, *others = [graded_character(seq) for seq in orders]
+        assert others == [first, first] and kpoly._k_counts.cache_info().currsize == 1
+
+    def test_walk_order(self):
+        # smaller groups of equal rectangles first, larger rectangles first
+        # among groups of one size: so one rectangle first and the others
+        # equal, an order with no real switch, whenever the multiset has one
+        for rects, want in (
+            ([(1, 2), (2, 1), (1, 2)], ((2, 1), (1, 2), (1, 2))),
+            ([(1, 1), (3, 1)], ((3, 1), (1, 1))),
+            ([(1, 2), (1, 1), (1, 2), (1, 1)], ((1, 2), (1, 2), (1, 1), (1, 1))),
+        ):
+            assert kpoly._walk_order(RectSequence(rects)._multiset).rects == want
+        for seq in verify.rect_sequences(4, 8):
+            if not energy._switches(seq):
+                assert not energy._switches(kpoly._walk_order(seq._multiset)), seq
 
 
 class TestKostkaFoulkes:
@@ -249,12 +278,12 @@ class TestCharacterRoutesCheck:
 
     def test_perturbed_lr_route_fails(self, monkeypatch):
         def perturbed(seq):
-            terms = graded_character(seq).as_dict()
-            lam = max(terms)
-            terms[lam] = terms[lam] + LaurentPolynomial.one()
-            return kpoly.GradedCharacter.from_dict(terms)
+            counts = energy._kostka_counts(seq)
+            lam = max(counts)
+            counts[lam][0] = counts[lam].get(0, 0) + 1
+            return counts
 
-        monkeypatch.setattr(verify, "graded_character", perturbed)
+        monkeypatch.setattr(verify, "_kostka_counts", perturbed)
         rep = verify.verify_characters(2, 3)
         assert not rep.ok
         assert len(rep.failures) == rep.instances

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import rectcrys
-from rectcrys import kpoly
+from rectcrys import crystal, kpoly
 from rectcrys.affine import PromotionTrace, pair_promote
 from rectcrys.crystal import CrystalElement, RectSequence, Signature, word_signature
 from rectcrys.demazure import demazure_character
@@ -82,12 +82,15 @@ class TestClearCaches:
             for obj in vars(module).values()
             if callable(getattr(obj, "cache_info", None))
         }.values()
-        # 12 unbounded memos, kpoly._k_counts (the per-R Kostka map) and
-        # energy._lrt_energies (the per-R tableau memo) among them;
-        # crystal._swapped, bounded at 256; and rmatrix._peel_plan, bounded
-        # at 1024
+        # 8 unbounded memos and 6 bounded: kpoly._k_counts (the Kostka map
+        # per multiset of R) at 256; crystal._interned (one RectSequence per
+        # rectangle tuple) and rmatrix._peel_plan at 1024; and
+        # energy._lrt_energies (the per-R tableau memo), rmatrix._sigma_pair
+        # and tableaux.insertion_shape at 2048
         assert len(memos) == 14 and any(memo.cache_info().currsize for memo in memos)
+        assert sum(memo.cache_info().maxsize is None for memo in memos) == 8
         assert kpoly._k_counts in memos and kpoly._k_counts.cache_info().currsize
+        assert crystal._interned in memos and crystal._interned.cache_info().currsize
         rectcrys.clear_caches()
         assert [memo for memo in memos if memo.cache_info().currsize] == []
         assert k_polynomial((4, 2, 1, 1), seq) == before

@@ -41,13 +41,10 @@ def cache_key(n: int, lam, rects) -> str:
 class PolynomialCache:
     """Write-once polynomial store backed by one JSON file."""
 
-    def __init__(self, directory: str | None = None, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self, directory: str | None = None):
         self.directory = directory or default_cache_dir()
         self.path = os.path.join(self.directory, "kpoly.json")
-        self._entries: dict[str, dict] = {}
-        if self.enabled:
-            self._entries = self._read()
+        self._entries: dict[str, dict] = self._read()
 
     def _read(self) -> dict[str, dict]:
         """The entries in the file now; none when it is missing, unreadable
@@ -68,8 +65,6 @@ class PolynomialCache:
             return {}
 
     def get(self, key: str) -> LaurentPolynomial | None:
-        if not self.enabled:
-            return None
         entry = self._entries.get(key)
         if entry is None:
             return None
@@ -81,7 +76,7 @@ class PolynomialCache:
             return None
 
     def put(self, key: str, poly: LaurentPolynomial) -> None:
-        if not self.enabled or key in self._entries:
+        if key in self._entries:
             return
         self._entries[key] = poly.to_json()
         self._flush()

@@ -229,10 +229,12 @@ def _cmd_energy(args) -> int:
 
 def _cached(args, seq, lam, compute) -> LaurentPolynomial:
     """The polynomial of (lam, seq) from the disk cache, or ``compute()``
-    stored there on a miss."""
+    stored there on a miss; with --no-cache, ``compute()`` alone."""
+    if args.no_cache:
+        return compute()
     from .cache import PolynomialCache, cache_key
 
-    cache = PolynomialCache(directory=args.cache_dir, enabled=not args.no_cache)
+    cache = PolynomialCache(directory=args.cache_dir)
     key_ = cache_key(seq.n, lam, seq.rects)
     poly = cache.get(key_)
     if poly is None:
@@ -242,10 +244,19 @@ def _cached(args, seq, lam, compute) -> LaurentPolynomial:
 
 
 def _cmd_kpoly(args) -> int:
-    if args.op == "compute":
-        _require(args, "shape", "rects")
-        lam = _parse_partition(args.shape)
-        seq = _parse_rects(args.rects)
+    if args.op in ("compute", "kostka"):
+        if args.op == "compute":
+            _require(args, "shape", "rects")
+            lam = _parse_partition(args.shape)
+            seq = _parse_rects(args.rects)
+        else:
+            from .kpoly import kostka_sequence
+
+            _require(args, "mu")
+            if getattr(args, "lambda") is None:
+                raise ValueError("missing required flags: --lambda")
+            lam = _parse_partition(getattr(args, "lambda"))
+            seq = kostka_sequence(_parse_partition(args.mu))
 
         def compute():
             from .kpoly import _one_shape_k_polynomial  # a cache hit never loads kpoly
@@ -253,17 +264,6 @@ def _cmd_kpoly(args) -> int:
             return _one_shape_k_polynomial(lam, seq)
 
         _emit(_cached(args, seq, lam, compute).to_json())
-    elif args.op == "kostka":
-        from .kpoly import _one_shape_k_polynomial, kostka_sequence
-
-        _require(args, "mu")
-        if getattr(args, "lambda") is None:
-            raise ValueError("missing required flags: --lambda")
-        lam = _parse_partition(getattr(args, "lambda"))
-        mu = _parse_partition(args.mu)
-        seq = kostka_sequence(mu)
-        poly = _cached(args, seq, lam, lambda: _one_shape_k_polynomial(lam, seq))
-        _emit(poly.to_json())
     elif args.op == "character":
         from .kpoly import graded_character
 

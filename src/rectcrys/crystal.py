@@ -160,21 +160,6 @@ class CrystalElement:
         b.factors = factors
         return b
 
-    def word(self) -> tuple[int, ...]:
-        """Reading word: factor b_m first, b_1 last."""
-        out: list[int] = []
-        for t in reversed(self.factors):
-            out.extend(t.word())
-        return tuple(out)
-
-    def content(self) -> tuple[int, ...]:
-        counts = [0] * self.seq.n
-        for t in self.factors:
-            for row in t.rows:
-                for x in row:
-                    counts[x - 1] += 1
-        return tuple(counts)
-
     def replace_factor(self, pos: int, t: Tableau) -> "CrystalElement":
         factors = list(self.factors)
         factors[pos - 1] = t
@@ -219,13 +204,12 @@ class CrystalElement:
 # Signature rule.
 
 class Signature(_Frozen):
-    """Reduced signature of an element or word at one color.
+    """Reduced signature of an element at one color.
 
     ``phi``, ``eps``: the counts of surviving - and +; ``f_pos``, ``e_pos``:
     where f and e act (None when they do not).  ``reduced`` lists the
     surviving biletters as (position, sign) pairs with sign '-' or '+';
-    positions are tensor positions (factor indices, or for a word the
-    1-based index counted from the right end).
+    positions are tensor positions, 1 for the rightmost factor.
     """
 
     __slots__ = _fields = ("phi", "eps", "f_pos", "e_pos", "reduced")
@@ -298,14 +282,6 @@ def _word_pairs(word: Sequence[int], i: int) -> list[tuple[bool, bool]]:
     return [(x == i, x == i + 1) for x in word]
 
 
-def word_signature(word: Sequence[int], i: int) -> Signature:
-    """Signature of a word regarded as a tensor product of single boxes.
-
-    Positions count tensor factors: the rightmost letter is position 1.
-    """
-    return _signature(_word_pairs(word, i))
-
-
 def _row_word(rows: tuple) -> list[int]:
     """Reading word of a tableau given by its rows: bottom row first."""
     word: list[int] = []
@@ -358,11 +334,9 @@ def _element_pairs(b: CrystalElement, i: int) -> list[tuple[int, int]]:
     return [_tableau_stats(t.rows, i) for t in reversed(b.factors)]
 
 
-def signature(b: "CrystalElement | Sequence[int]", i: int) -> Signature:
-    """Reduced signature of a crystal element (or word) at color i in 1..n-1."""
-    if isinstance(b, CrystalElement):
-        return _signature(_element_pairs(b, i))
-    return word_signature(b, i)
+def signature(b: CrystalElement, i: int) -> Signature:
+    """Reduced signature of a crystal element at color i in 1..n-1."""
+    return _signature(_element_pairs(b, i))
 
 
 def e(b: CrystalElement, i: int) -> CrystalElement | None:

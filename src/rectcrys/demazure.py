@@ -48,30 +48,6 @@ class AffineWeight(_Frozen):
         for name, value in zip(self._fields, (n, lam0, finite, delta)):
             object.__setattr__(self, name, value)
 
-    def add(self, other: "AffineWeight", scale: int = 1) -> "AffineWeight":
-        return AffineWeight(
-            self.n,
-            self.lam0 + scale * other.lam0,
-            tuple(a + scale * b for a, b in zip(self.finite, other.finite)),
-            self.delta + scale * other.delta,
-        )
-
-    def to_json(self) -> dict:
-        return {"lam0": self.lam0, "finite": list(self.finite), "delta": self.delta}
-
-
-def fundamental(n: int, i: int) -> AffineWeight:
-    fin = [0] * (n - 1)
-    if i:
-        fin[i - 1] = 1
-    return AffineWeight(n, 1 if i == 0 else 0, tuple(fin), 0)
-
-
-def simple_root(n: int, i: int) -> AffineWeight:
-    """alpha_i = delta_{0i} delta + sum_j a_{ij} Lambda_j."""
-    fin = tuple(cartan_entry(n, i, j) for j in range(1, n))
-    return AffineWeight(n, cartan_entry(n, i, 0), fin, 1 if i == 0 else 0)
-
 
 def _term_key(n: int, w) -> tuple[int, ...]:
     """The key (lam0, *finite, delta) of an exponential, from an
@@ -84,8 +60,9 @@ def _term_key(n: int, w) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _classical_roots(n: int) -> tuple[tuple[int, ...], ...]:
-    """The classical parts (lam0, *finite) of alpha_0, ..., alpha_{n-1}."""
-    return tuple(_term_key(n, simple_root(n, i))[:n] for i in range(n))
+    """The classical parts (lam0, *finite) of alpha_0, ..., alpha_{n-1}:
+    alpha_i = sum_j a_{ij} Lambda_j, plus delta when i = 0."""
+    return tuple(tuple(cartan_entry(n, i, j) for j in range(n)) for i in range(n))
 
 
 # A FormalCharacter keeps the delta grading of each classical weight in one

@@ -34,9 +34,6 @@ class GradedCharacter(_Frozen):
     def from_dict(cls, d: Mapping[tuple[int, ...], LaurentPolynomial]) -> "GradedCharacter":
         return cls(tuple(sorted((lam, p) for lam, p in d.items() if p)))
 
-    def as_dict(self) -> dict[tuple[int, ...], LaurentPolynomial]:
-        return dict(self.terms)
-
     def to_json(self) -> dict:
         return {
             "terms": [
@@ -105,10 +102,7 @@ def kostka_foulkes(lam: Sequence[int], mu: Sequence[int]) -> LaurentPolynomial:
     lam, mu = partition(lam), partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"|{lam}| != |{mu}|")
-    seq = kostka_sequence(mu)
-    if len(lam) > seq.n:
-        return LaurentPolynomial.zero()
-    return k_polynomial(lam, seq)
+    return k_polynomial(lam, kostka_sequence(mu))
 
 
 def graded_character(seq: RectSequence) -> GradedCharacter:

@@ -30,37 +30,6 @@ class LaurentPolynomial:
         poly.coeffs = dict(coeffs)
         return poly
 
-    @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPolynomial":
-        return cls({0: 1})
-
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        acc = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            acc[e] = acc.get(e, 0) + c
-        return LaurentPolynomial(acc)
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        acc = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            acc[e] = acc.get(e, 0) - c
-        return LaurentPolynomial(acc)
-
-    def __mul__(self, other) -> "LaurentPolynomial":
-        if isinstance(other, int):
-            return LaurentPolynomial({e: c * other for e, c in self.coeffs.items()})
-        acc: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-        return LaurentPolynomial(acc)
-
-    __rmul__ = __mul__
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -69,9 +38,6 @@ class LaurentPolynomial:
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self.coeffs.items())))
-
-    def __call__(self, q) -> int:
-        return sum(c * q**e for e, c in self.coeffs.items())
 
     def leq_coefficientwise(self, other: "LaurentPolynomial") -> bool:
         """Every coefficient at most the matching coefficient of ``other``."""

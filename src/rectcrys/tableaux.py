@@ -193,10 +193,6 @@ class Tableau:
     def inner_at(self, r: int) -> int:
         return self.inner[r - 1] if r - 1 < len(self.inner) else 0
 
-    @property
-    def ncells(self) -> int:
-        return sum(len(row) for row in self.rows)
-
     def entry(self, r: int, c: int) -> int:
         return self.rows[r - 1][c - 1 - self.inner_at(r)]
 

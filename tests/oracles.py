@@ -2,11 +2,11 @@
 
 Jeu-de-taquin slides on a dict from cells to letters, the way from such a
 dict back to a Tableau, promotion and its inverse the cell-map way, the
-crystal enumeration, the inverse cyclage, the string lengths of elements
-at every color, 0 included, tau by insertion, sigma on two factors by
-inserting the whole element, and the alcove walk of the translation's
-reduced words in exact fractions, the LR route of the Kostka counts
-that the column walk replaced, the transpose duality of graded
+crystal enumeration, the inverse cyclage, the content of an element, the
+string lengths of elements at every color, 0 included, tau by insertion,
+sigma on two factors by inserting the whole element, and the alcove walk
+of the translation's reduced words in exact fractions, the LR route of
+the Kostka counts that the column walk replaced, the transpose duality of graded
 characters, the Kostka walk on every order of a multiset against its map,
 the energy terms of an element by sigma_swap on whole elements, and the
 tau chain of tableau energy terms.
@@ -167,6 +167,11 @@ def chi_inverse(word, seq):
         raise NonLRError("chi_inverse requires an R-LR word")
     y, w = word[0], word[1:]
     return young_w0(w, seq) + young_w0((y,), seq)
+
+
+def content(b):
+    """The occurrence counts (m_1, ..., m_n) of each letter in b."""
+    return tuple(map(sum, zip(*(t.content(b.seq.n) for t in b.factors))))
 
 
 def phi(b, i):

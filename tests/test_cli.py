@@ -333,6 +333,13 @@ class TestCache:
         _, plain = run_cli(capsys, self.args(tmp_path, ("--no-cache",)))
         assert cached == plain
 
+    def test_no_cache_loads_no_cache_module(self, tmp_path):
+        # --no-cache neither reads nor writes the cache, so it never loads it
+        directory = tmp_path / "absent"
+        loaded = loaded_by(*self.args(directory, ("--no-cache",)))
+        assert "rectcrys.kpoly" in loaded and "rectcrys.cache" not in loaded, loaded
+        assert not directory.exists()
+
     def test_corrupt_entries_recomputed(self, capsys, tmp_path):
         _, first = run_cli(capsys, self.args(tmp_path))
         store = json.loads((tmp_path / "kpoly.json").read_text())

@@ -24,19 +24,9 @@ from oracles import column_walk_mismatches, duality_mismatches, reorder_mismatch
 
 
 class TestLaurentPolynomial:
-    def test_arithmetic(self):
-        p = LaurentPolynomial({1: 1, 2: 1})
-        q = LaurentPolynomial({0: 1, 2: -1})
-        assert (p + q).coeffs == {0: 1, 1: 1}
-        assert (p - p).coeffs == {}
-        assert (p * q).coeffs == {1: 1, 2: 1, 3: -1, 4: -1}
-        assert (2 * p).coeffs == {1: 2, 2: 2}
-        assert p(1) == 2 and p(2) == 6
-
     def test_negative_exponents(self):
-        p = LaurentPolynomial({-1: 1})
-        assert not all(e >= 0 for e in p.coeffs)
-        assert (p * LaurentPolynomial({1: 1})).coeffs == {0: 1}
+        p = LaurentPolynomial({-1: 1, 1: 2, 0: 0})
+        assert p.coeffs == {-1: 1, 1: 2} and repr(p) == "q^-1 + 2*q"
 
     def test_coefficientwise_order(self):
         small = LaurentPolynomial({1: 1})
@@ -61,7 +51,7 @@ class TestLaurentPolynomial:
 class TestKPolynomial:
     def test_stacked_singleton(self):
         seq = RectSequence([(1, 3), (2, 2)])
-        assert k_polynomial(seq.gamma(), seq) == LaurentPolynomial.one()
+        assert k_polynomial(seq.gamma(), seq) == LaurentPolynomial({0: 1})
 
     def test_kostka_standard(self):
         seq = RectSequence([(1, 1)] * 3)
@@ -69,7 +59,7 @@ class TestKPolynomial:
 
     def test_empty_lrt_gives_zero(self):
         seq = RectSequence([(1, 1), (1, 3)])
-        assert k_polynomial((1, 1, 1, 1), seq) == LaurentPolynomial.zero()
+        assert k_polynomial((1, 1, 1, 1), seq) == LaurentPolynomial()
 
     def test_reorder_invariance(self):
         # the walk on each order named, not the map both orders share
@@ -80,7 +70,7 @@ class TestKPolynomial:
     def test_value_at_one_counts_tableaux(self):
         seq = RectSequence([(1, 2), (2, 1), (1, 1)])
         for lam in partitions_of(seq.ncells, seq.n):
-            assert k_polynomial(lam, seq)(1) == len(lrt_tableaux(lam, seq))
+            assert sum(k_polynomial(lam, seq).coeffs.values()) == len(lrt_tableaux(lam, seq))
 
     def test_results_do_not_alias_the_memo(self):
         # both read the map of R's multiset; a caller's edit must not reach it
@@ -183,7 +173,7 @@ class TestMultisetMap:
 
 class TestKostkaFoulkes:
     def test_equal_partitions(self):
-        assert kostka_foulkes((2, 1), (2, 1)) == LaurentPolynomial.one()
+        assert kostka_foulkes((2, 1), (2, 1)) == LaurentPolynomial({0: 1})
 
     def test_standard_content(self):
         assert kostka_foulkes((2, 1), (1, 1, 1)) == LaurentPolynomial({1: 1, 2: 1})
@@ -196,8 +186,8 @@ class TestKostkaFoulkes:
             )
 
     def test_dominance_vanishing(self):
-        assert kostka_foulkes((1, 1, 1), (3,)) == LaurentPolynomial.zero()
-        assert kostka_foulkes((1, 1, 1), (2, 1)) == LaurentPolynomial.zero()
+        assert kostka_foulkes((1, 1, 1), (3,)) == LaurentPolynomial()
+        assert kostka_foulkes((1, 1, 1), (2, 1)) == LaurentPolynomial()
 
     def test_transposed_accessor(self):
         # the classical tilde-indexing transposes lambda
@@ -212,12 +202,12 @@ class TestKostkaFoulkes:
 class TestGradedCharacter:
     def test_single_rectangle(self):
         gc = graded_character(RectSequence([(2, 3)]))
-        assert gc.as_dict() == {(3, 3): LaurentPolynomial.one()}
+        assert dict(gc.terms) == {(3, 3): LaurentPolynomial({0: 1})}
 
     def test_small_instance(self):
         gc = graded_character(RectSequence([(1, 2), (1, 1), (1, 1)]))
-        assert gc.as_dict() == {
-            (2, 1, 1): LaurentPolynomial.one(),
+        assert dict(gc.terms) == {
+            (2, 1, 1): LaurentPolynomial({0: 1}),
             (2, 2): LaurentPolynomial({1: 1}),
             (3, 1): LaurentPolynomial({1: 1, 2: 1}),
             (4,): LaurentPolynomial({3: 1}),
@@ -226,7 +216,7 @@ class TestGradedCharacter:
     def test_stacked_coefficient_is_one(self):
         seq = RectSequence([(1, 3), (2, 1)])
         gc = graded_character(seq)
-        assert gc.as_dict()[(3, 1, 1)] == LaurentPolynomial.one()
+        assert dict(gc.terms)[(3, 1, 1)] == LaurentPolynomial({0: 1})
 
     def test_character_weights_symmetry(self):
         weights = character_weights((2, 1), 3)
@@ -255,16 +245,16 @@ class TestGradedCharacter:
         # a cached energy would skip the walk
         energy._lrt_energies.cache_clear()
         gc = graded_character(RectSequence([(1, 2), (1, 1), (1, 1)]))
-        assert gc.as_dict() == {
-            (2, 1, 1): LaurentPolynomial.one(),
+        assert dict(gc.terms) == {
+            (2, 1, 1): LaurentPolynomial({0: 1}),
             (2, 2): LaurentPolynomial({1: 1}),
             (3, 1): LaurentPolynomial({1: 1, 2: 1}),
             (4,): LaurentPolynomial({3: 1}),
         }
         # rectangles 2 and 3 differ, so the walk lifts and switches
         gc = graded_character(RectSequence([(1, 1), (2, 1), (1, 2)]))
-        assert gc.as_dict() == {
-            (2, 1, 1, 1): LaurentPolynomial.one(),
+        assert dict(gc.terms) == {
+            (2, 1, 1, 1): LaurentPolynomial({0: 1}),
             (2, 2, 1): LaurentPolynomial({1: 1}),
             (3, 1, 1): LaurentPolynomial({1: 1, 2: 1}),
             (3, 2): LaurentPolynomial({2: 1}),

@@ -12,7 +12,7 @@ import pytest
 import rectcrys
 from rectcrys import crystal, kpoly
 from rectcrys.affine import PromotionTrace, pair_promote
-from rectcrys.crystal import CrystalElement, RectSequence, Signature, word_signature
+from rectcrys.crystal import CrystalElement, RectSequence, Signature
 from rectcrys.demazure import demazure_character
 from rectcrys.errors import NonLRError, ShapeMismatchError
 from rectcrys.kpoly import graded_character, k_polynomial
@@ -112,7 +112,7 @@ PAIR = rsk_pair(ELEMENT)
 VALUES = [
     (SEQ, "RectSequence([(2, 2), (1, 1)])"),
     (
-        word_signature((1, 2, 2, 1, 1), 1),
+        crystal._signature(crystal._word_pairs((1, 2, 2, 1, 1), 1)),
         "Signature(phi=1, eps=0, f_pos=5, e_pos=None, reduced=((5, '-'),))",
     ),
     (PAIR, "TableauPair(p=1 1 3\n2 2, q=1 1 3\n2 2)"),

@@ -28,7 +28,7 @@ from rectcrys.tableaux import (
 )
 from rectcrys.verify import rect_sequences
 
-from oracles import enumerate_crystal
+from oracles import content, enumerate_crystal
 
 
 def hook_content(lam, n: int) -> int:
@@ -89,7 +89,7 @@ class TestPair:
                     continue
                 pair = rsk_pair(b)
                 assert pair.q == highest_weight_recording(b)
-                assert pair.p == key(b.content(), n=seq.n)
+                assert pair.p == key(content(b), n=seq.n)
 
     def test_shapes_match(self, golden_b):
         pair = rsk_pair(golden_b)

@@ -146,7 +146,8 @@ class TestColumnInsert:
                 assert column_insert(t.word()) == t
 
     def test_golden(self, golden, golden_b):
-        assert column_insert(golden_b.word()).to_json() == golden["p"]
+        word = [x for t in reversed(golden_b.factors) for x in t.word()]
+        assert column_insert(word).to_json() == golden["p"]
 
     def test_empty(self):
         assert column_insert(()).rows == ()

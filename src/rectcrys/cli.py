@@ -259,7 +259,8 @@ def _cmd_kpoly(args) -> int:
             seq = kostka_sequence(_parse_partition(args.mu))
 
         def compute():
-            from .kpoly import _one_shape_k_polynomial  # a cache hit never loads kpoly
+            # a compute cache hit never loads kpoly
+            from .kpoly import _one_shape_k_polynomial
 
             return _one_shape_k_polynomial(lam, seq)
 

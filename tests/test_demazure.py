@@ -29,8 +29,8 @@ def coeff(w, i):
 
 
 def fundamental(n, i):
-    """The key of the exponential of Lambda_i."""
-    return tuple(int(j == i) for j in range(n)) + (0,)
+    """Lambda_i as an AffineWeight."""
+    return AffineWeight(n, int(i == 0), tuple(int(j == i) for j in range(1, n)), 0)
 
 
 def simple_root(n, i):
@@ -174,6 +174,7 @@ class TestFormalCharacter:
         w = AffineWeight(3, 2, (0, -1), 1)
         assert FormalCharacter(3, {w: 2}).terms == {(2, 0, -1, 1): 2}
         assert FormalCharacter(3, {w: 2}) == FormalCharacter(3, {(2, 0, -1, 1): 2})
+        assert FormalCharacter.exponential(w) == FormalCharacter(3, {w: 1})
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -198,12 +199,12 @@ class TestDemazureOperator:
     def test_spreads_one_step(self):
         for n in (2, 3):
             for i in range(n):
-                ch = FormalCharacter(n, {fundamental(n, i): 1})
+                ch = FormalCharacter.exponential(fundamental(n, i))
                 out = ch.demazure_op(i)
                 assert len(out.terms) == 2
 
     def test_fixes_orthogonal(self):
-        ch = FormalCharacter(3, {fundamental(3, 0): 1})
+        ch = FormalCharacter.exponential(fundamental(3, 0))
         assert ch.demazure_op(1) == ch
 
     def test_idempotent(self):

@@ -112,7 +112,7 @@ def _normalized(rects: Iterable[Sequence[int]]) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=2048)
 def _interned(rects: tuple) -> RectSequence:
     """The one RectSequence of ``rects``, built on a miss: n and the
     subalphabet bounds here, gamma (one entry per letter) when first asked

@@ -48,21 +48,26 @@ class GradedCharacter(_Frozen):
 
 def k_polynomial(lam: Sequence[int], seq: RectSequence) -> LaurentPolynomial:
     """K_{lambda;R}(q): charge generating polynomial over LRT(lambda; R), read
-    off the map of every shape's counts for the multiset of R."""
-    counts = _k_counts(seq._multiset)
+    off the map of every shape's polynomial for the multiset of R."""
+    by_shape = _k_counts(seq._multiset)
     # a key of the map is a partition of |R| as given: no check to repeat
-    hit = counts.get(lam) if lam.__class__ is tuple else None
+    hit = by_shape.get(lam) if lam.__class__ is tuple else None
     if hit is None:
-        hit = counts.get(_lr_shape(lam, seq), {})
-    return LaurentPolynomial._copy_of(hit)
+        hit = by_shape.get(_lr_shape(lam, seq))
+    # the map's own polynomial, shared, not copied: it is immutable
+    return LaurentPolynomial() if hit is None else hit
 
 
 @lru_cache(maxsize=256)
-def _k_counts(multiset: tuple) -> Mapping[tuple[int, ...], Mapping[int, int]]:
-    """K_{lambda;R}(q) of every shape as {energy: count}, read-only, for
-    every order R of ``multiset``: the R-matrix preserves energy, so one
-    walk of :func:`_walk_order` serves them all."""
-    return MappingProxyType(_kostka_counts(_walk_order(multiset)))
+def _k_counts(multiset: tuple) -> Mapping[tuple[int, ...], LaurentPolynomial]:
+    """K_{lambda;R}(q) of every shape with a nonzero one, read-only and in
+    the order of the shapes, for every order R of ``multiset``: the
+    R-matrix preserves energy, so one walk of :func:`_walk_order` serves
+    them all."""
+    counts = _kostka_counts(_walk_order(multiset))
+    return MappingProxyType(
+        {lam: LaurentPolynomial._trusted(counts[lam]) for lam in sorted(counts) if counts[lam]}
+    )
 
 
 def _walk_order(multiset: tuple) -> RectSequence:
@@ -81,7 +86,7 @@ def _one_shape_k_polynomial(lam: Sequence[int], seq: RectSequence) -> LaurentPol
     order of :func:`_walk_order`, pinned to the one shape a one-shot
     request asks for: far cheaper than the whole map."""
     lam = _lr_shape(lam, seq)
-    return LaurentPolynomial(_kostka_counts(_walk_order(seq._multiset), lam).get(lam, {}))
+    return LaurentPolynomial._trusted(_kostka_counts(_walk_order(seq._multiset), lam).get(lam, {}))
 
 
 def kostka_sequence(mu: Sequence[int]) -> RectSequence:
@@ -110,15 +115,14 @@ def graded_character(seq: RectSequence) -> GradedCharacter:
     irreducible characters, by the LR route: the coefficient of s_lambda is
     K_{lambda;R}(q).  ``verify.verify_characters`` cross-checks it against a
     scan of the crystal."""
-    return GradedCharacter.from_dict(
-        {lam: LaurentPolynomial._copy_of(c) for lam, c in _k_counts(seq._multiset).items()}
-    )
+    # the map holds the terms sorted and nonzero, as from_dict would
+    return GradedCharacter(tuple(_k_counts(seq._multiset).items()))
 
 
 @lru_cache(maxsize=None)
-def character_weights(lam: tuple[int, ...], n: int) -> dict[tuple[int, ...], int]:
-    """Weight multiplicities of the irreducible character of shape ``lam``:
-    contents of the column-strict tableaux over 1..n.
+def character_weights(lam: tuple[int, ...], n: int) -> Mapping[tuple[int, ...], int]:
+    """Weight multiplicities of the irreducible character of shape ``lam``,
+    read-only: contents of the column-strict tableaux over 1..n.
 
     The letter n fills a horizontal strip lam/nu, and the rest is a
     column-strict tableau of shape nu over 1..n-1, so the contents are
@@ -126,9 +130,9 @@ def character_weights(lam: tuple[int, ...], n: int) -> dict[tuple[int, ...], int
     """
     lam = partition(lam)
     if len(lam) > n:
-        return {}
+        return MappingProxyType({})
     if n == 0:
-        return {(): 1}
+        return MappingProxyType({(): 1})
     padded = lam + (0,) * (n - len(lam))
     size = sum(lam)
     out: dict[tuple[int, ...], int] = {}
@@ -137,7 +141,7 @@ def character_weights(lam: tuple[int, ...], n: int) -> dict[tuple[int, ...], int
         for wt, m in character_weights(partition(nu), n - 1).items():
             key_ = wt + strip
             out[key_] = out.get(key_, 0) + m
-    return out
+    return MappingProxyType(out)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +202,7 @@ def monotonicity_check(
     lam = _lr_shape(lam, seq)
     # both polynomials count the tableaux and energies the injection reads
     sources = _lrt_energies(seq).get(lam, {})
-    base = LaurentPolynomial._copy_of(Counter(sources.values()))
+    base = LaurentPolynomial._trusted(Counter(sources.values()))
     if k == 0 or m == 0:
         return MonotonicityReport(True, base, base, [])
     prepended = RectSequence(((m, k),) + seq.rects)
@@ -206,7 +210,7 @@ def monotonicity_check(
     rects_at.insert(position, (m, k))
     extended_seq = RectSequence(rects_at)
     lam_ext = add_rows(lam, k, m)
-    extended = LaurentPolynomial._copy_of(Counter(_lrt_energies(extended_seq).get(lam_ext, {}).values()))
+    extended = LaurentPolynomial._trusted(Counter(_lrt_energies(extended_seq).get(lam_ext, {}).values()))
     images = _lrt_energies(prepended).get(lam_ext, {})
     injection = []
     seen: dict[tuple, tuple] = {}

@@ -7,11 +7,16 @@ loads no combinatorics.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 
 class LaurentPolynomial:
-    """Integer Laurent polynomial in q, stored sparsely."""
+    """Integer Laurent polynomial in q, stored sparsely; an immutable value.
+
+    ``coeffs`` is a read-only map of exponents to nonzero coefficients, so
+    a polynomial can be shared, by the Kostka map among others, with no copy.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -20,15 +25,25 @@ class LaurentPolynomial:
         acc: dict[int, int] = {}
         for e, c in items:
             acc[int(e)] = acc.get(int(e), 0) + int(c)
-        self.coeffs = {e: c for e, c in acc.items() if c != 0}
+        object.__setattr__(self, "coeffs", MappingProxyType({e: c for e, c in acc.items() if c != 0}))
 
     @classmethod
-    def _copy_of(cls, coeffs: Mapping[int, int]) -> "LaurentPolynomial":
-        """A polynomial holding a copy of ``coeffs``, trusted to map ints to
-        nonzero ints: a memo's counts, read with no check and no alias."""
-        poly = cls.__new__(cls)
-        poly.coeffs = dict(coeffs)
+    def _trusted(cls, coeffs: Mapping[int, int]) -> "LaurentPolynomial":
+        """A polynomial of ``coeffs``, trusted to map ints to nonzero ints (a
+        walk's counts, a checked cache entry), copied once with no check."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", MappingProxyType(dict(coeffs)))
         return poly
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # by value: the read-only proxy itself does not pickle
+        return self._trusted, (dict(self.coeffs),)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -56,7 +71,7 @@ class LaurentPolynomial:
         for e, c in coeffs.items():
             if not (isinstance(e, str) and str(int(e)) == e and type(c) is int and c):
                 raise ValueError(f"term {e!r:.40}: {c!r:.40} is not an integer string mapped to a nonzero int")
-        return cls._copy_of({int(e): c for e, c in coeffs.items()})
+        return cls._trusted({int(e): c for e, c in coeffs.items()})
 
     def __repr__(self) -> str:
         if not self.coeffs:

@@ -271,11 +271,13 @@ def duality_mismatches(max_n, max_cells):
 def reorder_mismatches(max_n, max_cells):
     """The number of R in rect_sequences(max_n, max_cells) and of their
     multisets, and the R on which the Kostka walk in R's own order differs
-    from the map of R's multiset, which walks one order of it."""
+    from the map of R's multiset, which walks one order of it: the
+    coefficient map of each shape's count against its polynomial's."""
     count, multisets, bad = 0, set(), []
     for seq in rect_sequences(max_n, max_cells):
         multisets.add(seq._multiset)
-        if _kostka_counts(seq) != _k_counts(seq._multiset):
+        walked = {lam: dict(c) for lam, c in _kostka_counts(seq).items()}
+        if walked != {lam: dict(p.coeffs) for lam, p in _k_counts(seq._multiset).items()}:
             bad.append(seq.rects)
         count += 1
     return count, len(multisets), bad

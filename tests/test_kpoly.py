@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -72,13 +76,19 @@ class TestKPolynomial:
         for lam in partitions_of(seq.ncells, seq.n):
             assert sum(k_polynomial(lam, seq).coeffs.values()) == len(lrt_tableaux(lam, seq))
 
-    def test_results_do_not_alias_the_memo(self):
-        # both read the map of R's multiset; a caller's edit must not reach it
+    def test_writing_a_result_raises_and_leaves_the_memo(self):
+        # both hand out the map's own polynomials, so a write must raise
         for seq in (RectSequence([(1, 2)] * 4), RectSequence([(1, 3), (2, 1), (1, 2), (1, 1)])):
             lam = max(kpoly._k_counts(seq._multiset))
-            want = k_polynomial(lam, seq)
-            k_polynomial(lam, seq).coeffs[99] = 7
-            graded_character(seq).terms[-1][1].coeffs.clear()
+            want = LaurentPolynomial(dict(k_polynomial(lam, seq).coeffs))
+            got = k_polynomial(lam, seq)
+            assert got is k_polynomial(lam, seq) is graded_character(seq).terms[-1][1]
+            with pytest.raises(TypeError):
+                got.coeffs[99] = 7
+            with pytest.raises(AttributeError):
+                got.coeffs.clear()
+            with pytest.raises(AttributeError):
+                got.coeffs = {99: 7}
             assert k_polynomial(lam, seq) == want
             assert graded_character(seq).terms[-1][1] == want
 
@@ -135,6 +145,43 @@ class TestColumnWalk:
                 assert kpoly._one_shape_k_polynomial(lam, seq) == k_polynomial(lam, seq), (seq, lam)
                 count += 1
         assert count == 1692
+
+
+# graded_character over every R of rect_sequences(7, 10) in one process,
+# printing VmRSS in kB after each quarter of the R
+LEVEL_OFF = """
+import json
+from rectcrys.kpoly import graded_character
+from rectcrys.verify import rect_sequences
+
+def rss_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:"))
+
+seqs = list(rect_sequences(7, 10))
+ends = {len(seqs) * q // 4 for q in (1, 2, 3, 4)}
+readings = []
+for k, seq in enumerate(seqs, start=1):
+    graded_character(seq)
+    if k in ends:
+        readings.append(rss_kb())
+print(json.dumps([len(seqs), len({seq._multiset for seq in seqs}), readings]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmRSS from /proc/self/status")
+def test_memory_levels_off():
+    # more multisets than the Kostka map's bound of 256, so it evicts; the
+    # map of polynomial objects and the bounded memos behind it must keep
+    # the second half of the run within 2 MB
+    src = os.path.dirname(os.path.dirname(rectcrys.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", LEVEL_OFF], env=dict(os.environ, PYTHONPATH=src),
+        check=True, capture_output=True, text=True,
+    ).stdout
+    count, multisets, readings = json.loads(out)
+    assert (count, multisets, len(readings)) == (3825, 428, 4)
+    assert readings[3] - readings[1] <= 2048, readings
 
 
 class TestTransposeDuality:
@@ -223,6 +270,13 @@ class TestGradedCharacter:
         assert weights[(2, 1, 0)] == weights[(0, 1, 2)] == 1
         assert weights[(1, 1, 1)] == 2
         assert sum(weights.values()) == 8
+
+    def test_character_weights_are_read_only(self):
+        # memoized and shared by every caller, so a write must raise
+        weights = character_weights((2, 1), 3)
+        with pytest.raises(TypeError):
+            weights[(9, 9, 9)] = 1
+        assert (9, 9, 9) not in character_weights((2, 1), 3)
 
     def test_character_weights_match_tableau_contents(self):
         for n in range(1, 5):

@@ -15,7 +15,8 @@ from rectcrys.affine import PromotionTrace, pair_promote
 from rectcrys.crystal import CrystalElement, RectSequence, Signature
 from rectcrys.demazure import demazure_character
 from rectcrys.errors import NonLRError, ShapeMismatchError
-from rectcrys.kpoly import graded_character, k_polynomial
+from rectcrys.kpoly import GradedCharacter, graded_character, k_polynomial
+from rectcrys.laurent import LaurentPolynomial
 from rectcrys.rsk import LRTableau, TableauPair, rsk_pair
 from rectcrys.tableaux import Tableau
 from rectcrys.verify import verify_energy
@@ -83,10 +84,11 @@ class TestClearCaches:
             if callable(getattr(obj, "cache_info", None))
         }.values()
         # 8 unbounded memos and 6 bounded: kpoly._k_counts (the Kostka map
-        # per multiset of R) at 256; crystal._interned (one RectSequence per
-        # rectangle tuple) and rmatrix._peel_plan at 1024; and
-        # energy._lrt_energies (the per-R tableau memo), rmatrix._sigma_pair
-        # and tableaux.insertion_shape at 2048
+        # per multiset of R) at 256; rmatrix._peel_plan at 1024; and
+        # crystal._interned (one RectSequence per rectangle tuple; verify all
+        # at n <= 4, <= 8 cells builds 1,208), energy._lrt_energies (the per-R
+        # tableau memo), rmatrix._sigma_pair and tableaux.insertion_shape at
+        # 2048
         assert len(memos) == 14 and any(memo.cache_info().currsize for memo in memos)
         assert sum(memo.cache_info().maxsize is None for memo in memos) == 8
         assert kpoly._k_counts in memos and kpoly._k_counts.cache_info().currsize
@@ -125,6 +127,11 @@ VALUES = [
         "PromotionTrace(removed_strip=((1, 3),), ejected=(2,), intermediate=1 1\n2 3, "
         "added_strip=((3, 1),))",
     ),
+    (LaurentPolynomial({-1: 1, 0: 3, 2: -2}), "q^-1 + 3 - 2*q^2"),
+    (
+        graded_character(RectSequence([(1, 2), (1, 1), (1, 1)])),
+        "GradedCharacter([2, 1, 1]: 1, [2, 2]: q, [3, 1]: q + q^2, [4]: q^3)",
+    ),
 ]
 FIELDS = {
     RectSequence: ("rects",),
@@ -132,12 +139,22 @@ FIELDS = {
     TableauPair: ("p", "q"),
     LRTableau: ("tableau", "seq"),
     PromotionTrace: ("removed_strip", "ejected", "intermediate", "added_strip"),
+    LaurentPolynomial: ("coeffs",),
+    GradedCharacter: ("terms",),
 }
 
 
 def same_fields(value):
     cls = type(value)
     return cls(*(getattr(value, name) for name in FIELDS[cls]))
+
+
+def hash_key(value):
+    """What a value hashes as: the tuple of its fields, or a polynomial's
+    sorted terms, since its read-only map of terms does not hash."""
+    if isinstance(value, LaurentPolynomial):
+        return tuple(sorted(value.coeffs.items()))
+    return tuple(getattr(value, name) for name in FIELDS[type(value)])
 
 
 @pytest.mark.parametrize("value, text", VALUES, ids=lambda v: type(v).__name__)
@@ -149,7 +166,7 @@ class TestValueTypes:
         fields = tuple(getattr(value, name) for name in FIELDS[type(value)])
         twin = same_fields(value)
         assert twin == value and not twin != value
-        assert hash(twin) == hash(value) == hash(fields)
+        assert hash(twin) == hash(value) == hash(hash_key(value))
         assert value != fields and value != object()
 
     def test_immutable(self, value, text):

@@ -79,15 +79,12 @@ def rect_sequences(
     n_max: int,
     max_cells: int,
     num_rects: int | None = None,
-    rows_only: bool = False,
 ) -> Iterator[RectSequence]:
     """All rectangle sequences with alphabet size 2..n_max and at most
     ``max_cells`` cells (so n <= max_cells), in a fixed deterministic order."""
     for n in range(2, min(n_max, max_cells) + 1):
         for comp in compositions(n):
             if num_rects is not None and len(comp) != num_rects:
-                continue
-            if rows_only and any(eta != 1 for eta in comp):
                 continue
 
             def widths(j: int, budget: int) -> Iterator[tuple[int, ...]]:
@@ -782,9 +779,6 @@ def verify_energy(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport:
 
 
 def _check_charge(seq: RectSequence) -> Iterator[dict]:
-    gamma = seq.gamma()
-    if any(gamma[i] < gamma[i + 1] for i in range(len(gamma) - 1)):
-        return  # charge needs partition content
     for group in _lrt_energies(seq).values():
         for rows, en in group.items():
             t = Tableau._raw(rows, (), seq.n)
@@ -793,8 +787,15 @@ def _check_charge(seq: RectSequence) -> Iterator[dict]:
                 yield _fail(t.to_json(), f"charge {ch}", en)
 
 
+def _charge_sequences(n_max: int, max_cells: int) -> list[RectSequence]:
+    """One R of one-row rectangles per partition with 2..n_max parts and at
+    most ``max_cells`` cells: charge needs partition content."""
+    lams = (lam for k in range(2, max_cells + 1) for lam in partitions_of(k, n_max) if len(lam) > 1)
+    return [RectSequence(tuple((1, mu) for mu in lam)) for lam in lams]
+
+
 def verify_charge_energy(n_max: int, max_cells: int, jobs: int = 1) -> VerifyReport:
-    seqs = rect_sequences(n_max, max_cells, rows_only=True)
+    seqs = _charge_sequences(n_max, max_cells)
     return _run_instances("charge-energy", [(seqs, _check_charge)], jobs)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectcrys import cli, energy, kpoly, verify
+from rectcrys import cache, cli, energy, kpoly, verify
 from rectcrys.cache import PolynomialCache
 from rectcrys.crystal import RectSequence
 from rectcrys.kpoly import k_polynomial, kostka_foulkes
@@ -321,10 +321,15 @@ class TestCache:
             *extra,
         ]
 
+    def entry(self, tmp_path):
+        """The fixture request's entry file: n = 3, lambda = (2, 1), R = (1x1)^3."""
+        return tmp_path / "kpoly-v2" / "3_2.1_1x1.1x1.1x1.json"
+
     def test_cold_then_warm(self, capsys, tmp_path):
         code, cold = run_cli(capsys, self.args(tmp_path))
         assert code == 0
-        assert (tmp_path / "kpoly.json").exists()
+        # the entry alone: no lock file and no temporary file left behind
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [self.entry(tmp_path)]
         code, warm = run_cli(capsys, self.args(tmp_path))
         assert warm == cold
 
@@ -342,40 +347,85 @@ class TestCache:
 
     def test_corrupt_entries_recomputed(self, capsys, tmp_path):
         _, first = run_cli(capsys, self.args(tmp_path))
-        store = json.loads((tmp_path / "kpoly.json").read_text())
-        for k in store["entries"]:
-            store["entries"][k] = {"bogus": 1}
-        (tmp_path / "kpoly.json").write_text(json.dumps(store))
+        for path in (tmp_path / "kpoly-v2").iterdir():
+            path.write_text(json.dumps({"bogus": 1}))
         _, again = run_cli(capsys, self.args(tmp_path))
         assert again == first
 
     @pytest.mark.parametrize("coeffs", [[1, 2], {"1": 1.5}, {"1": 0}], ids=["list", "float", "zero"])
     def test_malformed_entry_recomputed(self, capsys, tmp_path, coeffs):
-        # a list, a fractional and a zero coefficient: each entry is dropped
-        # and the polynomial, q + q^2, recomputed, never served truncated
+        # a list, a fractional and a zero coefficient: each entry is reported
+        # and the polynomial, q + q^2, recomputed and stored over it, never
+        # served truncated
         run_cli(capsys, self.args(tmp_path))
-        store = json.loads((tmp_path / "kpoly.json").read_text())
-        store["entries"] = {k: {"coeffs": coeffs} for k in store["entries"]}
-        (tmp_path / "kpoly.json").write_text(json.dumps(store))
+        self.entry(tmp_path).write_text(json.dumps({"coeffs": coeffs}))
         code = cli.main(self.args(tmp_path))
         out, err = capsys.readouterr()
         assert code == 0 and json.loads(out) == {"coeffs": {"1": 1, "2": 1}}
         assert "corrupt cache entry" in err
+        assert json.loads(self.entry(tmp_path).read_text()) == {"coeffs": {"1": 1, "2": 1}}
 
     def test_non_object_file_recomputed(self, capsys, tmp_path):
         _, first = run_cli(capsys, self.args(tmp_path))
-        (tmp_path / "kpoly.json").write_text("[]")
+        self.entry(tmp_path).write_text("[]")
         code, again = run_cli(capsys, self.args(tmp_path))
         assert code == 0 and again == first
 
-    def test_schema_bump_invalidates(self, capsys, tmp_path):
+    def test_schema_bump_invalidates(self, capsys, tmp_path, monkeypatch):
         _, first = run_cli(capsys, self.args(tmp_path))
-        store = json.loads((tmp_path / "kpoly.json").read_text())
-        store["schema"] = -1
-        store["entries"] = {k: {"coeffs": {"9": 9}} for k in store["entries"]}
-        (tmp_path / "kpoly.json").write_text(json.dumps(store))
+        self.entry(tmp_path).write_text(json.dumps({"coeffs": {"9": 9}}))
+        monkeypatch.setattr(cache, "SCHEMA_VERSION", cache.SCHEMA_VERSION + 1)
         _, again = run_cli(capsys, self.args(tmp_path))
         assert again == first  # stale-schema entries are never served
+        assert (tmp_path / f"kpoly-v{cache.SCHEMA_VERSION}").is_dir()
+
+    def test_legacy_file_ignored(self, capsys, tmp_path):
+        # the single-file cache of schema 1, with a wrong entry for the
+        # fixture request, is neither served nor reported nor touched
+        legacy = tmp_path / "kpoly.json"
+        key = json.dumps([3, [2, 1], [[1, 1], [1, 1], [1, 1]]], separators=(",", ":"))
+        legacy.write_text(json.dumps({"schema": 1, "entries": {key: {"coeffs": {"9": 9}}}}))
+        text = legacy.read_text()
+        code = cli.main(self.args(tmp_path))
+        out, err = capsys.readouterr()
+        assert code == 0 and json.loads(out) == {"coeffs": {"1": 1, "2": 1}} and err == ""
+        assert legacy.read_text() == text
+
+    def test_put_leaves_other_entries_untouched(self, tmp_path):
+        # a write touches its own entry alone: every file already in the
+        # cache keeps its bytes and its (back-dated) mtime
+        store = PolynomialCache(directory=str(tmp_path))
+        for k in range(3):
+            store.put(f"k{k}", LaurentPolynomial({k: 1}))
+        files = [p for p in tmp_path.rglob("*") if p.is_file()]
+        for path in files:
+            os.utime(path, ns=(10**18, 10**18))
+        before = {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in files}
+        store.put("k3", LaurentPolynomial({3: 1}))
+        assert {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in files} == before
+        assert [store.get(f"k{k}") for k in range(4)] == [LaurentPolynomial({k: 1}) for k in range(4)]
+
+    def test_unusable_entry_reported(self, capsys, tmp_path):
+        # an entry that can be neither read nor replaced (here a directory)
+        # is reported both times; the answer stands and the write's
+        # temporary file is removed
+        self.entry(tmp_path).mkdir(parents=True)
+        code = cli.main(self.args(tmp_path))
+        out, err = capsys.readouterr()
+        assert code == 0 and json.loads(out) == {"coeffs": {"1": 1, "2": 1}}
+        assert "cache unreadable" in err and "cache write failed" in err
+        assert list((tmp_path / "kpoly-v2").iterdir()) == [self.entry(tmp_path)]
+
+    def test_corrupt_entry_spares_other_keys(self, capsys, tmp_path):
+        # a hit on one key neither reads, reports nor mends another's entry
+        other = [*self.args(tmp_path)[:3], "3", *self.args(tmp_path)[4:]]
+        run_cli(capsys, self.args(tmp_path))
+        _, first = run_cli(capsys, other)
+        self.entry(tmp_path).write_text("not json")
+        code = cli.main(other)
+        out, err = capsys.readouterr()
+        assert code == 0 and out.strip() == first and err == ""
+        assert self.entry(tmp_path).read_text() == "not json"
 
     def test_concurrent_writers_keep_every_entry(self, tmp_path):
         # Both writers load the (empty) file before either writes; a writer
@@ -403,8 +453,24 @@ class TestCache:
         second = [*first[:5], "2x1,1x2,1x2", *first[6:]]
         _, cold = run_cli(capsys, first)
         _, warm = run_cli(capsys, second)
-        assert warm == cold and len(json.loads((tmp_path / "kpoly.json").read_text())["entries"]) == 1
+        assert warm == cold and [p.name for p in (tmp_path / "kpoly-v2").iterdir()] == ["4_3.2.1_1x2.1x2.2x1.json"]
         assert "rectcrys.kpoly" not in loaded_by(*second)
+
+    @pytest.mark.parametrize("xdg", ["", "relative"])
+    def test_empty_or_relative_xdg_cache_home_ignored(self, capsys, tmp_path, monkeypatch, xdg):
+        # the XDG Base Directory spec treats both as unset: the cache goes to
+        # ~/.cache/rectcrys, never under the working directory
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+        assert cache.default_cache_dir() == str(tmp_path / ".cache" / "rectcrys")
+        assert cli.main(self.args(tmp_path)[:6]) == 0
+        capsys.readouterr()
+        assert not list(work.iterdir())
+        assert self.entry(tmp_path / ".cache" / "rectcrys").exists()
 
 
 class TestVerifyCommand:

@@ -68,15 +68,15 @@ class TestWorkerCount:
     def test_pools_by_work(self, monkeypatch):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
 
-        def family_work(check, n, cells, **kw):
-            return sum(verify._work(check, seq) for seq in verify.rect_sequences(n, cells, **kw))
+        def family_work(check, n, cells, family=verify.rect_sequences):
+            return sum(verify._work(check, seq) for seq in family(n, cells))
 
         # the n <= 3, <= 5 cells family (1,021 elements) stays in process for every check
         for check in verify.US_PER_ELEMENT:
             assert verify.worker_count(2, family_work(check, 3, 5)) == 1
         # at n <= 4, <= 6 cells the RSK scan pools, the charge check does not
         assert verify.worker_count(2, family_work(verify._check_rsk, 4, 6)) == 2
-        charge = family_work(verify._check_charge, 4, 6, rows_only=True)
+        charge = family_work(verify._check_charge, 4, 6, verify._charge_sequences)
         assert verify.worker_count(2, charge) == 1
 
     def test_real_pool_matches_in_process(self, monkeypatch):

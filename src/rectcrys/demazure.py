@@ -11,27 +11,21 @@ track of the delta grading.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
+from itertools import accumulate, combinations, starmap
 from math import comb
-from operator import add, sub
-from typing import Mapping, Sequence
+from operator import add, gt, sub
 
 from .errors import NotPartitionOfNError
 from .kpoly import GradedCharacter
 from .laurent import LaurentPolynomial
-from .tableaux import _Frozen, conjugate, partition
+from .tableaux import _Frozen, partition
 
 
 def cartan_entry(n: int, i: int, j: int) -> int:
     """Cartan matrix of the affine cycle with n nodes (n >= 2)."""
-    if i == j:
-        return 2
-    a = 0
-    if (i + 1) % n == j:
-        a -= 1
-    if (i - 1) % n == j:
-        a -= 1
-    return a
+    return _classical_roots(n)[i][j]
 
 
 class AffineWeight(_Frozen):
@@ -61,8 +55,17 @@ def _term_key(n: int, w) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _classical_roots(n: int) -> tuple[tuple[int, ...], ...]:
     """The classical parts (lam0, *finite) of alpha_0, ..., alpha_{n-1}:
-    alpha_i = sum_j a_{ij} Lambda_j, plus delta when i = 0."""
-    return tuple(tuple(cartan_entry(n, i, j) for j in range(n)) for i in range(n))
+    alpha_i = sum_j a_{ij} Lambda_j, plus delta when i = 0.  Row i of the
+    Cartan matrix of the n-cycle: 2 at i, -1 at each neighbour of i (twice
+    the one neighbour when n = 2)."""
+    roots = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = 2
+        row[i - 1] -= 1
+        row[(i + 1) % n] -= 1
+        roots.append(tuple(row))
+    return tuple(roots)
 
 
 # A FormalCharacter keeps the delta grading of each classical weight in one
@@ -190,8 +193,11 @@ def translation_vector(mu: Sequence[int], n: int) -> tuple[int, ...]:
     mu = partition(mu)
     if sum(mu) != n:
         raise NotPartitionOfNError(f"{mu} is not a partition of {n}")
-    mt = list(conjugate(mu)) + [0] * (n - len(conjugate(mu)))
-    return tuple(sorted(x - 1 for x in mt))
+    # the transpose's parts increase as c falls from mu_1 to 1: the number
+    # of parts of mu that are at least c, a running count of the parts equal
+    # to c; n - mu_1 zero parts come first
+    top = mu[0] if mu else 0
+    return (-1,) * (n - top) + tuple(map((-1).__add__, accumulate(map(mu.count, range(top, 0, -1)))))
 
 
 def translation_length(t: Sequence[int]) -> int:
@@ -259,45 +265,62 @@ def _straighten(ch: FormalCharacter, level: int) -> GradedCharacter:
     each exponential of ``ch`` and collect the irreducible characters by
     q-degree.
 
-    The finite part of a weight becomes the vector v = lam + rho with sum
-    level * n + |rho|, rho = (n-1, ..., 1, 0).  The term vanishes when v has
+    The finite part of a weight becomes the vector x = lam + rho with sum
+    level * n + |rho|, rho = (n-1, ..., 1, 0).  The term vanishes when x has
     a repeated entry; otherwise it is sgn(sigma) times the character of the
-    shape sort(v) - rho, sigma the sorting permutation.  Each classical
-    weight is straightened once, with its whole packed grading; the gradings
-    are summed per shape and decoded once per shape.
+    shape sort(x) - rho, sigma the permutation that sorts x decreasingly.
+    Each classical weight is straightened once, with its whole packed
+    grading; the gradings are summed per shape and decoded once per shape.
     """
     n, hi = ch.n, ch._hi
     above_zero = (1 << _BITS * hi) - 1 if hi > 0 else 0
+    # With the partial sums P_k = lam0 + f_1 + ... + f_k of a weight
+    # (lam0, f_1, ..., f_{n-1}), f_k = lam_k - lam_{k+1}, the vector x reads
+    # x_{k+1} = c - y_k, where y_k = P_k + k and n c = |x| + sum(y), that is
+    # c = t / n + n - 1 with t = level * n + sum(P).  So the weight is that
+    # of a partition when n divides t; x repeats an entry when y does, as it
+    # does when some f_k = -1; sorting y increasingly sorts x decreasingly;
+    # and sgn(sigma) is the parity of y's inversions.
+    steps = range(n)
     size = level * n
+    rho_sum = n * (n - 1) // 2
     out: dict[tuple[int, ...], int] = {}
+    get = out.get
     for w, p in ch._packed.items():
         if p & above_zero:
             raise ValueError("positive delta coefficient in a Demazure character")
-        fin = w[1:]
-        tail = size - sum(i * f for i, f in enumerate(fin, start=1))
-        if tail % n:
-            raise ValueError(f"no partition of {size} with differences {fin}")
-        v = [tail // n]
-        for f in reversed(fin):
-            v.append(v[-1] + f + 1)
-        # v lists lam_n + rho_n, ..., lam_1 + rho_1
-        if len(set(v)) < n:
+        if -1 in w and w[0] != -1:  # some f_k = -1; lam0 = -1 takes the long way
+            y = None
+            t = size + sum(accumulate(w))
+        else:
+            y = list(map(add, accumulate(w), steps))
+            t = size + sum(y) - rho_sum
+        if t % n:
+            raise ValueError(f"no partition of {size} with differences {w[1:]}")
+        if y is None or len(set(y)) < n:
             continue
-        sign = -1 if sum(a > b for k, a in enumerate(v) for b in v[k + 1:]) % 2 else 1
-        v.sort(reverse=True)
-        lam = tuple(x - k for k, x in zip(range(n - 1, -1, -1), v))
-        out[lam] = out.get(lam, 0) + sign * p
-    result = {}
-    for lam, p in out.items():
+        if sum(starmap(gt, combinations(y, 2))) & 1:
+            p = -p
+        y.sort()
+        x = tuple(map((t // n + n - 1).__sub__, y))
+        out[x] = get(x, 0) + p
+    rho = range(n - 1, -1, -1)
+    terms = []
+    for x, p in out.items():
         # digit e is the coefficient at delta = hi - e, that is at q^(e - hi)
-        poly = LaurentPolynomial({e - hi: c for e, c in _digits(p)})
-        if not poly.coeffs:
+        coeffs = {e - hi: m for e, m in _digits(p)}
+        if not coeffs:
             continue
-        negative = [e for e, m in poly.coeffs.items() if m < 0]
+        lam = tuple(map(sub, x, rho))
+        negative = [e for e, m in coeffs.items() if m < 0]
         if negative:
             raise ValueError(f"negative multiplicity at {lam}, degree {min(negative)}")
-        result[partition(lam)] = poly
-    return GradedCharacter.from_dict(result)
+        if lam[-1] < 0:
+            raise ValueError(f"negative part in {lam}")
+        # lam decreases and ends at 0 or above: its zeros trail
+        terms.append((lam[: n - lam.count(0)], LaurentPolynomial._trusted(coeffs)))
+    # the shapes are distinct, so the sort never compares two polynomials
+    return GradedCharacter(tuple(sorted(terms)))
 
 
 def demazure_character(level: int, mu: Sequence[int], n: int) -> GradedCharacter:
@@ -322,7 +345,7 @@ def demazure_character(level: int, mu: Sequence[int], n: int) -> GradedCharacter
             f"|B^R| at n = {n}, level {level} may reach 2**{_BITS - 1}, past a packed coefficient"
         )
     word = _wall_walk(sorted(_translate_point(mu, n), reverse=True))
-    ch = FormalCharacter(n, {(level,) + (0,) * n: 1})
+    ch = FormalCharacter._of(n, 0, {(level,) + (0,) * (n - 1): 1})
     for i in reversed(word):
         ch = ch.demazure_op(i)
     return _straighten(ch, level)

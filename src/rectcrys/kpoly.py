@@ -46,6 +46,10 @@ class GradedCharacter(_Frozen):
         return f"GradedCharacter({body})"
 
 
+# K_{lambda;R}(q) of every shape outside R's map, one immutable value shared
+_ZERO = LaurentPolynomial._trusted({})
+
+
 def k_polynomial(lam: Sequence[int], seq: RectSequence) -> LaurentPolynomial:
     """K_{lambda;R}(q): charge generating polynomial over LRT(lambda; R), read
     off the map of every shape's polynomial for the multiset of R."""
@@ -55,7 +59,7 @@ def k_polynomial(lam: Sequence[int], seq: RectSequence) -> LaurentPolynomial:
     if hit is None:
         hit = by_shape.get(_lr_shape(lam, seq))
     # the map's own polynomial, shared, not copied: it is immutable
-    return LaurentPolynomial() if hit is None else hit
+    return _ZERO if hit is None else hit
 
 
 @lru_cache(maxsize=256)

@@ -7,8 +7,8 @@ loads no combinatorics.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 
 class LaurentPolynomial:

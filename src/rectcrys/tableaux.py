@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 def partition(parts: Iterable[int]) -> tuple[int, ...]:
     """Canonicalize ``parts`` into a partition tuple (trailing zeros trimmed)."""
-    p = tuple(int(x) for x in parts)
+    p = tuple(map(int, parts))
     for a, b in zip(p, p[1:]):
         if a < b:
             raise ValueError(f"not weakly decreasing: {p}")

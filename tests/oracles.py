@@ -8,8 +8,9 @@ sigma on two factors by inserting the whole element, and the alcove walk
 of the translation's reduced words in exact fractions, the LR route of
 the Kostka counts that the column walk replaced, the transpose duality of graded
 characters, the Kostka walk on every order of a multiset against its map,
-the energy terms of an element by sigma_swap on whole elements, and the
-tau chain of tableau energy terms.
+the energy terms of an element by sigma_swap on whole elements, the
+tau chain of tableau energy terms, and the straightening of a formal
+character into irreducibles, term by term.
 Cells are (row, col) pairs, 1-based, row 1 on top.
 """
 
@@ -22,10 +23,11 @@ from rectcrys.crystal import CrystalElement, RectSequence, _row_word, signature,
 from rectcrys.demazure import translation_vector
 from rectcrys.energy import _column_walk, _kostka_counts, _lrt_energies, _switches, energy_terms, restricted_d
 from rectcrys.errors import NonLRError
-from rectcrys.kpoly import _k_counts
+from rectcrys.kpoly import GradedCharacter, _k_counts
+from rectcrys.laurent import LaurentPolynomial
 from rectcrys.rmatrix import sigma_swap
 from rectcrys.rsk import LRTableau, TableauPair, _factors, _lift, is_r_lr, rsk_inverse, rsk_pair
-from rectcrys.tableaux import Tableau, column_insert, conjugate, enumerate_cst, key, unrecord
+from rectcrys.tableaux import Tableau, column_insert, conjugate, enumerate_cst, key, partition, unrecord
 from rectcrys.verify import rect_sequences
 
 
@@ -332,3 +334,44 @@ def lift_term_mismatches(max_n, max_cells):
                     bad.append(q)
                 count += 1
     return count, bad
+
+
+def straighten_by_inversions(ch, level):
+    """demazure._straighten written out term by term: each term (lam0,
+    f_1, ..., f_{n-1}, delta) of ``ch`` is the weight lam with lam_k -
+    lam_{k+1} = f_k and |lam| = level * n (lam0 is not read).  It vanishes
+    when lam + rho, rho = (n-1, ..., 1, 0), repeats an entry; otherwise it
+    is (-1)^inv times the character of the shape sort(lam + rho) - rho at
+    q^(-delta), inv the pairs i < j with (lam + rho)_i < (lam + rho)_j, the
+    ones the decreasing sort puts in order.  Every shape goes through
+    partition and every polynomial through the checked LaurentPolynomial."""
+    n = ch.n
+    size = level * n
+    rho = list(range(n - 1, -1, -1))
+    acc = {}
+    for w, c in ch.terms.items():
+        fin, delta = w[1:n], w[n]
+        if delta > 0:
+            raise ValueError("positive delta coefficient in a Demazure character")
+        tail = size - sum(i * f for i, f in enumerate(fin, start=1))
+        if tail % n:
+            raise ValueError(f"no partition of {size} with differences {fin}")
+        lam = [tail // n]
+        for f in reversed(fin):
+            lam.insert(0, lam[0] + f)
+        v = [a + r for a, r in zip(lam, rho)]
+        if len(set(v)) < n:
+            continue
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if v[i] < v[j])
+        shape = tuple(a - r for a, r in zip(sorted(v, reverse=True), rho))
+        degrees = acc.setdefault(shape, {})
+        degrees[-delta] = degrees.get(-delta, 0) + (-1) ** inv * c
+    result = {}
+    for shape, degrees in acc.items():
+        poly = LaurentPolynomial(degrees)
+        if not poly:
+            continue
+        if any(m < 0 for m in poly.coeffs.values()):
+            raise ValueError(f"negative multiplicity at {shape}")
+        result[partition(shape)] = poly
+    return GradedCharacter.from_dict(result)

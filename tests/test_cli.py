@@ -427,6 +427,35 @@ class TestCache:
         assert code == 0 and out.strip() == first and err == ""
         assert self.entry(tmp_path).read_text() == "not json"
 
+    def test_long_key_cached_under_its_digest(self, capsys, tmp_path):
+        # seventy 1x1 rectangles give a key too long for a file name: the
+        # entry is named by its digest and holds the key, and the second
+        # request is a hit, with the same answer and nothing on stderr
+        args = ["kpoly", "compute", "--shape", "70", "--rects", ",".join(["1x1"] * 70), "--cache-dir", str(tmp_path)]
+        answers = []
+        for _ in range(2):
+            code = cli.main(args)
+            out, err = capsys.readouterr()
+            assert code == 0 and err == ""
+            answers.append(out)
+        assert answers[0] == answers[1] and json.loads(answers[0]) == {"coeffs": {"2415": 1}}
+        key = cache.cache_key(70, (70,), [(1, 1)] * 70)
+        (entry,) = (tmp_path / "kpoly-v2").iterdir()
+        assert len(key) > cache.MAX_NAMED_KEY and len(entry.name) < 80
+        assert json.loads(entry.read_text()) == {"key": key, "coeffs": {"2415": 1}}
+        assert "rectcrys.kpoly" not in loaded_by(*args)
+
+    def test_digest_entry_of_another_key_recomputed(self, capsys, tmp_path):
+        # a digest-named entry is served only for the key it holds
+        store = PolynomialCache(directory=str(tmp_path))
+        key = "9_" + "1x1." * 60 + "1x1"
+        store.put(key, LaurentPolynomial({1: 1}))
+        assert store.get(key) == LaurentPolynomial({1: 1})
+        (entry,) = (tmp_path / "kpoly-v2").iterdir()
+        entry.write_text(json.dumps({"key": key + ".1x1", "coeffs": {"1": 1}}))
+        assert store.get(key) is None
+        assert "corrupt cache entry" in capsys.readouterr().err
+
     def test_concurrent_writers_keep_every_entry(self, tmp_path):
         # Both writers load the (empty) file before either writes; a writer
         # that rewrote the file from its own entries would drop the other's.

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import fraction_translate_point, fraction_wall_walk
+from conftest import load_fixture
+from oracles import fraction_translate_point, fraction_wall_walk, straighten_by_inversions
 from rectcrys.demazure import (
     AffineWeight,
     FormalCharacter,
@@ -18,7 +21,7 @@ from rectcrys.demazure import (
     translation_vector,
 )
 from rectcrys.errors import NotPartitionOfNError
-from rectcrys.kpoly import character_weights
+from rectcrys.kpoly import GradedCharacter, character_weights
 from rectcrys.laurent import LaurentPolynomial
 from rectcrys.tableaux import enumerate_cst, partitions_of
 
@@ -400,6 +403,15 @@ class TestDemazureCharacter:
         with pytest.raises(ValueError, match="n must be at least 2"):
             demazure_character(1, mu, n)
 
+    def test_matches_committed_n6_level2_characters(self):
+        # every mu of 6 at level 2, against the committed characters
+        fixture = load_fixture("demazure_n6_level2.json")
+        assert (fixture["n"], fixture["level"]) == (6, 2)
+        mus = list(partitions_of(6, 6))
+        assert sorted(fixture["characters"]) == sorted(",".join(map(str, mu)) for mu in mus)
+        for mu in mus:
+            assert demazure_character(2, mu, 6).to_json() == fixture["characters"][",".join(map(str, mu))], mu
+
     def test_matches_full_translation_word(self):
         # The oracle: every operator of the translation's word, compared
         # weight by weight with the irreducibles expanded, checks both the
@@ -428,3 +440,85 @@ class TestDemazureCharacter:
             _straighten(character({2: 1, -2: 1}), 1)
         with pytest.raises(ValueError, match="no partition"):
             _straighten(character({1: 1}), 1)
+
+
+def _inversions(seq):
+    return sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j])
+
+
+@st.composite
+def straighten_cases(draw):
+    """(n, level, terms) of a character to straighten, at n = 2..7 and
+    levels 1..3.  Its weights are images sigma(lam + rho) - rho of dominant
+    lam, each with the sign of sigma so that it adds to lam's character;
+    pairs of such images one reflection apart, with one coefficient, which
+    cancel; weights whose lam + rho repeats an entry; and, in a raw case,
+    weights of any lam of the right size with any sign, which may leave a
+    negative multiplicity.  Each weight sits at one to three deltas, so
+    its grading takes several digits, and lam0, which straightening does
+    not read, is drawn at random."""
+    n = draw(st.integers(2, 7))
+    level = draw(st.integers(1, 3))
+    size = level * n
+    rho = list(range(n - 1, -1, -1))
+    raw = draw(st.booleans())
+    terms = {}
+
+    def put(lam, c):
+        fin = tuple(a - b for a, b in zip(lam, lam[1:]))
+        lam0 = draw(st.integers(-3, 3))
+        for delta in draw(st.sets(st.integers(-6, 0), min_size=1, max_size=3)):
+            key = (lam0, *fin, delta)
+            terms[key] = terms.get(key, 0) + c
+
+    def composition():
+        cuts = sorted(draw(st.lists(st.integers(0, size), min_size=n - 1, max_size=n - 1)))
+        return [b - a for a, b in zip([0, *cuts], [*cuts, size])]
+
+    coefficients = st.integers(1, 3) | st.just(2**40)
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["image", "pair", "vanishing", "raw"] if raw else ["image", "pair", "vanishing"]))
+        lam = composition()
+        if kind in ("vanishing", "raw"):
+            if kind == "raw":
+                lam[:-1] = [draw(st.integers(-2, level + 2)) for _ in range(n - 1)]
+                lam[-1] = size - sum(lam[:-1])
+            elif len({a + r for a, r in zip(lam, rho)}) == n:
+                continue
+            put(lam, draw(coefficients) * draw(st.sampled_from([1, -1])))
+            continue
+        x = [a + r for a, r in zip(sorted(lam, reverse=True), rho)]
+        perm = draw(st.permutations(range(n)))
+        sign = -1 if _inversions(perm) % 2 else 1
+        c = sign * draw(coefficients)
+        put([x[k] - r for k, r in zip(perm, rho)], c)
+        if kind == "pair":
+            i = draw(st.integers(0, n - 2))
+            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+            put([x[k] - r for k, r in zip(perm, rho)], c)
+    return n, level, terms
+
+
+class TestStraightenOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(straighten_cases())
+    def test_matches_term_by_term_oracle(self, case):
+        # the same characters, or a ValueError from both
+        n, level, terms = case
+        ch = FormalCharacter(n, terms)
+        try:
+            want = straighten_by_inversions(ch, level)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _straighten(ch, level)
+        else:
+            assert _straighten(ch, level) == want
+
+    def test_oracle_sign_on_a_transposition(self):
+        # n = 3, level 1: lam = (0, 2, 1) is s_1 . (1, 1, 1), so it
+        # straightens to minus the character of (1, 1, 1), the parity of the
+        # decreasing sort of lam + rho = (2, 3, 1); its increasing sort has
+        # the other parity, as n(n-1)/2 = 3 is odd
+        ch = FormalCharacter(3, {(1, -2, 1, 0): 1, (1, 0, 0, 0): 2})
+        want = GradedCharacter((((1, 1, 1), LaurentPolynomial({0: 1})),))
+        assert _straighten(ch, 1) == straighten_by_inversions(ch, 1) == want

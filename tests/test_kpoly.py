@@ -65,6 +65,15 @@ class TestKPolynomial:
         seq = RectSequence([(1, 1), (1, 3)])
         assert k_polynomial((1, 1, 1, 1), seq) == LaurentPolynomial()
 
+    def test_empty_result_is_one_shared_zero(self):
+        # a shape outside R's map, of any R, gets one immutable polynomial,
+        # equal to the checked constructor's zero
+        zero = k_polynomial((1, 1, 1, 1), RectSequence([(1, 1), (1, 3)]))
+        assert zero == LaurentPolynomial() and not zero.coeffs
+        assert k_polynomial([1, 1, 1, 1, 1], RectSequence([(2, 2), (1, 1)])) is zero
+        with pytest.raises(TypeError):
+            zero.coeffs[0] = 1
+
     def test_reorder_invariance(self):
         # the walk on each order named, not the map both orders share
         for rects in ([(1, 2), (2, 1)], [(1, 1), (1, 2), (1, 1)], [(2, 1), (1, 2)]):
